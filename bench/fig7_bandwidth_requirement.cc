@@ -21,7 +21,6 @@
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
-#include "src/metrics/experiment.h"
 #include "src/scenario/runner.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/consensus_diff.h"
@@ -41,12 +40,12 @@ int main() {
 
   std::vector<double> required_bps(relay_counts.size(), 0.0);
   pool.ParallelFor(relay_counts.size(), [&](size_t i) {
-    tormetrics::ExperimentConfig config;
-    config.protocol = "current";
-    config.relay_count = relay_counts[i];
-    config.run_limit = torbase::Minutes(15);
-    required_bps[i] = tormetrics::FindBandwidthRequirement(
-        runner, config, /*victim_count=*/5, /*lo_bps=*/0.2e6, /*hi_bps=*/25e6, /*probes=*/7);
+    torscenario::ScenarioSpec spec;
+    spec.protocol = "current";
+    spec.relay_count = relay_counts[i];
+    spec.horizon = torbase::Minutes(15);
+    required_bps[i] = torscenario::FindBandwidthRequirement(
+        runner, spec, /*victim_count=*/5, /*lo_bps=*/0.2e6, /*hi_bps=*/25e6, /*probes=*/7);
   });
 
   torbase::Table table({"Relays", "Required bandwidth (Mbit/s)", "Under attack (Mbit/s)",

@@ -17,11 +17,9 @@
 
 #include "src/common/stats.h"
 #include "src/common/table.h"
-#include "src/metrics/experiment.h"
+#include "src/scenario/runner.h"
 
 namespace {
-
-using tormetrics::ExperimentConfig;
 
 const std::vector<std::string> kProtocols = {"current", "synchronous", "icps"};
 
@@ -37,11 +35,12 @@ struct TrafficSplit {
 };
 
 TrafficSplit Run(const std::string& protocol, uint32_t n, size_t relays) {
-  ExperimentConfig config;
-  config.protocol = protocol;
-  config.authority_count = n;
-  config.relay_count = relays;
-  const auto result = tormetrics::RunExperiment(config);
+  torscenario::ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.authority_count = n;
+  spec.relay_count = relays;
+  torscenario::ScenarioRunner runner;
+  const auto result = runner.Run(spec);
   TrafficSplit split;
   for (const auto& [message_kind, bytes] : result.bytes_by_kind) {
     if (IsDocumentKind(message_kind)) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/common/table.h"
-#include "src/metrics/experiment.h"
 #include "src/scenario/runner.h"
 
 int main() {
@@ -34,12 +33,12 @@ int main() {
   std::printf("\nEmpirical good case (500 relays, 1 Gbit/s, 50 ms hops):\n");
   std::vector<torscenario::ScenarioSpec> specs;
   for (bool two_phase : {false, true}) {
-    tormetrics::ExperimentConfig config;
-    config.protocol = "icps";
-    config.relay_count = 500;
-    config.bandwidth_bps = 1e9;
-    config.two_phase_agreement = two_phase;
-    specs.push_back(tormetrics::ToScenarioSpec(config));
+    torscenario::ScenarioSpec spec;
+    spec.protocol = "icps";
+    spec.relay_count = 500;
+    spec.bandwidth_bps = 1e9;
+    spec.two_phase_agreement = two_phase;
+    specs.push_back(spec);
   }
   torscenario::ScenarioRunner runner;
   torscenario::SweepOptions sweep_options;

@@ -37,7 +37,10 @@ int main() {
   std::vector<toricc::IcpsAuthority*> authorities;
   for (uint32_t a = 0; a < config.authority_count; ++a) {
     authorities.push_back(static_cast<toricc::IcpsAuthority*>(harness.AddActor(
-        std::make_unique<toricc::IcpsAuthority>(config, &directory, std::move(votes[a])))));
+        std::make_unique<toricc::IcpsAuthority>(
+            config, &directory,
+            torproto::AuthorityMaterials{
+                .vote = std::make_shared<const tordir::VoteDocument>(std::move(votes[a]))}))));
   }
 
   // 3. Run the protocol to completion (virtual time).

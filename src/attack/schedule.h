@@ -68,8 +68,9 @@ class AttackSchedule {
   virtual void Install(torsim::Harness& harness, const AttackContext& context) = 0;
 
   // A fresh copy of this schedule's configuration with empty history. The
-  // parallel sweep clones the spec's schedule per cell so concurrent cells
-  // never share the mutable install/history state.
+  // runner installs a clone per cell, so concurrent cells never share the
+  // mutable install/history state and the spec's own schedule stays
+  // untouched.
   virtual std::shared_ptr<AttackSchedule> Clone() const = 0;
 
   // Writes a canonical, field-complete description of this schedule's
@@ -81,7 +82,8 @@ class AttackSchedule {
   // identically; a Clone() must describe identically to its original.
   virtual void Describe(torbase::Writer& writer) const = 0;
 
-  // Victim history of the most recent run (cleared by the runner on install).
+  // Victim history of the installs on this object (runs record it in
+  // ScenarioResult::attack_history instead).
   const std::vector<AttackSample>& history() const { return history_; }
   void ClearHistory() { history_.clear(); }
 
@@ -107,6 +109,7 @@ class WindowedAttack : public AttackSchedule {
   void Describe(torbase::Writer& writer) const override;
 
   std::vector<AttackWindow>& windows() { return windows_; }
+  const std::vector<AttackWindow>& windows() const { return windows_; }
 
  private:
   std::vector<AttackWindow> windows_;

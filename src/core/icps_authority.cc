@@ -17,32 +17,18 @@ constexpr const char* kKindConsensusSig = "CONSENSUS_SIG";
 }  // namespace
 
 IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                             std::shared_ptr<const tordir::VoteDocument> own_vote,
-                             std::shared_ptr<const std::string> own_vote_text,
-                             std::shared_ptr<const tordir::VoteCache> vote_cache,
-                             std::shared_ptr<const std::string> second_vote_text,
-                             std::shared_ptr<const torproto::AuthorityRoundState> round_state)
-    : config_(config),
-      directory_(directory),
-      signer_(directory->SignerFor(own_vote->authority)),
-      own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
-      vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
-      round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
-  }
-  own_digest_ = torcrypto::Digest256::Of(*own_vote_text_);
-}
+                             torproto::AuthorityMaterials materials)
+    : AuthorityCore(directory, std::move(materials)),
+      config_(config),
+      own_digest_(torcrypto::Digest256::Of(*own_vote_text_)) {}
 
-IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                             tordir::VoteDocument own_vote, std::string own_vote_text)
-    : IcpsAuthority(config, directory,
-                    std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                    own_vote_text.empty()
-                        ? nullptr
-                        : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+std::optional<std::pair<uint64_t, torbase::NodeId>> IcpsAuthority::agreement_view() const {
+  if (!agreement_.has_value() || agreement_->decided() || agreement_->current_view() == 0) {
+    return std::nullopt;
+  }
+  const uint64_t view = agreement_->current_view();
+  return std::make_pair(view, agreement_->LeaderOf(view));
+}
 
 void IcpsAuthority::Start() {
   // Self-delivery of our own document.
@@ -75,42 +61,26 @@ void IcpsAuthority::Start() {
 void IcpsAuthority::BroadcastDocument() {
   log().Notice(now(), "Disseminating vote document (" + std::to_string(own_vote_text_->size()) +
                           " bytes).");
+  // An equivocator's second document is correctly signed too: each peer's
+  // direct copy verifies in isolation, and the split only surfaces in the
+  // PROPOSAL cross-check (possibly forcing a ⟂ entry) and in the health
+  // monitor's per-peer digest comparison.
+  torcrypto::Digest256 second_digest;
+  torcrypto::Signature second_sig;
   if (second_vote_text_ != nullptr) {
-    // Equivocation: odd peers get a second, correctly signed document. Each
-    // peer's direct copy verifies in isolation; the split only surfaces in
-    // the PROPOSAL cross-check (possibly forcing a ⟂ entry) and in the
-    // health monitor's per-peer digest comparison.
-    const torcrypto::Digest256 second_digest = torcrypto::Digest256::Of(*second_vote_text_);
-    const torcrypto::Signature second_sig = signer_.Sign(EntryPayload(id(), second_digest));
-    const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
-    for (torbase::NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
-      }
-      const bool alternate = peer % 2 == 1;
-      const std::string& text = alternate ? *second_vote_text_ : *own_vote_text_;
-      const torcrypto::Digest256& digest = alternate ? second_digest : own_digest_;
-      const torcrypto::Signature& sig = alternate ? second_sig : own_sig;
-      torbase::Writer w;
-      w.Reserve(text.size() + 128);
-      w.WriteU8(kDocument);
-      w.WriteString(text);
-      w.WriteRaw(digest.span());
-      w.WriteU32(sig.signer);
-      w.WriteRaw(sig.bytes);
-      SendTo(peer, kKindDocument, w.TakeBuffer());
-    }
-    return;
+    second_digest = torcrypto::Digest256::Of(*second_vote_text_);
+    second_sig = signer_.Sign(EntryPayload(id(), second_digest));
   }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 128);
-  w.WriteU8(kDocument);
-  w.WriteString(*own_vote_text_);
-  w.WriteRaw(own_digest_.span());
-  const torcrypto::Signature sig = documents_.at(id()).sender_sig;
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
-  SendToAllOthers(kKindDocument, w.buffer());
+  const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
+  BroadcastVote(kKindDocument, [&](torbase::Writer& w, const std::string& text, bool alternate) {
+    const torcrypto::Signature& sig = alternate ? second_sig : own_sig;
+    w.Reserve(text.size() + 128);
+    w.WriteU8(kDocument);
+    w.WriteString(text);
+    w.WriteRaw((alternate ? second_digest : own_digest_).span());
+    w.WriteU32(sig.signer);
+    w.WriteRaw(sig.bytes);
+  });
 }
 
 void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payload) {
@@ -173,25 +143,13 @@ void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
   // Admission: the sender signed these exact bytes, so all reject reasons are
   // attributable to `from` directly.
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, digest, own_vote_->valid_after);
+      Admit(*text, &digest, from, torproto::StaleBlame::kCulprit,
+            "Rejecting document from " + std::to_string(from));
   if (!admission.status.ok()) {
-    log().Warn(now(), "Rejecting document from " + std::to_string(from) + ": " +
-                          admission.status.ToString());
-    rejected_votes_.push_back(torproto::RejectedVote{from, admission.reason, now()});
     return;
   }
-  observed_votes_.push_back(torproto::ObservedVote{from, digest, now(), admission.document});
+  Observe(from, admission);
   StoreDocument(from, std::move(admission.text), digest, sig);
-}
-
-std::shared_ptr<const std::string> IcpsAuthority::ShareText(std::string text,
-                                                            const torcrypto::Digest256& digest) {
-  // A digest hit in the workload cache means these bytes are a canonical vote
-  // we can reference instead of retaining a private multi-megabyte copy.
-  if (const tordir::CachedVote* cached = tordir::VoteCache::FindIn(vote_cache_, digest)) {
-    return cached->text;
-  }
-  return std::make_shared<const std::string>(std::move(text));
 }
 
 void IcpsAuthority::StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
@@ -392,14 +350,12 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) 
   // document (only possible past the fault tolerance) must still not enter
   // aggregation.
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, digest, own_vote_->valid_after);
+      Admit(*text, &digest, *j, torproto::StaleBlame::kCulprit,
+            "Rejecting fetched document for " + std::to_string(*j));
   if (!admission.status.ok()) {
-    log().Warn(now(), "Rejecting fetched document for " + std::to_string(*j) + ": " +
-                          admission.status.ToString());
-    rejected_votes_.push_back(torproto::RejectedVote{*j, admission.reason, now()});
     return;
   }
-  observed_votes_.push_back(torproto::ObservedVote{*j, digest, now(), admission.document});
+  Observe(*j, admission);
   ReceivedDoc doc;
   doc.digest = digest;
   doc.text = std::move(admission.text);
@@ -429,14 +385,9 @@ void IcpsAuthority::MaybeFinishAggregation() {
     // honest authority's by definition, but a byzantine self's stale/mutated
     // one must not be laundered into the consensus through this spot).
     tordir::VoteAdmission admission =
-        tordir::AdmitVote(vote_cache_, *doc.text, doc.digest, own_vote_->valid_after);
+        Admit(*doc.text, &doc.digest, j == id() ? torbase::kNoNode : j,
+              torproto::StaleBlame::kCulprit, "Agreed document " + std::to_string(j) + " rejected");
     if (!admission.status.ok()) {
-      log().Err(now(), "Agreed document " + std::to_string(j) + " rejected: " +
-                           admission.status.ToString());
-      if (j != id()) {
-        rejected_votes_.push_back(
-            torproto::RejectedVote{j, admission.reason, now()});
-      }
       continue;
     }
     votes.push_back(std::move(admission.document));

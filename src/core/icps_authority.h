@@ -24,11 +24,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/common/time.h"
 #include "src/consensus/hotstuff.h"
 #include "src/core/digest_vector.h"
+#include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace toricc {
@@ -42,7 +45,6 @@ struct IcpsConfig {
   torbase::Duration dissemination_timeout = torbase::Seconds(150);
   // Pacemaker settings for the agreement sub-protocol.
   torbft::HotStuffConfig hotstuff;
-  uint64_t key_seed = 42;
   tordir::AggregationParams aggregation;
 
   // Tor validity rule: majority of all authorities must sign.
@@ -78,60 +80,26 @@ struct IcpsOutcome {
   torbase::TimePoint finished_at = torbase::kTimeNever;  // valid consensus
 };
 
-class IcpsAuthority : public torsim::Actor {
+class IcpsAuthority : public torproto::AuthorityCore {
  public:
-  // Shared immutable inputs: the authority's own vote document, its
-  // serialized form (null = serialize here) and the workload's pre-parsed
-  // vote cache (null = parse agreed documents from scratch).
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes (with their own digest and sender
-  // signature) in the dissemination broadcast. Null for honest authorities.
+  // `directory` must outlive the actor; `materials` are shared and immutable
+  // (see torproto::AuthorityMaterials). An equivocating authority's second
+  // variant travels with its own digest and sender signature.
   IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                std::shared_ptr<const tordir::VoteDocument> own_vote,
-                std::shared_ptr<const std::string> own_vote_text = nullptr,
-                std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                std::shared_ptr<const std::string> second_vote_text = nullptr,
-                std::shared_ptr<const torproto::AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                torproto::AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(torbase::NodeId from, const torbase::Bytes& payload) override;
 
   const IcpsOutcome& outcome() const { return outcome_; }
   bool finished() const { return outcome_.valid_consensus; }
-  const torbft::HotStuffNode* agreement() const {
-    return agreement_.has_value() ? &*agreement_ : nullptr;
-  }
 
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
-  }
-
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const torproto::AuthorityRoundState>& round_state() const {
-    return round_state_;
-  }
-
-  // Authorities whose vote documents this one holds (its own included) — what
-  // the consensus-health monitor observes of the dissemination phase.
-  std::vector<torbase::NodeId> vote_senders() const {
-    std::vector<torbase::NodeId> senders;
-    senders.reserve(documents_.size());
-    for (const auto& [sender, doc] : documents_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' documents
-  // this authority admitted (own excluded) and texts it refused.
-  const std::vector<torproto::ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<torproto::RejectedVote>& rejected_votes() const { return rejected_votes_; }
+  torproto::PublishedConsensus Published() const override { return PublishedFrom(outcome_); }
+  // ICPS has no idle lock-step rounds: network time is start-to-finish.
+  double NetworkTimeSeconds() const override { return torbase::ToSeconds(outcome_.finished_at); }
+  // Authorities whose vote documents this one holds (its own included).
+  std::vector<torbase::NodeId> vote_senders() const override { return KeysOf(documents_); }
+  std::optional<std::pair<uint64_t, torbase::NodeId>> agreement_view() const override;
 
  private:
   enum MessageType : uint8_t {
@@ -165,28 +133,13 @@ class IcpsAuthority : public torsim::Actor {
   void HandleConsensusSig(torbase::NodeId from, torbase::Reader& r);
   void AcceptConsensusSig(const torcrypto::Signature& sig);
 
-  // Returns the canonical shared text for `text` when its digest matches a
-  // workload-cache entry, otherwise wraps the received copy.
-  std::shared_ptr<const std::string> ShareText(std::string text,
-                                               const torcrypto::Digest256& digest);
   // Stores a received document (first version wins; a second, different
   // version is retained as equivocation evidence).
   void StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
                      const torcrypto::Digest256& digest, const torcrypto::Signature& sender_sig);
 
   IcpsConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
-  std::shared_ptr<const torproto::AuthorityRoundState> round_state_;
   torcrypto::Digest256 own_digest_;
-
-  // Admission evidence, in arrival order.
-  std::vector<torproto::ObservedVote> observed_votes_;
-  std::vector<torproto::RejectedVote> rejected_votes_;
 
   // Documents received: sender -> (digest, text). First valid one wins; a
   // second, different digest from the same sender is kept as equivocation
@@ -211,7 +164,6 @@ class IcpsAuthority : public torsim::Actor {
 
   // Aggregation state.
   std::set<torbase::NodeId> pending_fetches_;
-  std::optional<torcrypto::Digest256> consensus_digest_;
   std::map<torbase::NodeId, torcrypto::Signature> consensus_sigs_;
   // Signatures received before our own aggregation finished.
   std::vector<torcrypto::Signature> pending_consensus_sigs_;

@@ -1,5 +1,5 @@
 // Shared vocabulary for the three directory-protocol implementations: run
-// configuration, per-authority outcomes and the run-level success criterion.
+// configuration, per-authority outcomes and admission evidence.
 #ifndef SRC_PROTOCOLS_COMMON_H_
 #define SRC_PROTOCOLS_COMMON_H_
 
@@ -36,9 +36,6 @@ struct ProtocolConfig {
   // in EXPERIMENTS.md.
   Duration dir_request_deadline = torbase::Seconds(28);
 
-  // Seed for the authority key directory.
-  uint64_t key_seed = 42;
-
   tordir::AggregationParams aggregation;
 
   // Votes needed to compute a consensus, and matching signatures needed for it
@@ -59,32 +56,6 @@ struct AuthorityOutcome {
   TimePoint all_votes_received_at = torbase::kTimeNever;
   TimePoint all_signatures_received_at = torbase::kTimeNever;
   TimePoint finished_at = torbase::kTimeNever;  // valid consensus assembled
-};
-
-// Aggregated view over all authorities.
-struct RunResult {
-  std::vector<AuthorityOutcome> outcomes;
-
-  // The run succeeds if at least one authority assembled a valid consensus; in
-  // healthy runs all of them do.
-  bool Succeeded() const {
-    for (const auto& outcome : outcomes) {
-      if (outcome.valid_consensus) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  uint32_t ValidCount() const {
-    uint32_t count = 0;
-    for (const auto& outcome : outcomes) {
-      if (outcome.valid_consensus) {
-        ++count;
-      }
-    }
-    return count;
-  }
 };
 
 // The durable state one authority carries across a round boundary of a

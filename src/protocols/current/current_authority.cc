@@ -17,32 +17,8 @@ constexpr const char* kKindSigFetch = "SIG_FETCH";
 
 CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
                                    const torcrypto::KeyDirectory* directory,
-                                   std::shared_ptr<const tordir::VoteDocument> own_vote,
-                                   std::shared_ptr<const std::string> own_vote_text,
-                                   std::shared_ptr<const tordir::VoteCache> vote_cache,
-                                   std::shared_ptr<const std::string> second_vote_text,
-                                   std::shared_ptr<const AuthorityRoundState> round_state)
-    : config_(config),
-      directory_(directory),
-      signer_(directory->SignerFor(own_vote->authority)),
-      own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
-      vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
-      round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
-  }
-}
-
-CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
-                                   const torcrypto::KeyDirectory* directory,
-                                   tordir::VoteDocument own_vote, std::string own_vote_text)
-    : CurrentAuthority(config, directory,
-                       std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                       own_vote_text.empty()
-                           ? nullptr
-                           : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+                                   AuthorityMaterials materials)
+    : AuthorityCore(directory, std::move(materials)), config_(config) {}
 
 void CurrentAuthority::Start() {
   votes_[id()] = own_vote_;
@@ -58,34 +34,15 @@ void CurrentAuthority::Start() {
 
 void CurrentAuthority::BeginVoteRound() {
   log().Notice(now(), "Time to vote.");
-  if (second_vote_text_ != nullptr) {
-    // Equivocation: odd peers get the second variant. Each peer still sees a
-    // single self-consistent vote; only cross-observer digest comparison (the
-    // health monitor) exposes the split.
-    for (NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
-      }
-      const std::string& text = peer % 2 == 1 ? *second_vote_text_ : *own_vote_text_;
-      torbase::Writer w;
-      w.Reserve(text.size() + 32);
-      w.WriteU8(kVotePost);
-      w.WriteU64(now());  // posted_at
-      w.WriteString(text);
-      SendTo(peer, kKindVote, w.TakeBuffer());
-    }
-    return;
-  }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 32);
-  w.WriteU8(kVotePost);
-  w.WriteU64(now());  // posted_at
-  w.WriteString(*own_vote_text_);
-  SendToAllOthers(kKindVote, w.buffer());
+  BroadcastVote(kKindVote, [this](torbase::Writer& w, const std::string& text, bool) {
+    w.Reserve(text.size() + 32);
+    w.WriteU8(kVotePost);
+    w.WriteU64(now());  // posted_at
+    w.WriteString(text);
+  });
 }
 
 void CurrentAuthority::BeginFetchVotesRound() {
-  fetch_round_started_ = true;
   log().Notice(now(), "Time to fetch any votes that we're missing.");
   std::vector<NodeId> missing;
   for (NodeId a = 0; a < node_count(); ++a) {
@@ -140,7 +97,6 @@ void CurrentAuthority::BeginFetchVotesRound() {
 }
 
 void CurrentAuthority::BeginComputeRound() {
-  compute_done_ = true;
   log().Notice(now(), "Time to compute a consensus.");
   outcome_.votes_held = static_cast<uint32_t>(votes_.size());
   const uint32_t majority = config_.MajorityThreshold();
@@ -298,28 +254,15 @@ void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
     if (on_time) {
       // Relayed text: the wire sender is an honest middleman, not the author,
       // so malformed bytes are unattributable here.
-      AcceptVote(std::nullopt, *text);
+      AcceptVote(torbase::kNoNode, *text);
     }
   }
 }
 
-void CurrentAuthority::AcceptVote(std::optional<NodeId> direct_from, const std::string& text) {
-  // Admission hashes first: a digest hit in the workload cache proves the
-  // bytes are a canonical vote we already hold parsed, so ParseVote (and a
-  // private copy of the multi-megabyte text) is skipped entirely. Misses are
-  // parsed, canonicality-checked and validity-window-checked.
+void CurrentAuthority::AcceptVote(NodeId culprit, const std::string& text) {
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, text, own_vote_->valid_after);
+      Admit(text, nullptr, culprit, StaleBlame::kAuthor, "Rejecting unparseable vote");
   if (!admission.status.ok()) {
-    log().Warn(now(), "Rejecting unparseable vote: " + admission.status.ToString());
-    // Stale votes are canonical, so their own author line attributes them;
-    // malformed bytes can only be pinned on a direct wire sender.
-    const NodeId culprit = admission.reason == tordir::VoteRejectReason::kStaleWindow
-                               ? admission.author
-                               : direct_from.value_or(torbase::kNoNode);
-    if (culprit != torbase::kNoNode) {
-      rejected_votes_.push_back(RejectedVote{culprit, admission.reason, now()});
-    }
     return;
   }
   const NodeId authority = admission.document->authority;
@@ -327,8 +270,7 @@ void CurrentAuthority::AcceptVote(std::optional<NodeId> direct_from, const std::
     return;  // out of range or duplicate
   }
   if (authority != id()) {
-    observed_votes_.push_back(
-        ObservedVote{authority, admission.digest, now(), admission.document});
+    Observe(authority, admission);
   }
   votes_.emplace(authority, std::move(admission.document));
   vote_texts_.emplace(authority, std::move(admission.text));

@@ -18,74 +18,42 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/serialize.h"
-#include "src/crypto/digest.h"
+#include "src/common/time.h"
 #include "src/crypto/signature.h"
+#include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
 
-class CurrentAuthority : public torsim::Actor {
+class CurrentAuthority : public AuthorityCore {
  public:
-  // `directory` must outlive the actor. The authority signs with the key for
-  // its node id. All shared inputs are immutable: `own_vote` is the
-  // authority's vote document, `own_vote_text` its serialized form (null =
-  // serialize here) and `vote_cache` the workload's digest-keyed pre-parsed
-  // votes (null = parse received votes from scratch). The scenario runner
-  // shares one set of documents across every cell and run.
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes in the vote round instead of
-  // `own_vote_text`. Null for honest authorities. `round_state` is the
-  // multi-round restore seam (AuthorityMaterials::round_state): retained and
-  // echoed by SnapshotAuthority, never part of the protocol exchange.
+  // `directory` must outlive the actor. `materials` are shared and immutable
+  // (see AuthorityMaterials); the scenario runner shares one set of
+  // documents across every cell and run.
   CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                   std::shared_ptr<const tordir::VoteDocument> own_vote,
-                   std::shared_ptr<const std::string> own_vote_text = nullptr,
-                   std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                   std::shared_ptr<const std::string> second_vote_text = nullptr,
-                   std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                   tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                   AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
 
   const AuthorityOutcome& outcome() const { return outcome_; }
-  const ProtocolConfig& config() const { return config_; }
   bool finished() const { return finished_; }
 
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
+  PublishedConsensus Published() const override { return PublishedFrom(outcome_); }
+  // Vote rounds' network time plus signature rounds' network time: the
+  // signature phases start two rounds in, so the idle offset is subtracted.
+  double NetworkTimeSeconds() const override {
+    const double round_seconds = torbase::ToSeconds(config_.round_length);
+    const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 2 * round_seconds;
+    return torbase::ToSeconds(outcome_.all_votes_received_at) + sig_time;
   }
-
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
-
-  // Authorities whose votes this one holds (its own included) — what the
-  // consensus-health monitor observes of the vote exchange.
-  std::vector<NodeId> vote_senders() const {
-    std::vector<NodeId> senders;
-    senders.reserve(votes_.size());
-    for (const auto& [sender, vote] : votes_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' votes this
-  // authority admitted (own vote excluded) and texts it refused.
-  const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
+  std::vector<NodeId> vote_senders() const override { return KeysOf(votes_); }
 
  private:
   enum MessageType : uint8_t {
@@ -110,26 +78,15 @@ class CurrentAuthority : public torsim::Actor {
   void HandleSigRequest(NodeId from, torbase::Reader& reader);
   void HandleSigResponse(NodeId from, torbase::Reader& reader);
 
-  // Runs `text` through vote admission (src/tordir/admission.h) and stores it
-  // if admitted, new and in range. `direct_from` is the wire sender when the
-  // text arrived as a direct post (malformed bytes are attributed to it);
-  // nullopt for relayed fetch responses.
-  void AcceptVote(std::optional<NodeId> direct_from, const std::string& text);
+  // Admits `text` and stores it if new and in range. Refusals are held
+  // against `culprit`: the wire sender of a direct post, kNoNode for relayed
+  // fetch responses (the middleman is not the author); stale votes against
+  // their own author.
+  void AcceptVote(NodeId culprit, const std::string& text);
   void AcceptSignature(const torcrypto::Signature& sig);
   void MaybeRecordVoteCompletion();
 
   ProtocolConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
-  std::shared_ptr<const AuthorityRoundState> round_state_;
-
-  // Admission evidence, in arrival order.
-  std::vector<ObservedVote> observed_votes_;
-  std::vector<RejectedVote> rejected_votes_;
 
   // Votes received (and their serialized form, for re-serving fetches). The
   // documents are shared with the workload cache whenever the received bytes
@@ -140,12 +97,9 @@ class CurrentAuthority : public torsim::Actor {
 
   // Signatures over our computed consensus digest.
   std::map<NodeId, torcrypto::Signature> signatures_;
-  std::optional<torcrypto::Digest256> consensus_digest_;
 
   // Fetch bookkeeping: ids we asked for and when, to log give-ups.
   std::set<NodeId> outstanding_vote_fetches_;
-  bool fetch_round_started_ = false;
-  bool compute_done_ = false;
   bool finished_ = false;
 
   AuthorityOutcome outcome_;

@@ -1,8 +1,8 @@
-// Pluggable directory-protocol abstraction. The experiment and scenario
-// layers dispatch on this interface instead of switching over an enum: a
-// protocol knows how to build its per-authority actor and how to read the
-// paper's metrics back out of one, so adding a fourth protocol is one
-// registration instead of three switch statements.
+// Pluggable directory-protocol abstraction. The scenario layer dispatches on
+// this interface instead of switching over an enum: a protocol knows how to
+// build its per-authority actor and how to read the paper's metrics back out
+// of one, so adding a fourth protocol is one registration instead of three
+// switch statements.
 #ifndef SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 #define SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 
@@ -37,7 +37,7 @@ struct ProtocolRunConfig {
 
 // One authority's run outcome, unified across protocols. The per-protocol
 // outcome structs (AuthorityOutcome, SyncOutcome, IcpsOutcome) stay richer;
-// this is the slice every consumer of the experiment layer needs.
+// this is the slice every consumer of the scenario layer needs.
 struct UnifiedOutcome {
   bool valid_consensus = false;
   size_t consensus_relays = 0;
@@ -75,22 +75,19 @@ struct PublishedConsensus {
 // votes from scratch, the pre-cache behaviour).
 struct AuthorityMaterials {
   std::shared_ptr<const tordir::VoteDocument> vote;
-  std::shared_ptr<const std::string> vote_text;
-  std::shared_ptr<const tordir::VoteCache> vote_cache;
+  std::shared_ptr<const std::string> vote_text = nullptr;
+  std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr;
   // When set, the authority *equivocates*: odd-numbered peers receive these
   // bytes in the initial vote broadcast instead of `vote_text`. Null for
   // honest authorities; populated only by the byzantine wrapper layer
   // (src/protocols/byzantine.h).
-  std::shared_ptr<const std::string> second_vote_text;
+  std::shared_ptr<const std::string> second_vote_text = nullptr;
   // Round-boundary restore seam: the consensus state this authority carried
   // out of a previous round (a crashed authority rejoining with the document
   // it fetched). Null for a cold start. Authorities retain it — it never
   // perturbs the protocol exchange — and SnapshotAuthority echoes it back
   // when the authority does not assemble a fresh consensus this round.
-  std::shared_ptr<const AuthorityRoundState> round_state;
-
-  // Convenience for tests and drivers that own a plain document.
-  static AuthorityMaterials Own(tordir::VoteDocument vote, std::string vote_text = {});
+  std::shared_ptr<const AuthorityRoundState> round_state = nullptr;
 };
 
 class DirectoryProtocol {

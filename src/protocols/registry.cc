@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/core/icps_authority.h"
+#include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
 #include "src/protocols/current/current_authority.h"
 #include "src/protocols/sync/sync_authority.h"
@@ -13,239 +14,113 @@
 namespace torproto {
 namespace {
 
-// Echo a restored round_state out of an authority that assembled nothing this
-// round: the snapshot seam's "a rejoining authority keeps serving what it
-// fetched" half, shared by the three built-ins.
-AuthorityRoundState RestoredOrEmpty(std::shared_ptr<const AuthorityRoundState> restored) {
-  if (restored == nullptr) {
-    return {};
-  }
-  AuthorityRoundState state = *restored;
-  state.restored = true;
-  return state;
-}
-
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-// The deployed v3 protocol (src/protocols/current).
-class CurrentProtocol : public DirectoryProtocol {
+// The three built-ins ("current", "synchronous", "icps"): every probe reads
+// the AuthorityCore they share, so they differ only in name and factory.
+class BuiltinProtocol : public DirectoryProtocol {
  public:
-  std::string_view name() const override { return "current"; }
-  std::string_view display_name() const override { return "Current"; }
+  using Factory = std::unique_ptr<AuthorityCore> (*)(const ProtocolRunConfig& config,
+                                                     const torcrypto::KeyDirectory* directory,
+                                                     AuthorityMaterials materials);
+
+  BuiltinProtocol(std::string_view name, std::string_view display_name, Factory factory)
+      : name_(name), display_name_(display_name), factory_(factory) {}
+
+  std::string_view name() const override { return name_; }
+  std::string_view display_name() const override { return display_name_; }
 
   std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
                                                const torcrypto::KeyDirectory* directory,
                                                torbase::NodeId /*id*/,
                                                AuthorityMaterials materials) const override {
-    ProtocolConfig proto_config;
-    proto_config.authority_count = config.authority_count;
-    return std::make_unique<CurrentAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
-        std::move(materials.round_state));
-  }
-
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const CurrentAuthority&>(actor).round_state());
-    }
-    return state;
+    return factory_(config, directory, std::move(materials));
   }
 
   UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const CurrentAuthority&>(actor);
-    const auto& outcome = authority.outcome();
+    const AuthorityCore& authority = Core(actor);
+    const PublishedConsensus published = authority.Published();
     UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
+    if (published.document == nullptr) {
       return unified;
     }
     unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
-    // Vote rounds' network time + signature rounds' network time: the
-    // signature phases start two rounds in, so subtract the idle offset.
-    const double round_seconds = torbase::ToSeconds(authority.config().round_length);
-    const double vote_time = torbase::ToSeconds(outcome.all_votes_received_at);
-    const double sig_time = torbase::ToSeconds(outcome.finished_at) - 2 * round_seconds;
-    unified.network_time_seconds = vote_time + sig_time;
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
+    unified.consensus_relays = published.document->relays.size();
+    unified.network_time_seconds = authority.NetworkTimeSeconds();
+    unified.finish_seconds = torbase::ToSeconds(published.published_at);
     return unified;
   }
 
   PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const CurrentAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
+    return Core(actor).Published();
   }
 
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).vote_senders();
-  }
-
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).observed_votes();
-  }
-
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).rejected_votes();
-  }
-};
-
-// Luo et al.'s synchronous fix (src/protocols/sync).
-class SynchronousProtocol : public DirectoryProtocol {
- public:
-  std::string_view name() const override { return "synchronous"; }
-  std::string_view display_name() const override { return "Synchronous"; }
-
-  std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
-                                               const torcrypto::KeyDirectory* directory,
-                                               torbase::NodeId /*id*/,
-                                               AuthorityMaterials materials) const override {
-    ProtocolConfig proto_config;
-    proto_config.authority_count = config.authority_count;
-    return std::make_unique<SyncAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
-        std::move(materials.round_state));
-  }
-
+  // A built-in that assembled nothing this round echoes the round_state it
+  // was restored with: a rejoining authority keeps serving what it fetched.
   AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
     AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const SyncAuthority&>(actor).round_state());
+    const std::shared_ptr<const AuthorityRoundState>& restored = Core(actor).round_state();
+    if (state.consensus == nullptr && restored != nullptr) {
+      state = *restored;
+      state.restored = true;
     }
     return state;
   }
 
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const SyncAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
-      return unified;
-    }
-    unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
-    const double round_seconds = torbase::ToSeconds(authority.config().round_length);
-    const double list_time = torbase::ToSeconds(outcome.all_lists_received_at);
-    const double packed_time = torbase::ToSeconds(outcome.all_packed_received_at) - round_seconds;
-    const double sig_time = torbase::ToSeconds(outcome.finished_at) - 3 * round_seconds;
-    unified.network_time_seconds = list_time + packed_time + sig_time;
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
-    return unified;
-  }
-
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const SyncAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
-  }
-
   std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).vote_senders();
+    return Core(actor).vote_senders();
   }
 
   std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).observed_votes();
+    return Core(actor).observed_votes();
   }
 
   std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).rejected_votes();
-  }
-};
-
-// The paper's ICPS protocol (src/core).
-class IcpsProtocol : public DirectoryProtocol {
- public:
-  std::string_view name() const override { return "icps"; }
-  std::string_view display_name() const override { return "Ours"; }
-
-  std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
-                                               const torcrypto::KeyDirectory* directory,
-                                               torbase::NodeId /*id*/,
-                                               AuthorityMaterials materials) const override {
-    toricc::IcpsConfig icps_config;
-    icps_config.SetAuthorityCount(config.authority_count);
-    icps_config.dissemination_timeout = config.dissemination_timeout;
-    icps_config.hotstuff.two_phase = config.two_phase_agreement;
-    return std::make_unique<toricc::IcpsAuthority>(
-        icps_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
-        std::move(materials.round_state));
-  }
-
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const toricc::IcpsAuthority&>(actor).round_state());
-    }
-    return state;
-  }
-
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    const auto& outcome = static_cast<const toricc::IcpsAuthority&>(actor).outcome();
-    UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
-      return unified;
-    }
-    unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
-    // ICPS has no idle lock-step rounds: network time is start-to-finish.
-    unified.network_time_seconds = torbase::ToSeconds(outcome.finished_at);
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
-    return unified;
-  }
-
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const toricc::IcpsAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
-  }
-
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).vote_senders();
-  }
-
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).observed_votes();
-  }
-
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).rejected_votes();
+    return Core(actor).rejected_votes();
   }
 
   std::optional<std::pair<uint64_t, torbase::NodeId>> AgreementView(
       const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const toricc::IcpsAuthority&>(actor);
-    const torbft::HotStuffNode* agreement = authority.agreement();
-    if (agreement == nullptr || agreement->decided() || agreement->current_view() == 0) {
-      return std::nullopt;
-    }
-    const uint64_t view = agreement->current_view();
-    return std::make_pair(view, agreement->LeaderOf(view));
+    return Core(actor).agreement_view();
   }
+
+ private:
+  static const AuthorityCore& Core(const torsim::Actor& actor) {
+    return static_cast<const AuthorityCore&>(actor);
+  }
+
+  std::string_view name_;
+  std::string_view display_name_;
+  Factory factory_;
 };
+
+// Factories for the lock-step protocols (CurrentAuthority, SyncAuthority).
+template <typename Authority>
+std::unique_ptr<AuthorityCore> MakeLockStep(const ProtocolRunConfig& config,
+                                            const torcrypto::KeyDirectory* directory,
+                                            AuthorityMaterials materials) {
+  ProtocolConfig lock_step;
+  lock_step.authority_count = config.authority_count;
+  return std::make_unique<Authority>(lock_step, directory, std::move(materials));
+}
+
+std::unique_ptr<AuthorityCore> MakeIcps(const ProtocolRunConfig& config,
+                                        const torcrypto::KeyDirectory* directory,
+                                        AuthorityMaterials materials) {
+  toricc::IcpsConfig icps_config;
+  icps_config.SetAuthorityCount(config.authority_count);
+  icps_config.dissemination_timeout = config.dissemination_timeout;
+  icps_config.hotstuff.two_phase = config.two_phase_agreement;
+  return std::make_unique<toricc::IcpsAuthority>(icps_config, directory, std::move(materials));
+}
 
 using ProtocolMap = std::map<std::string, std::unique_ptr<DirectoryProtocol>, std::less<>>;
 
 ProtocolMap& Registry() {
   static ProtocolMap* registry = [] {
     auto* map = new ProtocolMap();
-    for (auto* protocol : {static_cast<DirectoryProtocol*>(new CurrentProtocol()),
-                           static_cast<DirectoryProtocol*>(new SynchronousProtocol()),
-                           static_cast<DirectoryProtocol*>(new IcpsProtocol())}) {
+    for (auto* protocol :
+         {new BuiltinProtocol("current", "Current", MakeLockStep<CurrentAuthority>),
+          new BuiltinProtocol("synchronous", "Synchronous", MakeLockStep<SyncAuthority>),
+          new BuiltinProtocol("icps", "Ours", MakeIcps)}) {
       (*map)[std::string(protocol->name())] = std::unique_ptr<DirectoryProtocol>(protocol);
     }
     return map;
@@ -267,15 +142,6 @@ AuthorityRoundState DirectoryProtocol::SnapshotAuthority(const torsim::Actor& ac
         std::make_shared<const std::string>(tordir::SerializeConsensus(*state.consensus));
   }
   return state;
-}
-
-AuthorityMaterials AuthorityMaterials::Own(tordir::VoteDocument vote, std::string vote_text) {
-  AuthorityMaterials materials;
-  materials.vote = std::make_shared<const tordir::VoteDocument>(std::move(vote));
-  if (!vote_text.empty()) {
-    materials.vote_text = std::make_shared<const std::string>(std::move(vote_text));
-  }
-  return materials;
 }
 
 void RegisterProtocol(std::unique_ptr<DirectoryProtocol> protocol) {

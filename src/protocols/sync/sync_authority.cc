@@ -17,32 +17,8 @@ constexpr const char* kKindSig = "SYNC_SIG";
 
 SyncAuthority::SyncAuthority(const ProtocolConfig& config,
                              const torcrypto::KeyDirectory* directory,
-                             std::shared_ptr<const tordir::VoteDocument> own_vote,
-                             std::shared_ptr<const std::string> own_vote_text,
-                             std::shared_ptr<const tordir::VoteCache> vote_cache,
-                             std::shared_ptr<const std::string> second_vote_text,
-                             std::shared_ptr<const AuthorityRoundState> round_state)
-    : config_(config),
-      directory_(directory),
-      signer_(directory->SignerFor(own_vote->authority)),
-      own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
-      vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
-      round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
-  }
-}
-
-SyncAuthority::SyncAuthority(const ProtocolConfig& config,
-                             const torcrypto::KeyDirectory* directory,
-                             tordir::VoteDocument own_vote, std::string own_vote_text)
-    : SyncAuthority(config, directory,
-                    std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                    own_vote_text.empty()
-                        ? nullptr
-                        : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+                             AuthorityMaterials materials)
+    : AuthorityCore(directory, std::move(materials)), config_(config) {}
 
 void SyncAuthority::Start() {
   lists_[id()] = own_vote_text_;
@@ -59,26 +35,11 @@ void SyncAuthority::Start() {
 
 void SyncAuthority::BeginProposePhase() {
   log().Notice(now(), "Propose round: sending relay list.");
-  if (second_vote_text_ != nullptr) {
-    // Equivocation: odd peers get the second variant (see CurrentAuthority).
-    for (NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
-      }
-      const std::string& text = peer % 2 == 1 ? *second_vote_text_ : *own_vote_text_;
-      torbase::Writer w;
-      w.Reserve(text.size() + 16);
-      w.WriteU8(kProposePost);
-      w.WriteString(text);
-      SendTo(peer, kKindPropose, w.TakeBuffer());
-    }
-    return;
-  }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 16);
-  w.WriteU8(kProposePost);
-  w.WriteString(*own_vote_text_);
-  SendToAllOthers(kKindPropose, w.buffer());
+  BroadcastVote(kKindPropose, [](torbase::Writer& w, const std::string& text, bool) {
+    w.Reserve(text.size() + 16);
+    w.WriteU8(kProposePost);
+    w.WriteString(text);
+  });
 }
 
 void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
@@ -99,11 +60,9 @@ void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
   // canonicality-checked and validity-window-checked before the list may
   // enter a packed vote.
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, own_vote_->valid_after);
+      Admit(*text, nullptr, from, StaleBlame::kCulprit,
+            "Rejecting relay list from " + std::to_string(from));
   if (!admission.status.ok()) {
-    log().Warn(now(), "Rejecting relay list from " + std::to_string(from) + ": " +
-                          admission.status.ToString());
-    rejected_votes_.push_back(RejectedVote{from, admission.reason, now()});
     return;
   }
   if (admission.document->authority != from) {
@@ -111,7 +70,7 @@ void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
                           " claims another author; ignored.");
     return;
   }
-  observed_votes_.push_back(ObservedVote{from, admission.digest, now(), admission.document});
+  Observe(from, admission);
   lists_[from] = std::move(admission.text);
   if (lists_.size() == node_count() &&
       outcome_.all_lists_received_at == torbase::kTimeNever) {
@@ -306,16 +265,9 @@ void SyncAuthority::BeginSignaturePhase() {
     // attribution here: only the packer itself can smuggle its own bytes in
     // under its own tag.
     tordir::VoteAdmission admission =
-        tordir::AdmitVote(vote_cache_, *text, own_vote_->valid_after);
+        Admit(*text, nullptr, *author, StaleBlame::kAuthor,
+              "Agreed vote carries a rejected list from " + std::to_string(*author));
     if (!admission.status.ok()) {
-      log().Warn(now(), "Agreed vote carries a rejected list from " +
-                            std::to_string(*author) + ": " + admission.status.ToString());
-      const NodeId culprit = admission.reason == tordir::VoteRejectReason::kStaleWindow
-                                 ? admission.author
-                                 : *author;
-      if (culprit < node_count()) {
-        rejected_votes_.push_back(RejectedVote{culprit, admission.reason, now()});
-      }
       continue;
     }
     if (admission.document->authority == *author) {

@@ -28,15 +28,16 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/serialize.h"
+#include "src/common/time.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
+#include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
@@ -54,57 +55,32 @@ struct SyncOutcome {
   torbase::TimePoint finished_at = torbase::kTimeNever;
 };
 
-class SyncAuthority : public torsim::Actor {
+class SyncAuthority : public AuthorityCore {
  public:
-  // Shared immutable inputs: the authority's own vote document, its
-  // serialized form (null = serialize here) and the workload's pre-parsed
-  // vote cache (null = parse agreed lists from scratch).
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes in the propose round instead of
-  // `own_vote_text`. Null for honest authorities.
+  // `directory` must outlive the actor; `materials` are shared and immutable
+  // (see AuthorityMaterials).
   SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                std::shared_ptr<const tordir::VoteDocument> own_vote,
-                std::shared_ptr<const std::string> own_vote_text = nullptr,
-                std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                std::shared_ptr<const std::string> second_vote_text = nullptr,
-                std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
 
   const SyncOutcome& outcome() const { return outcome_; }
-  const ProtocolConfig& config() const { return config_; }
   bool finished() const { return finished_; }
 
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
-
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
+  PublishedConsensus Published() const override { return PublishedFrom(outcome_); }
+  // Propose, vote and signature rounds' network time, each net of the idle
+  // rounds before it.
+  double NetworkTimeSeconds() const override {
+    const double round_seconds = torbase::ToSeconds(config_.round_length);
+    const double list_time = torbase::ToSeconds(outcome_.all_lists_received_at);
+    const double packed_time = torbase::ToSeconds(outcome_.all_packed_received_at) - round_seconds;
+    const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 3 * round_seconds;
+    return list_time + packed_time + sig_time;
   }
-
   // Authorities whose relay lists (this protocol's vote documents) this one
-  // holds, its own included — what the consensus-health monitor observes.
-  std::vector<NodeId> vote_senders() const {
-    std::vector<NodeId> senders;
-    senders.reserve(lists_.size());
-    for (const auto& [sender, list] : lists_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' relay lists
-  // this authority admitted (own excluded) and texts it refused — at propose
-  // time or while unpacking the agreed packed vote.
-  const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
+  // holds.
+  std::vector<NodeId> vote_senders() const override { return KeysOf(lists_); }
 
   // The designated Dolev-Strong sender.
   static constexpr NodeId kDesignatedSender = 0;
@@ -135,17 +111,6 @@ class SyncAuthority : public torsim::Actor {
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;
 
   ProtocolConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
-  std::shared_ptr<const AuthorityRoundState> round_state_;
-
-  // Admission evidence, in arrival order.
-  std::vector<ObservedVote> observed_votes_;
-  std::vector<RejectedVote> rejected_votes_;
 
   // Phase 1 state: relay lists by author, shared with the workload text when
   // the received bytes match a canonical vote.
@@ -164,7 +129,6 @@ class SyncAuthority : public torsim::Actor {
   std::set<torcrypto::Digest256> relayed_;
 
   // Phase 4 state.
-  std::optional<torcrypto::Digest256> consensus_digest_;
   std::map<NodeId, torcrypto::Signature> signatures_;
   bool finished_ = false;
 

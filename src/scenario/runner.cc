@@ -1,9 +1,13 @@
 #include "src/scenario/runner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "src/clients/population.h"
@@ -235,40 +239,6 @@ std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::BuildWorkload(
   return workload;
 }
 
-std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::GetWorkload(
-    const ScenarioSpec& spec) {
-  const WorkloadKey key{spec.relay_count, spec.seed, spec.authority_count};
-  std::promise<std::shared_ptr<const Workload>> promise;
-  WorkloadFuture future;
-  bool build = false;
-  {
-    std::lock_guard<std::mutex> lock(workloads_mutex_);
-    const auto it = workloads_.find(key);
-    if (it != workloads_.end()) {
-      // Built, or in flight on another thread — either way one build serves
-      // everyone, so this is a hit (misses == builds stays exact).
-      ++cache_hits_;
-      future = it->second;
-    } else {
-      ++cache_misses_;
-      future = promise.get_future().share();
-      workloads_[key] = future;
-      build = true;
-    }
-  }
-  if (!build) {
-    // Blocks only while the owning thread is still inside BuildWorkload.
-    return future.get();
-  }
-  // Generate outside the lock: workload construction is seconds of CPU at
-  // large relay counts and depends only on the key. Distinct keys generate
-  // concurrently; a second thread missing this key while we build finds the
-  // pending future above and shares this build instead of paying its own.
-  auto workload = BuildWorkload(spec);
-  promise.set_value(workload);
-  return workload;
-}
-
 size_t ScenarioRunner::workload_cache_hits() const {
   std::lock_guard<std::mutex> lock(workloads_mutex_);
   return cache_hits_;
@@ -309,37 +279,13 @@ void ScenarioRunner::ClearResultMemo() {
   results_.clear();
 }
 
-ScenarioResult ScenarioRunner::Run(const ScenarioSpec& spec) { return Run(spec, InspectFn()); }
-
 ScenarioResult ScenarioRunner::Run(const ScenarioSpec& spec, const InspectFn& inspect) {
-  // The workload cache is probed before the memo so its telemetry counts the
-  // same probes at any thread count and with the memo on or off (the parallel
-  // sweep resolves workloads for every cell too).
-  const std::shared_ptr<const Workload> workload = GetWorkload(spec);
-  // Inspected runs bypass the memo entirely: the hook needs a live harness,
-  // and whatever it observes is invisible to the digest.
-  if (!memoize_ || inspect) {
-    return RunWithWorkload(spec, *workload, inspect);
-  }
-  const torcrypto::Digest256 digest = SpecDigest(spec);
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = results_.find(digest);
-    if (it != results_.end()) {
-      ++memo_hits_;
-      return *it->second;
-    }
-    ++memo_misses_;
-  }
-  ScenarioResult result = RunWithWorkload(spec, *workload, InspectFn());
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  // First publication wins and entries never mutate. Two threads can miss the
-  // same digest concurrently (wasted work, never corruption — both results
-  // are bit-identical by the purity contract); everyone returns the
-  // published entry so repeat callers see one value.
-  return *results_
-              .emplace(digest, std::make_shared<const ScenarioResult>(std::move(result)))
-              .first->second;
+  return std::move(RunCells(std::span(&spec, 1), 1, inspect).front());
+}
+
+std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs,
+                                                  const SweepOptions& options) {
+  return RunCells(specs, options.threads, InspectFn());
 }
 
 ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
@@ -382,11 +328,16 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     actors.push_back(harness.AddActor(protocol.MakeAuthority(
         run_config, &directory, a,
         torproto::AuthorityMaterials{workload.votes[a], workload.vote_texts[a],
-                                     workload.vote_cache, nullptr})));
+                                     workload.vote_cache})));
   }
 
+  // A private clone per cell: specs may share one schedule object, but
+  // Install and history are per-run state, and the caller's schedule stays
+  // untouched.
+  const std::shared_ptr<torattack::AttackSchedule> attack =
+      spec.attack == nullptr ? nullptr : spec.attack->Clone();
   torattack::AttackContext attack_context;
-  if (spec.attack != nullptr) {
+  if (attack != nullptr) {
     attack_context.authority_count = spec.authority_count;
     attack_context.horizon = spec.horizon;
     attack_context.current_leader = [&protocol, &actors]() -> std::optional<torbase::NodeId> {
@@ -404,8 +355,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
       }
       return best->second;
     };
-    spec.attack->ClearHistory();
-    spec.attack->Install(harness, attack_context);
+    attack->Install(harness, attack_context);
   }
 
   // Churn is applied after the attack schedule, in time order, so a crash
@@ -460,8 +410,8 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     result.consensus_fresh_until = published.document->fresh_until;
     result.consensus_valid_until = published.document->valid_until;
   }
-  if (spec.attack != nullptr) {
-    result.attack_history = spec.attack->history();
+  if (attack != nullptr) {
+    result.attack_history = attack->history();
   }
 
   if (spec.monitor_health) {
@@ -486,39 +436,37 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   return result;
 }
 
-std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
-    results.push_back(Run(spec));
+std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpec> specs,
+                                                     unsigned threads, const InspectFn& inspect) {
+  // No point spinning up more workers than cells; a single cell (every Run)
+  // never starts a pool.
+  threads = std::min<unsigned>(threads == 0 ? torbase::ThreadPool::DefaultThreads() : threads,
+                               static_cast<unsigned>(specs.size()));
+  std::optional<torbase::ThreadPool> pool;
+  if (threads > 1) {
+    pool.emplace(threads);
   }
-  return results;
-}
+  const auto for_each = [&pool](size_t count, const std::function<void(size_t)>& body) {
+    if (pool.has_value()) {
+      pool->ParallelFor(count, body);
+      return;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      body(i);
+    }
+  };
 
-std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs,
-                                                  const SweepOptions& options) {
-  // No point spinning up more workers than cells.
-  const unsigned threads = std::min<unsigned>(
-      options.threads == 0 ? torbase::ThreadPool::DefaultThreads() : options.threads,
-      static_cast<unsigned>(specs.size()));
-  if (threads <= 1 || specs.size() <= 1) {
-    return Sweep(specs);
-  }
-
-  torbase::ThreadPool pool(threads);
-
-  // Materialize workloads for every cell before any cell runs. The cache
-  // probe happens serially in spec order so telemetry counts exactly what a
-  // serial sweep records (first occurrence of an uncached key is the miss,
-  // repeats are hits); the cache-missing workloads themselves — generation,
-  // serialization, digesting and VoteCache build, independent per key — are
-  // then built on the sweep's thread pool. The pending futures are published
-  // serially in first-appearance order, so the cache state is identical to a
-  // serial sweep's (and concurrent GetWorkload callers on a shared runner
-  // join these builds instead of duplicating them). Pool threads intern
-  // relay strings concurrently; the string pool's lock-free index keeps that
-  // race-free and ids never influence results (ROADMAP threading contract).
-  std::vector<WorkloadFuture> futures(specs.size());
+  // Workload probe, serial in spec order, so telemetry counts exactly the
+  // same at any thread count: the first occurrence of an uncached key is the
+  // miss, repeats are hits. Each missing key publishes a pending future under
+  // the lock, so concurrent callers on a shared runner that miss the same key
+  // find it (a hit — one build, shared) and wait instead of building twice.
+  // The missing workloads — generation, serialization, digesting and
+  // VoteCache build, independent per key — are then built on the pool. Pool
+  // threads intern relay strings concurrently; the string pool's lock-free
+  // index keeps that race-free and ids never influence results (ROADMAP
+  // threading contract).
+  std::vector<WorkloadFuture> workloads(specs.size());
   std::vector<size_t> build_spec_indexes;  // first spec index per missing key
   std::deque<std::promise<std::shared_ptr<const Workload>>> promises;
   {
@@ -526,39 +474,33 @@ std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec
     for (size_t i = 0; i < specs.size(); ++i) {
       const WorkloadKey key{specs[i].relay_count, specs[i].seed, specs[i].authority_count};
       if (const auto it = workloads_.find(key); it != workloads_.end()) {
-        ++cache_hits_;  // built, in flight elsewhere, or earlier in this sweep
-        futures[i] = it->second;
+        ++cache_hits_;  // built, in flight elsewhere, or earlier in this call
+        workloads[i] = it->second;
       } else {
         ++cache_misses_;
         build_spec_indexes.push_back(i);
         promises.emplace_back();
-        futures[i] = promises.back().get_future().share();
-        workloads_[key] = futures[i];
+        workloads[i] = promises.back().get_future().share();
+        workloads_[key] = workloads[i];
       }
     }
   }
-  if (!build_spec_indexes.empty()) {
-    pool.ParallelFor(build_spec_indexes.size(),
-                     [this, &specs, &build_spec_indexes, &promises](size_t j) {
-                       promises[j].set_value(BuildWorkload(specs[build_spec_indexes[j]]));
-                     });
-  }
-  std::vector<std::shared_ptr<const Workload>> workloads(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    workloads[i] = futures[i].get();
-  }
+  for_each(build_spec_indexes.size(), [this, specs, &build_spec_indexes, &promises](size_t j) {
+    promises[j].set_value(BuildWorkload(specs[build_spec_indexes[j]]));
+  });
 
-  // Memo probe, serial in spec order — the same discipline as the workload
-  // cache, so hit/miss telemetry is exactly what a serial sweep records: a
-  // digest already published is a hit, the first occurrence of a new digest
-  // is the miss that runs, and repeats within this sweep are hits served by
-  // that one run.
+  // Memo probe, serial in spec order — the same discipline: a digest already
+  // published is a hit, the first occurrence of a new digest is the miss that
+  // runs, and repeats within this call are hits served by that one run.
+  // Inspected runs bypass the memo entirely: the hook needs a live harness,
+  // and whatever it observes is invisible to the digest.
+  const bool memoize = memoize_ && !inspect;
   enum : char { kRun = 0, kMemoized = 1, kDuplicate = 2 };
   std::vector<ScenarioResult> results(specs.size());
   std::vector<char> cell_state(specs.size(), kRun);
   std::vector<torcrypto::Digest256> digests;
   std::vector<size_t> run_indexes;  // cells that actually simulate
-  if (memoize_) {
+  if (memoize) {
     digests.resize(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
       digests[i] = SpecDigest(specs[i]);
@@ -574,7 +516,7 @@ std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec
         ++memo_misses_;
         run_indexes.push_back(i);
       } else {
-        ++memo_hits_;  // duplicate digest in this sweep: simulated once
+        ++memo_hits_;  // duplicate digest in this call: simulated once
         cell_state[i] = kDuplicate;
       }
     }
@@ -585,34 +527,22 @@ std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec
     }
   }
 
-  // Each running cell gets a private copy of the spec with a cloned attack
-  // schedule: specs may share one schedule object (cheap for serial sweeps),
-  // but Install/history are mutable per-run state that concurrent cells must
-  // not share. Results stay bit-identical — a clone runs exactly as the
-  // original would after its per-run ClearHistory().
-  std::vector<ScenarioSpec> cells;
-  cells.reserve(run_indexes.size());
-  for (const size_t i : run_indexes) {
-    cells.push_back(specs[i]);
-    if (cells.back().attack != nullptr) {
-      cells.back().attack = cells.back().attack->Clone();
-    }
-  }
+  for_each(run_indexes.size(), [this, specs, &workloads, &results, &run_indexes,
+                                &inspect](size_t j) {
+    const size_t i = run_indexes[j];
+    results[i] = RunWithWorkload(specs[i], *workloads[i].get(), inspect);
+  });
 
-  pool.ParallelFor(run_indexes.size(),
-                   [this, &cells, &workloads, &results, &run_indexes](size_t j) {
-                     results[run_indexes[j]] =
-                         RunWithWorkload(cells[j], *workloads[run_indexes[j]], InspectFn());
-                   });
-
-  if (memoize_) {
+  if (memoize) {
     // Publish serially in first-appearance order; entries are immutable once
-    // published (a racing Run on a shared runner may have published the same
-    // digest meanwhile — its entry wins and is bit-identical by purity).
-    // Duplicate cells are then filled from the published entries.
+    // published (a racing caller on a shared runner may have published the
+    // same digest meanwhile — its entry wins and is bit-identical by purity,
+    // and every cell returns the published entry). Duplicate cells are then
+    // filled from the published entries.
     std::lock_guard<std::mutex> lock(memo_mutex_);
     for (const size_t i : run_indexes) {
-      results_.emplace(digests[i], std::make_shared<const ScenarioResult>(results[i]));
+      auto published = std::make_shared<const ScenarioResult>(std::move(results[i]));
+      results[i] = *results_.emplace(digests[i], std::move(published)).first->second;
     }
     for (size_t i = 0; i < specs.size(); ++i) {
       if (cell_state[i] == kDuplicate) {
@@ -621,6 +551,55 @@ std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec
     }
   }
   return results;
+}
+
+double FindBandwidthRequirement(ScenarioRunner& runner, const ScenarioSpec& base,
+                                uint32_t victim_count, double lo_bps, double hi_bps, int probes) {
+  const auto* standing = dynamic_cast<const torattack::WindowedAttack*>(base.attack.get());
+  if (base.attack != nullptr && standing == nullptr) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  auto probe = [&](double bandwidth) {
+    torattack::AttackWindow window;
+    window.targets = torattack::FirstTargets(victim_count);
+    window.start = 0;
+    window.end = base.horizon;
+    window.available_bps = bandwidth;
+    std::vector<torattack::AttackWindow> windows;
+    if (standing != nullptr) {
+      windows = standing->windows();
+    }
+    windows.push_back(std::move(window));
+    ScenarioSpec spec = base;
+    spec.attack = std::make_shared<torattack::WindowedAttack>(std::move(windows));
+    return runner.Run(spec).succeeded;
+  };
+  // Invariant: the protocol fails at lo and succeeds at hi. If it already
+  // succeeds at lo (tiny relay counts), report lo; if it fails even at hi,
+  // report hi as a lower bound.
+  if (probe(lo_bps)) {
+    return lo_bps;
+  }
+  if (!probe(hi_bps)) {
+    return hi_bps;  // lower bound only; nothing succeeded, nothing to confirm
+  }
+  double lo = lo_bps;
+  double hi = hi_bps;
+  for (int i = 0; i < probes; ++i) {
+    const double mid = (lo + hi) / 2.0;
+    if (probe(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  // Re-assert the invariant on the value returned: `hi` was probed when it
+  // became the upper bracket, so this replays from the memo and aborts the
+  // search (loudly, in debug) if the protocol does not actually succeed there.
+  const bool confirmed = probe(hi);
+  assert(confirmed && "bandwidth requirement search lost its invariant");
+  (void)confirmed;
+  return hi;
 }
 
 }  // namespace torscenario

@@ -5,11 +5,12 @@
 // workload — so the runner generates each workload once and reuses it across
 // runs.
 //
-// Sweeps can run cells in parallel (SweepOptions::threads): the workload
-// cache is probed serially in spec order (so telemetry stays exact), cache-
-// missing workloads are built concurrently on the sweep's thread pool, then
-// each cell runs on a private Simulator/Harness with a per-cell clone of the
-// attack schedule. Parallel results are bit-identical to a serial sweep.
+// Run is a one-cell Sweep, and sweeps can run cells in parallel
+// (SweepOptions::threads): the workload cache is probed serially in spec
+// order (so telemetry stays exact), cache-missing workloads are built
+// concurrently on the sweep's thread pool, then each cell runs on a private
+// Simulator/Harness with a per-cell clone of the attack schedule. Parallel
+// results are bit-identical to a serial sweep.
 //
 // On top of the workload cache sits a *result memo*: every run is a pure
 // function of its spec (ROADMAP threading contract), so the runner keys
@@ -29,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -62,17 +64,16 @@ class ScenarioRunner {
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
-  // Runs one scenario. Deterministic given the spec.
-  ScenarioResult Run(const ScenarioSpec& spec);
-  ScenarioResult Run(const ScenarioSpec& spec, const InspectFn& inspect);
+  // Runs one scenario: a one-cell Sweep. Deterministic given the spec; the
+  // spec's attack schedule is never mutated (each run installs a clone).
+  // Inspected runs bypass the result memo.
+  ScenarioResult Run(const ScenarioSpec& spec, const InspectFn& inspect = InspectFn());
 
-  // Runs every spec in order, sharing the workload cache across cells.
-  std::vector<ScenarioResult> Sweep(const std::vector<ScenarioSpec>& specs);
-  // Same, distributing cells over `options.threads` workers. Results (and the
-  // workload-cache telemetry) are identical to the serial overload for any
-  // thread count.
+  // Runs every spec, sharing the workload cache across cells and
+  // distributing them over `options.threads` workers. Results (and the
+  // workload-cache and memo telemetry) are identical for any thread count.
   std::vector<ScenarioResult> Sweep(const std::vector<ScenarioSpec>& specs,
-                                    const SweepOptions& options);
+                                    const SweepOptions& options = SweepOptions());
 
   // Runs a long-horizon fault-calendar timeline (src/scenario/timeline.h):
   // derives one ScenarioSpec per round, fans the rounds onto the sweep pool,
@@ -121,8 +122,8 @@ class ScenarioRunner {
   };
   using WorkloadKey = std::tuple<size_t, uint64_t, uint32_t>;  // (relays, seed, n)
   // Cache entries are shared_futures so a key can be *in flight*: the first
-  // thread to miss publishes a pending future under the lock and builds; any
-  // other thread missing the same key concurrently finds the future (a hit —
+  // caller to miss publishes a pending future under the lock and builds; any
+  // other caller missing the same key concurrently finds the future (a hit —
   // one build, shared) and blocks on it instead of paying a duplicate
   // multi-second BuildWorkload.
   using WorkloadFuture = std::shared_future<std::shared_ptr<const Workload>>;
@@ -133,10 +134,14 @@ class ScenarioRunner {
   // concurrently; string interning inside is thread-safe and ids never
   // influence results).
   std::shared_ptr<const Workload> BuildWorkload(const ScenarioSpec& spec);
-  std::shared_ptr<const Workload> GetWorkload(const ScenarioSpec& spec);
-  // The core of Run(): executes `spec` against an already-resolved workload
-  // without touching the cache (the parallel sweep pre-resolves workloads so
-  // concurrent cells never race or double-count telemetry).
+  // The one path behind Run and Sweep: serial workload-cache probe (missing
+  // workloads built on the pool), serial memo probe, the simulating cells on
+  // the pool, then serial memo publication in first-appearance order.
+  std::vector<ScenarioResult> RunCells(std::span<const ScenarioSpec> specs, unsigned threads,
+                                       const InspectFn& inspect);
+  // Executes one cell against an already-resolved workload without touching
+  // the cache or the memo, so concurrent cells never race or double-count
+  // telemetry.
   ScenarioResult RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
                                  const InspectFn& inspect) const;
 
@@ -157,6 +162,19 @@ class ScenarioRunner {
   size_t memo_misses_ = 0;
   bool memoize_ = true;
 };
+
+// Binary-searches the minimum per-victim bandwidth (bits/s, within
+// [lo_bps, hi_bps]) at which `base` still succeeds while its first
+// `victim_count` authorities are clamped for the whole horizon — the Figure 7
+// measurement. The clamp joins the windows of a WindowedAttack in `base`
+// rather than replacing them; any other schedule cannot be joined and yields
+// NaN. `probes` halvings give ~hi/2^probes resolution. The probes run on
+// `runner`, sharing its workload cache and result memo (a bandwidth probed
+// twice, such as the final confirmation, is a memo hit); concurrent searches
+// on one runner stay bit-identical to serial ones.
+double FindBandwidthRequirement(ScenarioRunner& runner, const ScenarioSpec& base,
+                                uint32_t victim_count, double lo_bps, double hi_bps,
+                                int probes = 7);
 
 }  // namespace torscenario
 

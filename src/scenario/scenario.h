@@ -61,7 +61,7 @@ struct ScenarioSpec {
   torbase::Duration latency = torbase::Millis(50);
 
   // Attack schedule; null = unattacked. shared_ptr so a sweep can reuse one
-  // schedule object across cells (the runner clears its history per run).
+  // schedule object across cells (each run installs a private clone).
   std::shared_ptr<torattack::AttackSchedule> attack;
 
   std::vector<ChurnEvent> churn;

@@ -232,8 +232,7 @@ std::vector<ScenarioSpec> BuildTimelineRoundSpecs(const TimelineSpec& spec) {
 
     for (const AttackCalendarEntry& entry : spec.attacks) {
       if (entry.first_round <= r && r <= entry.last_round) {
-        // Shared across cells on purpose: the serial path clears its history
-        // per run and the parallel sweep clones per cell.
+        // Shared across cells on purpose: every run installs its own clone.
         cell.attack = entry.attack;
       }
     }

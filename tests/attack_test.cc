@@ -10,7 +10,6 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
-#include "src/metrics/experiment.h"
 #include "src/scenario/runner.h"
 #include "src/sim/actor.h"
 
@@ -91,23 +90,24 @@ TEST(AttackWindowTest, HistoryReportsPerTargetResidualRates) {
 }
 
 TEST(AttackWindowTest, BandwidthRequirementHonoursStandingAttacks) {
-  // base.attacks already knocks out authorities 5-8; the probe clamp on 0-3
-  // must join those attacks, not replace them. With the standing outage the
-  // run only succeeds when the four probed victims can move their votes, so
-  // the search cannot return lo (which it would if base.attacks were dropped:
-  // 5 healthy authorities are a self-sufficient majority).
-  tormetrics::ExperimentConfig base;
+  // base.attack already knocks out authorities 5-8; the probe clamp on 0-3
+  // must join that attack, not replace it. With the standing outage the run
+  // only succeeds when the four probed victims can move their votes, so the
+  // search cannot return lo (which it would if base.attack were dropped: 5
+  // healthy authorities are a self-sufficient majority).
+  torscenario::ScenarioSpec base;
   base.protocol = "current";
   base.relay_count = 800;
-  base.run_limit = Minutes(15);
+  base.horizon = Minutes(15);
   AttackWindow standing;
   standing.targets = {5, 6, 7, 8};
   standing.start = 0;
-  standing.end = base.run_limit;
+  standing.end = base.horizon;
   standing.available_bps = 0.0;
-  base.attacks.push_back(standing);
-  const double required =
-      tormetrics::FindBandwidthRequirement(base, /*victim_count=*/4, 0.2e6, 25e6, /*probes=*/2);
+  base.attack = std::make_shared<WindowedAttack>(std::vector<AttackWindow>{standing});
+  torscenario::ScenarioRunner runner;
+  const double required = torscenario::FindBandwidthRequirement(
+      runner, base, /*victim_count=*/4, 0.2e6, 25e6, /*probes=*/2);
   EXPECT_GT(required, 0.2e6);
   EXPECT_LE(required, 25e6);
 }
@@ -115,16 +115,17 @@ TEST(AttackWindowTest, BandwidthRequirementHonoursStandingAttacks) {
 TEST(AttackWindowTest, WindowEndingAfterRunLimitStillFailsTheRun) {
   // A clamp that outlives the simulation horizon must behave exactly like a
   // whole-run clamp — no crash, failed run, NaN metrics.
-  tormetrics::ExperimentConfig config;
-  config.protocol = "current";
-  config.relay_count = 600;
-  config.run_limit = Minutes(15);
+  torscenario::ScenarioSpec spec;
+  spec.protocol = "current";
+  spec.relay_count = 600;
+  spec.horizon = Minutes(15);
   AttackWindow window;
   window.targets = FirstTargets(5);
   window.start = 0;
-  window.end = torbase::Hours(100);  // far beyond run_limit
-  config.attacks.push_back(window);
-  const auto result = tormetrics::RunExperiment(config);
+  window.end = torbase::Hours(100);  // far beyond the horizon
+  spec.attack = std::make_shared<WindowedAttack>(std::vector<AttackWindow>{window});
+  torscenario::ScenarioRunner runner;
+  const auto result = runner.Run(spec);
   EXPECT_FALSE(result.succeeded);
   EXPECT_TRUE(std::isnan(result.latency_seconds));
   EXPECT_TRUE(std::isnan(result.finish_time_seconds));

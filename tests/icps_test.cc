@@ -104,7 +104,10 @@ struct Fleet {
             std::make_unique<EquivocatingDisseminator>(&directory, votes[i])));
       } else {
         actors.push_back(harness->AddActor(
-            std::make_unique<IcpsAuthority>(config, &directory, votes[i])));
+            std::make_unique<IcpsAuthority>(
+                config, &directory,
+                torproto::AuthorityMaterials{
+                    .vote = std::make_shared<const tordir::VoteDocument>(votes[i])})));
       }
     }
   }

@@ -10,9 +10,7 @@
 #include <tuple>
 
 #include "src/attack/ddos.h"
-#include "src/core/icps_authority.h"
-#include "src/metrics/experiment.h"
-#include "src/protocols/current/current_authority.h"
+#include "src/scenario/runner.h"
 #include "src/sim/actor.h"
 #include "src/sim/bandwidth.h"
 #include "src/tordir/aggregate.h"
@@ -183,18 +181,20 @@ class AttackMajorityProperty : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(AttackMajorityProperty, AttackSucceedsIffMajorityTargeted) {
   const uint32_t victims = GetParam();
-  tormetrics::ExperimentConfig config;
-  config.protocol = "current";
-  config.relay_count = 800;
+  torscenario::ScenarioSpec spec;
+  spec.protocol = "current";
+  spec.relay_count = 800;
   torattack::AttackWindow window;
   window.targets = torattack::FirstTargets(victims);
   window.start = 0;
   window.end = torbase::Minutes(5);
   window.available_bps = torattack::kUnderAttackBps;
   if (victims > 0) {
-    config.attacks.push_back(window);
+    spec.attack = std::make_shared<torattack::WindowedAttack>(
+        std::vector<torattack::AttackWindow>{window});
   }
-  const auto result = tormetrics::RunExperiment(config);
+  torscenario::ScenarioRunner runner;
+  const auto result = runner.Run(spec);
   // The directory protocol tolerates any minority of unreachable authorities
   // (§4.2): flooding fewer than 5 of 9 must not break it.
   EXPECT_EQ(result.succeeded, victims < 5) << victims << " victims";
@@ -210,12 +210,13 @@ class IcpsDefinitionProperty
 
 TEST_P(IcpsDefinitionProperty, TerminationAgreementAndCommonSetValidity) {
   const auto [relay_count, bandwidth_mbps] = GetParam();
-  tormetrics::ExperimentConfig config;
-  config.protocol = "icps";
-  config.relay_count = relay_count;
-  config.bandwidth_bps = bandwidth_mbps * 1e6;
-  config.run_limit = torbase::Hours(2);
-  const auto result = tormetrics::RunExperiment(config);
+  torscenario::ScenarioSpec spec;
+  spec.protocol = "icps";
+  spec.relay_count = relay_count;
+  spec.bandwidth_bps = bandwidth_mbps * 1e6;
+  spec.horizon = torbase::Hours(2);
+  torscenario::ScenarioRunner runner;
+  const auto result = runner.Run(spec);
   // Termination + validity at every authority, any bandwidth.
   EXPECT_TRUE(result.succeeded);
   EXPECT_EQ(result.valid_count, 9u);

@@ -19,6 +19,23 @@ using torattack::AttackWindow;
 using torbase::Minutes;
 using torbase::Seconds;
 
+// Every authority's outcome from one run.
+struct RunResult {
+  std::vector<AuthorityOutcome> outcomes;
+
+  // The run succeeds if at least one authority assembled a valid consensus;
+  // in healthy runs all of them do.
+  bool Succeeded() const { return ValidCount() > 0; }
+
+  uint32_t ValidCount() const {
+    uint32_t count = 0;
+    for (const auto& outcome : outcomes) {
+      count += outcome.valid_consensus ? 1 : 0;
+    }
+    return count;
+  }
+};
+
 struct Fixture {
   std::unique_ptr<torsim::Harness> harness;
   std::vector<CurrentAuthority*> authorities;
@@ -46,7 +63,10 @@ struct Fixture {
     authorities.clear();
     for (uint32_t a = 0; a < config.authority_count; ++a) {
       authorities.push_back(static_cast<CurrentAuthority*>(harness->AddActor(
-          std::make_unique<CurrentAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<CurrentAuthority>(
+              config, &directory,
+              AuthorityMaterials{.vote = std::make_shared<const tordir::VoteDocument>(
+                  std::move(votes[a]))}))));
     }
   }
 

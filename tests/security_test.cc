@@ -30,6 +30,10 @@ namespace {
 using torbase::NodeId;
 using torbase::Seconds;
 
+torproto::AuthorityMaterials Materials(tordir::VoteDocument vote) {
+  return {.vote = std::make_shared<const tordir::VoteDocument>(std::move(vote))};
+}
+
 // Builds a vote set where relay[0]'s Guard flag is set in exactly
 // `guard_votes` of the honest votes — the knife-edge the equivocator exploits.
 std::vector<tordir::VoteDocument> MakeKnifeEdgeVotes(uint32_t n, uint32_t guard_votes) {
@@ -146,7 +150,8 @@ TEST(SecurityTest, CurrentProtocolSplitsUnderEquivocation) {
   std::vector<torproto::CurrentAuthority*> honest;
   for (NodeId a = 1; a < 9; ++a) {
     honest.push_back(static_cast<torproto::CurrentAuthority*>(harness.AddActor(
-        std::make_unique<torproto::CurrentAuthority>(config, &directory, std::move(votes[a])))));
+        std::make_unique<torproto::CurrentAuthority>(config, &directory,
+                                                     Materials(std::move(votes[a]))))));
   }
   harness.StartAll();
   harness.sim().Run();
@@ -219,7 +224,8 @@ TEST(SecurityTest, SynchronousProtocolResistsVoteEquivocation) {
       harness.AddActor(std::make_unique<EquivocatingSyncProposer>(std::move(votes[a])));
     } else {
       honest.push_back(static_cast<torproto::SyncAuthority*>(harness.AddActor(
-          std::make_unique<torproto::SyncAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<torproto::SyncAuthority>(config, &directory,
+                                                    Materials(std::move(votes[a]))))));
     }
   }
   harness.StartAll();
@@ -290,7 +296,8 @@ TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
                                                                std::set<NodeId>{0, 1, 3, 4, 5}));
     } else {
       honest.push_back(static_cast<toricc::IcpsAuthority*>(harness.AddActor(
-          std::make_unique<toricc::IcpsAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<toricc::IcpsAuthority>(config, &directory,
+                                                  Materials(std::move(votes[a]))))));
     }
   }
   harness.StartAll();

@@ -280,8 +280,8 @@ TEST(TimelineSnapshotTest, SnapshotRestoreRoundTripsPerProtocol) {
     // snapshot as its carry-in state.
     torcrypto::KeyDirectory directory(42, 9);
     torproto::ProtocolRunConfig run_config;
-    torproto::AuthorityMaterials materials = torproto::AuthorityMaterials::Own(
-        votes[0], tordir::SerializeVote(votes[0]));
+    torproto::AuthorityMaterials materials;
+    materials.vote = std::make_shared<const tordir::VoteDocument>(votes[0]);
     materials.round_state =
         std::make_shared<const torproto::AuthorityRoundState>(snapshots[0]);
     const std::unique_ptr<torsim::Actor> actor =
