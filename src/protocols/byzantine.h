@@ -11,9 +11,9 @@
 //   kReplay            — a canonical vote whose validity window closed one
 //                        full period ago (replayed/stale signature window).
 //   kMalformedWire     — seeded structural mutations of the canonical vote
-//                        bytes (src/tordir/wire_mutator.h), targeting the
-//                        ParseVote fast-path vs fallback boundary; always
-//                        refused at admission.
+//                        bytes (src/tordir/wire_mutator.h); none is the
+//                        canonical encoding of a vote, so admission always
+//                        refuses them as malformed.
 //   kInflateBandwidth  — TorMult-style bandwidth multiplier on every relay
 //                        the vote carries; parses and aggregates fine, caught
 //                        by the monitor's median cross-check.

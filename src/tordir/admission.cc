@@ -1,5 +1,6 @@
 #include "src/tordir/admission.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/tordir/dirspec.h"
@@ -10,8 +11,6 @@ const char* VoteRejectReasonName(VoteRejectReason reason) {
   switch (reason) {
     case VoteRejectReason::kMalformed:
       return "malformed";
-    case VoteRejectReason::kNonCanonical:
-      return "non-canonical";
     case VoteRejectReason::kStaleWindow:
       return "stale-window";
   }
@@ -34,6 +33,9 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std
     return admission;
   }
 
+  assert(torcrypto::Digest256::Of(text) == digest && "AdmitVote: digest is not Of(text)");
+  // ParseVote accepts only the writer's own bytes, so a parsed text is
+  // canonical and `digest` names its one encoding.
   auto parsed = ParseVote(text);
   if (!parsed.ok()) {
     admission.status =
@@ -42,17 +44,6 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std
     return admission;
   }
   VoteDocument document = std::move(*parsed);
-
-  // Canonicality: the exact wire bytes must be what SerializeVote would emit
-  // for this document. Comparing digests (not strings) keeps the admitted
-  // digest meaningful: it is the digest of the canonical encoding.
-  const std::string canonical = SerializeVote(document);
-  if (torcrypto::Digest256::Of(canonical) != digest) {
-    admission.status =
-        torbase::Status::InvalidArgument("malformed vote: non-canonical encoding");
-    admission.reason = VoteRejectReason::kNonCanonical;
-    return admission;
-  }
 
   admission.author = document.authority;
   if (document.valid_until <= period_start) {

@@ -1,22 +1,19 @@
 // Vote admission: the single accept/reject gate every protocol runs on a vote
-// text it received off the wire. Admission is stricter than ParseVote:
+// text it received off the wire.
 //
-//   * kMalformed    — the bytes do not parse at all.
-//   * kNonCanonical — the bytes parse, but re-serializing the document does
-//                     not reproduce them. Honest authorities only ever emit
-//                     canonical bytes (SerializeVote/ParseVote round-trip
-//                     exactly), so a non-canonical text is adversarial by
-//                     construction and must not enter aggregation — two
-//                     authorities holding byte-different texts of the "same"
-//                     vote would otherwise disagree about its digest.
-//   * kStaleWindow  — a structurally valid vote whose validity window has
-//                     already closed relative to the receiver's current
-//                     period: a replayed or expired document.
+//   * kMalformed    — the bytes are not a vote the writer would emit. ParseVote
+//                     accepts only canonical bytes (src/tordir/dirspec.h), so
+//                     this covers unparseable text and every second spelling
+//                     of a document alike: two authorities holding
+//                     byte-different texts of the "same" vote would otherwise
+//                     disagree about its digest.
+//   * kStaleWindow  — a well-formed vote whose validity window has already
+//                     closed relative to the receiver's current period: a
+//                     replayed or expired document.
 //
 // A cache hit (digest match against the workload's canonical pre-parsed
-// votes) short-circuits all three checks: byte equality against a canonical
-// text proves the document is well-formed, canonical, and carries the current
-// period's window.
+// votes) short-circuits both checks: byte equality against a canonical text
+// proves the document is well-formed and carries the current period's window.
 #ifndef SRC_TORDIR_ADMISSION_H_
 #define SRC_TORDIR_ADMISSION_H_
 
@@ -31,9 +28,8 @@
 namespace tordir {
 
 enum class VoteRejectReason {
-  kMalformed,     // unparseable or non-round-tripping bytes
-  kNonCanonical,  // parses, but re-serialization differs from the wire bytes
-  kStaleWindow,   // valid_until has passed: replayed/expired signature window
+  kMalformed,    // not the canonical encoding of any vote
+  kStaleWindow,  // valid_until has passed: replayed/expired signature window
 };
 
 const char* VoteRejectReasonName(VoteRejectReason reason);
@@ -44,8 +40,7 @@ struct VoteAdmission {
   // Meaningful only when !status.ok().
   VoteRejectReason reason = VoteRejectReason::kMalformed;
   // The vote's claimed author when the document parsed (set for stale
-  // rejects, where attribution is trustworthy because the bytes are
-  // canonical); kNoNode otherwise.
+  // rejects); kNoNode otherwise.
   torbase::NodeId author = torbase::kNoNode;
 
   // Set when admitted.
@@ -61,7 +56,9 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std
                         uint64_t period_start);
 
 // Same, for callers that already hashed the text (saves re-hashing in
-// digest-first protocols like ICPS).
+// digest-first protocols like ICPS). Precondition: `digest` is
+// Digest256::Of(text). A cache hit trusts it as proof of byte equality, and an
+// admitted vote reports it as its identity; Debug builds assert it on a miss.
 VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
                         const torcrypto::Digest256& digest, uint64_t period_start);
 

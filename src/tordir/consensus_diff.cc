@@ -113,16 +113,35 @@ bool ParseU64Line(std::string_view line, std::string_view prefix, uint64_t& out)
   return ec == std::errc() && ptr == digits.data() + digits.size();
 }
 
+// The framing lines: the two tree digests, then the target's header fields.
+// ComputeConsensusDiff writes them with this and ParseFraming accepts only
+// its output.
+void AppendFraming(std::string& out, const torcrypto::Digest256& base_digest,
+                   const torcrypto::Digest256& target_digest, const ConsensusDocument& target) {
+  out.append(kDiffVersionLine);
+  out.push_back('\n');
+  out.append(kBasePrefix);
+  out.append(base_digest.ToHex());
+  out.push_back('\n');
+  out.append(kTargetPrefix);
+  out.append(target_digest.ToHex());
+  out.push_back('\n');
+  AppendU64Line(out, kVotesCountedPrefix, target.vote_count);
+  AppendU64Line(out, kValidAfterPrefix, target.valid_after);
+  AppendU64Line(out, kFreshUntilPrefix, target.fresh_until);
+  AppendU64Line(out, kValidUntilPrefix, target.valid_until);
+}
+
 struct DiffFraming {
   torcrypto::Digest256 base_digest;
   torcrypto::Digest256 target_digest;
-  uint64_t vote_count = 0;
-  uint64_t valid_after = 0;
-  uint64_t fresh_until = 0;
-  uint64_t valid_until = 0;
+  ConsensusDocument target;  // header fields only: no relays, no signatures
 };
 
-Status ParseFraming(std::string_view diff, size_t& pos, DiffFraming& framing, bool header_only) {
+// Reads the framing, then renders it again and compares: a second spelling of
+// the same values (leading zeros, uppercase digest hex) is refused, exactly as
+// the dir-spec parsers refuse one.
+Status ParseFraming(std::string_view diff, size_t& pos, DiffFraming& framing) {
   std::string_view line;
   if (!NextLine(diff, pos, line) || line != kDiffVersionLine) {
     return Status::InvalidArgument("not a v1 consensus diff");
@@ -133,14 +152,19 @@ Status ParseFraming(std::string_view diff, size_t& pos, DiffFraming& framing, bo
   if (!NextLine(diff, pos, line) || !ParseDigestLine(line, kTargetPrefix, framing.target_digest)) {
     return Status::InvalidArgument("malformed diff target digest line");
   }
-  if (header_only) {
-    return Status::Ok();
-  }
-  if (!NextLine(diff, pos, line) || !ParseU64Line(line, kVotesCountedPrefix, framing.vote_count) ||
-      !NextLine(diff, pos, line) || !ParseU64Line(line, kValidAfterPrefix, framing.valid_after) ||
-      !NextLine(diff, pos, line) || !ParseU64Line(line, kFreshUntilPrefix, framing.fresh_until) ||
-      !NextLine(diff, pos, line) || !ParseU64Line(line, kValidUntilPrefix, framing.valid_until)) {
+  ConsensusDocument& target = framing.target;
+  uint64_t vote_count = 0;
+  if (!NextLine(diff, pos, line) || !ParseU64Line(line, kVotesCountedPrefix, vote_count) ||
+      !NextLine(diff, pos, line) || !ParseU64Line(line, kValidAfterPrefix, target.valid_after) ||
+      !NextLine(diff, pos, line) || !ParseU64Line(line, kFreshUntilPrefix, target.fresh_until) ||
+      !NextLine(diff, pos, line) || !ParseU64Line(line, kValidUntilPrefix, target.valid_until)) {
     return Status::InvalidArgument("malformed diff target header line");
+  }
+  target.vote_count = static_cast<uint32_t>(vote_count);
+  std::string canonical;
+  AppendFraming(canonical, framing.base_digest, framing.target_digest, target);
+  if (diff.substr(0, pos) != canonical) {
+    return Status::InvalidArgument("non-canonical diff framing");
   }
   return Status::Ok();
 }
@@ -195,18 +219,7 @@ std::string ComputeConsensusDiff(const ConsensusDocument& base, const ConsensusD
 
   std::string out;
   out.reserve(512 + removed * 43 + carried * (43 + 470) + target.signatures.size() * 160);
-  out.append(kDiffVersionLine);
-  out.push_back('\n');
-  out.append(kBasePrefix);
-  out.append(base_digest.ToHex());
-  out.push_back('\n');
-  out.append(kTargetPrefix);
-  out.append(target_digest.ToHex());
-  out.push_back('\n');
-  AppendU64Line(out, kVotesCountedPrefix, target.vote_count);
-  AppendU64Line(out, kValidAfterPrefix, target.valid_after);
-  AppendU64Line(out, kFreshUntilPrefix, target.fresh_until);
-  AppendU64Line(out, kValidUntilPrefix, target.valid_until);
+  AppendFraming(out, base_digest, target_digest, target);
 
   for (size_t i = 0, j = 0; i < b.size() || j < t.size();) {
     const int cmp = i == b.size()   ? 1
@@ -238,7 +251,7 @@ Result<std::string> ApplyConsensusDiff(std::string_view base, std::string_view d
                                        const ApplyDiffOptions& options) {
   size_t pos = 0;
   DiffFraming framing;
-  if (Status s = ParseFraming(diff, pos, framing, /*header_only=*/false); !s.ok()) {
+  if (Status s = ParseFraming(diff, pos, framing); !s.ok()) {
     return s;
   }
   if (options.verify_base &&
@@ -261,11 +274,7 @@ Result<std::string> ApplyConsensusDiff(std::string_view base, std::string_view d
 
   std::string out;
   out.reserve(base.size() + diff.size());
-  out.append("network-status-version 3\nvote-status consensus\n");
-  AppendU64Line(out, "votes-counted ", framing.vote_count);
-  AppendU64Line(out, "valid-after ", framing.valid_after);
-  AppendU64Line(out, "fresh-until ", framing.fresh_until);
-  AppendU64Line(out, "valid-until ", framing.valid_until);
+  AppendConsensusHeaderText(out, framing.target);
 
   // One streaming merge over the base rows: `row` is the current row's start,
   // `copy_from` the start of the pending bulk copy. Rows between edit points
@@ -405,7 +414,7 @@ Result<std::string> ApplyConsensusDiff(std::string_view base, std::string_view d
 Result<ConsensusDiffHeader> ParseConsensusDiffHeader(std::string_view diff) {
   size_t pos = 0;
   DiffFraming framing;
-  if (Status s = ParseFraming(diff, pos, framing, /*header_only=*/true); !s.ok()) {
+  if (Status s = ParseFraming(diff, pos, framing); !s.ok()) {
     return s;
   }
   return ConsensusDiffHeader{framing.base_digest, framing.target_digest};

@@ -10,7 +10,9 @@
 // document.
 //
 // Wire format (line-oriented, canonical — ComputeConsensusDiff emits exactly
-// this shape and ApplyConsensusDiff refuses everything else):
+// this shape and ApplyConsensusDiff refuses everything else; the framing lines
+// are parsed and then rendered again, so a second spelling of the same values,
+// such as a leading zero or uppercase digest hex, is refused too):
 //
 //   network-status-diff-version 1
 //   base sha256-tree-v1 <64 lowercase hex>     sha256-tree-v1 digest of the
@@ -98,7 +100,8 @@ torbase::Result<std::string> ApplyConsensusDiff(std::string_view base, std::stri
 
 // The framing header of a diff, readable without touching the edit list: a
 // cache uses base_digest to pick the right diff for the document it holds and
-// target_digest to verify the patched result.
+// target_digest to verify the patched result. Parsing checks the whole
+// framing (digests and target header lines) as ApplyConsensusDiff does.
 struct ConsensusDiffHeader {
   torcrypto::Digest256 base_digest;
   torcrypto::Digest256 target_digest;

@@ -17,19 +17,14 @@ using torbase::BufferedTextSink;
 using torbase::Result;
 using torbase::Status;
 
-// The one prefix-match idiom in this file (the parser used to mix three:
-// a StartsWith helper, rfind(prefix, 0) == 0 and substr(0, n) ==).
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
-}
-
 // --- streaming serializer ----------------------------------------------------
 // Every Serialize*/Digest entry point drives the same templated writer over a
 // sink: Serialize* uses a StringCursorSink (cursor into the pre-sized output
 // string), the digests a BufferedTextSink in front of Sha256::Update — the
 // serialized form of a digested document is never materialized. Fields format
 // in place (digit pairs, SWAR hex, a canonical-flags table), so serializing
-// an n-relay document performs O(1) heap allocations and digesting none.
+// an n-relay document performs O(1) heap allocations and digesting none. The
+// parsers below run the same writer once more to decide what they accept.
 
 struct DigestSinkBackend {
   torcrypto::Sha256& hash;
@@ -39,6 +34,14 @@ struct DigestSinkBackend {
 struct TreeDigestSinkBackend {
   torcrypto::Sha256TreeHasher& hash;
   void Write(const char* data, size_t n) { hash.Update(data, n); }
+};
+
+// Backend appending onto an existing string: the fragment writers add to a
+// diff under construction rather than owning the whole output, so the cursor
+// sink (which resizes its string up front) does not fit.
+struct StringAppendBackend {
+  std::string& out;
+  void Write(const char* data, size_t n) { out.append(data, n); }
 };
 
 template <typename Sink>
@@ -62,11 +65,19 @@ void AppendHexUpper(Sink& sink, std::span<const uint8_t> data) {
   sink.Commit(data.size() * 2);
 }
 
+// "<keyword><n>\n", the shape of every numeric header line.
+template <typename Sink>
+void WriteU64Line(Sink& sink, std::string_view keyword, uint64_t value) {
+  sink.Append(keyword);
+  AppendU64(sink, value);
+  sink.Push('\n');
+}
+
 // Canonical flags text, both directions: every one of the 1024 flag masks
-// renders to exactly one canonical "s"-line payload (FlagsToString order), and
-// honest documents only ever carry canonical payloads. Pre-rendering the table
-// turns the serializer's per-relay flag loop into one append and gives the
-// parser an exact-match fast path that skips per-word flag lookups entirely.
+// renders to exactly one canonical "s"-line payload (FlagsToString order).
+// Pre-rendering the table turns the serializer's per-relay flag loop into one
+// append, and its inverse is how the scanner reads an "s" line: a payload the
+// table does not hold is one the writer never emits.
 class FlagsTable {
  public:
   static const FlagsTable& Get() {
@@ -77,10 +88,9 @@ class FlagsTable {
   std::string_view Text(uint16_t flags) const { return texts_[flags & kAllRelayFlags]; }
 
   // Mask for a canonical payload; nullopt for any other spelling (duplicate
-  // flags, non-canonical order, stray spaces, unknown names) — callers fall
-  // back to the word-by-word path. Open-addressing probe over a fixed table
-  // (1024 entries in 4096 slots): one fast hash, a slot load or two, and one
-  // final byte compare.
+  // flags, non-canonical order, stray spaces, unknown names). Open-addressing
+  // probe over a fixed table (1024 entries in 4096 slots): one fast hash, a
+  // slot load or two, and one final byte compare.
   std::optional<uint16_t> Mask(std::string_view text) const {
     uint32_t idx = static_cast<uint32_t>(torbase::QuickKey(text)) & kSlotMask;
     while (slots_[idx] != 0) {
@@ -319,6 +329,14 @@ void AppendRelays(Sink& sink, const std::vector<RelayStatus>& relays, bool inclu
 }
 
 template <typename Sink>
+void WriteValidityLines(Sink& sink, uint64_t valid_after, uint64_t fresh_until,
+                        uint64_t valid_until) {
+  WriteU64Line(sink, "valid-after ", valid_after);
+  WriteU64Line(sink, "fresh-until ", fresh_until);
+  WriteU64Line(sink, "valid-until ", valid_until);
+}
+
+template <typename Sink>
 void WriteVote(Sink& sink, const VoteDocument& vote) {
   sink.Append("network-status-version 3 vote\n");
   sink.Append("authority ");
@@ -326,36 +344,23 @@ void WriteVote(Sink& sink, const VoteDocument& vote) {
   sink.Push(' ');
   AppendU64(sink, vote.authority);
   sink.Push('\n');
-  sink.Append("valid-after ");
-  AppendU64(sink, vote.valid_after);
-  sink.Push('\n');
-  sink.Append("fresh-until ");
-  AppendU64(sink, vote.fresh_until);
-  sink.Push('\n');
-  sink.Append("valid-until ");
-  AppendU64(sink, vote.valid_until);
-  sink.Push('\n');
+  WriteValidityLines(sink, vote.valid_after, vote.fresh_until, vote.valid_until);
   sink.Append("known-flags Authority BadExit Exit Fast Guard HSDir Running Stable V2Dir Valid\n");
   AppendRelays(sink, vote.relays, /*include_measured=*/true);
   sink.Append("directory-footer\n");
 }
 
 template <typename Sink>
-void WriteConsensusUnsigned(Sink& sink, const ConsensusDocument& consensus) {
+void WriteConsensusHeader(Sink& sink, const ConsensusDocument& consensus) {
   sink.Append("network-status-version 3\n");
   sink.Append("vote-status consensus\n");
-  sink.Append("votes-counted ");
-  AppendU64(sink, consensus.vote_count);
-  sink.Push('\n');
-  sink.Append("valid-after ");
-  AppendU64(sink, consensus.valid_after);
-  sink.Push('\n');
-  sink.Append("fresh-until ");
-  AppendU64(sink, consensus.fresh_until);
-  sink.Push('\n');
-  sink.Append("valid-until ");
-  AppendU64(sink, consensus.valid_until);
-  sink.Push('\n');
+  WriteU64Line(sink, "votes-counted ", consensus.vote_count);
+  WriteValidityLines(sink, consensus.valid_after, consensus.fresh_until, consensus.valid_until);
+}
+
+template <typename Sink>
+void WriteConsensusUnsigned(Sink& sink, const ConsensusDocument& consensus) {
+  WriteConsensusHeader(sink, consensus);
   // Consensus bandwidth is the aggregated value in `bandwidth`; no Measured.
   AppendRelays(sink, consensus.relays, /*include_measured=*/false);
   sink.Append("directory-footer\n");
@@ -372,91 +377,119 @@ void WriteSignatureLines(Sink& sink, const std::vector<torcrypto::Signature>& si
   }
 }
 
-// --- single-pass tokenizer ---------------------------------------------------
-// The parsers walk the document with two cursors: LineCursor yields '\n'-split
-// views without materializing a whole-document line vector, WordCursor yields
-// space-split words of one line without a per-line vector. Both only ever
-// advance, so an n-relay vote parses in one pass with zero tokenizer
-// allocations.
+// --- parser --------------------------------------------------------------------
+// One forward scan over the exact shape the writer emits, then the writer
+// itself decides: the scanned document is rendered again and compared with
+// the input, so a document parses exactly when it is the writer's own output.
+// The scanner therefore judges no spelling. It reads digit runs of any length
+// (wrapping past uint64), decodes hex in either case, narrows ports and ids
+// without a range check and skips the descriptor-digest word; the comparison
+// refuses every spelling the writer would not have produced.
 
-class LineCursor {
+// Forward cursor with sticky failure: the first mismatch records its offset
+// and jumps to the end of the text, where every later read fails too, so the
+// scan reads straight through without an early return per field.
+class Scanner {
  public:
-  explicit LineCursor(std::string_view text) : text_(text) { has_line_ = Fetch(); }
+  explicit Scanner(std::string_view text) : text_(text) {}
 
-  bool done() const { return !has_line_; }
-  std::string_view line() const { return line_; }
-  void Advance() { has_line_ = Fetch(); }
+  bool ok() const { return failed_at_ == kNone; }
+  bool AtEnd() const { return pos_ == text_.size(); }
+  size_t remaining() const { return text_.size() - pos_; }
 
-  // Raw-text hooks for the strict relay-entry fast path: where the current
-  // line starts in text(), and a re-seek that fetches the line at `pos`.
-  std::string_view text() const { return text_; }
-  size_t line_start() const { return line_start_; }
-  void SeekTo(size_t pos) {
-    next_ = pos;
-    has_line_ = Fetch();
+  Status Error() const {
+    return Status::InvalidArgument("unexpected bytes at offset " + std::to_string(failed_at_));
   }
 
- private:
-  bool Fetch() {
-    if (next_ >= text_.size()) {
+  void Fail() {
+    if (ok()) {
+      failed_at_ = pos_;
+    }
+    pos_ = text_.size();
+  }
+
+  bool Peek(std::string_view literal) const {
+    return text_.substr(pos_, literal.size()) == literal;
+  }
+  bool Accept(std::string_view literal) {
+    if (!Peek(literal)) {
       return false;
     }
-    line_start_ = next_;
-    const size_t end = text_.find('\n', next_);
-    if (end == std::string_view::npos) {
-      line_ = text_.substr(next_);
-      next_ = text_.size();
-    } else {
-      line_ = text_.substr(next_, end - next_);
-      next_ = end + 1;
-    }
+    pos_ += literal.size();
     return true;
   }
-
-  std::string_view text_;
-  std::string_view line_;
-  size_t next_ = 0;
-  size_t line_start_ = 0;
-  bool has_line_ = false;
-};
-
-class WordCursor {
- public:
-  explicit WordCursor(std::string_view line) : line_(line) {}
-
-  // Returns the next word, or an empty view once exhausted (words are never
-  // empty: runs of spaces are skipped). The word body is located with
-  // find(' ') — memchr under the hood — so long words cost loads, not a
-  // char-compare loop.
-  std::string_view Next() {
-    while (pos_ < line_.size() && line_[pos_] == ' ') {
-      ++pos_;
+  void Expect(std::string_view literal) {
+    if (!Accept(literal)) {
+      Fail();
     }
-    if (pos_ == line_.size()) {
+  }
+
+  // A non-empty run of bytes up to the next ' ' on this line; consumes the
+  // space.
+  std::string_view Word() {
+    const size_t space = text_.find(' ', pos_);
+    const std::string_view word = text_.substr(pos_, space - pos_);
+    if (space == std::string_view::npos || word.empty() ||
+        word.find('\n') != std::string_view::npos) {
+      Fail();
       return {};
     }
-    const size_t start = pos_;
-    size_t end = line_.find(' ', start);
-    if (end == std::string_view::npos) {
-      end = line_.size();
+    pos_ = space + 1;
+    return word;
+  }
+
+  // The rest of the line (possibly empty); consumes the '\n'.
+  std::string_view Rest() {
+    const size_t nl = text_.find('\n', pos_);
+    if (nl == std::string_view::npos) {
+      Fail();
+      return {};
     }
-    pos_ = end;
-    return line_.substr(start, end - start);
+    const std::string_view rest = text_.substr(pos_, nl - pos_);
+    pos_ = nl + 1;
+    return rest;
+  }
+
+  // A run of decimal digits, inline (the out-of-line std::from_chars call
+  // showed up in the parse profile).
+  uint64_t Digits() {
+    uint64_t value = 0;
+    while (pos_ < text_.size()) {
+      const unsigned digit = static_cast<unsigned char>(text_[pos_]) - '0';
+      if (digit > 9) {
+        break;
+      }
+      value = value * 10 + digit;
+      ++pos_;
+    }
+    return value;
+  }
+
+  uint64_t Number(char delim) {
+    const uint64_t value = Digits();
+    Expect(std::string_view(&delim, 1));
+    return value;
+  }
+
+  // "<keyword><n>\n", the shape WriteU64Line emits.
+  uint64_t U64Line(std::string_view keyword) {
+    Expect(keyword);
+    return Number('\n');
+  }
+
+  void Hex(std::string_view hex, std::span<uint8_t> out) {
+    if (!torbase::HexDecodeTo(hex, out)) {
+      Fail();
+    }
   }
 
  private:
-  std::string_view line_;
-  size_t pos_ = 0;
-};
+  static constexpr size_t kNone = std::string_view::npos;
 
-Result<uint64_t> ParseU64(std::string_view word) {
-  uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(), value);
-  if (ec != std::errc() || ptr != word.data() + word.size()) {
-    return Status::InvalidArgument("bad integer: " + std::string(word));
-  }
-  return value;
-}
+  std::string_view text_;
+  size_t pos_ = 0;
+  size_t failed_at_ = kNone;
+};
 
 // Per-document intern memo: a vote repeats a handful of version / protocol /
 // exit-policy spellings across thousands of relays; even the pool's lock-free
@@ -486,336 +519,100 @@ class InternMemo {
   std::array<Entry, kEntries> entries_{};
 };
 
-// Shared relay-entry parser for votes and consensuses. The cursor sits on the
-// leading "r " line (detected by the caller) and is left on the first line
-// that is not part of this entry.
-Status ParseRelayEntry(LineCursor& cursor, InternMemo& memo, RelayStatus& relay) {
-  {
-    const std::string_view r_line = cursor.line();
-    WordCursor words(r_line);
-    std::array<std::string_view, 8> w;
-    size_t count = 0;
-    while (count < w.size()) {
-      w[count] = words.Next();
-      if (w[count].empty()) {
-        break;
-      }
-      ++count;
-    }
-    if (count != 8 || !words.Next().empty() || w[0] != "r") {
-      return Status::InvalidArgument("malformed r line: " + std::string(r_line));
-    }
-    relay.nickname = w[1];
-    if (!torbase::HexDecodeTo(w[2], relay.fingerprint)) {
-      return Status::InvalidArgument("bad fingerprint: " + std::string(w[2]));
-    }
-    // w[3] is the descriptor digest prefix; re-derived from the m line.
-    relay.address = w[4];
-    auto orp = ParseU64(w[5]);
-    auto dirp = ParseU64(w[6]);
-    auto pub = ParseU64(w[7]);
-    if (!orp.ok() || !dirp.ok() || !pub.ok()) {
-      return Status::InvalidArgument("bad numeric field in r line");
-    }
-    relay.or_port = static_cast<uint16_t>(*orp);
-    relay.dir_port = static_cast<uint16_t>(*dirp);
-    relay.published = *pub;
-    cursor.Advance();
-  }
-  // First-char dispatch over the per-relay s/v/pr/w/p/m item lines; each case
-  // re-checks its full prefix so accept/reject behaviour (and error text)
-  // matches the prefix-chain parser this replaces exactly.
-  while (!cursor.done()) {
-    const std::string_view line = cursor.line();
-    bool entry_done = false;
-    switch (line.empty() ? '\0' : line[0]) {
-      case 's':
-        if (StartsWith(line, "s ")) {
-          // Canonical payloads (the only kind honest serializers emit) hit
-          // the pre-built mask table; anything else takes the word loop.
-          if (const auto mask = FlagsTable::Get().Mask(line.substr(2)); mask.has_value()) {
-            relay.flags = *mask;
-            break;
-          }
-        } else if (line != "s") {
-          entry_done = true;
-          break;
-        }
-        relay.flags = 0;
-        {
-          WordCursor words(line.substr(1));
-          for (std::string_view word = words.Next(); !word.empty(); word = words.Next()) {
-            auto flag = RelayFlagFromName(word);
-            if (!flag.has_value()) {
-              return Status::InvalidArgument("unknown flag: " + std::string(word));
-            }
-            relay.SetFlag(*flag, true);
-          }
-        }
-        break;
-      case 'v':
-        if (!StartsWith(line, "v ")) {
-          entry_done = true;
-          break;
-        }
-        relay.version = memo.Get(line.substr(2));
-        break;
-      case 'p':
-        if (StartsWith(line, "pr ")) {
-          relay.protocols = memo.Get(line.substr(3));
-        } else if (StartsWith(line, "p ")) {
-          relay.exit_policy = memo.Get(line.substr(2));
-        } else {
-          entry_done = true;
-        }
-        break;
-      case 'w': {
-        if (!StartsWith(line, "w ")) {
-          entry_done = true;
-          break;
-        }
-        WordCursor words(line.substr(2));
-        for (std::string_view word = words.Next(); !word.empty(); word = words.Next()) {
-          if (StartsWith(word, "Bandwidth=")) {
-            auto v = ParseU64(word.substr(10));
-            if (!v.ok()) {
-              return Status::InvalidArgument("bad Bandwidth value");
-            }
-            relay.bandwidth = *v;
-          } else if (StartsWith(word, "Measured=")) {
-            auto v = ParseU64(word.substr(9));
-            if (!v.ok()) {
-              return Status::InvalidArgument("bad Measured value");
-            }
-            relay.measured = *v;
-          }
-        }
-        break;
-      }
-      case 'm':
-        if (!StartsWith(line, "m ")) {
-          entry_done = true;
-          break;
-        }
-        if (!torbase::HexDecodeTo(line.substr(2), relay.microdesc_digest)) {
-          return Status::InvalidArgument("bad microdesc digest");
-        }
-        break;
-      default:
-        entry_done = true;  // next entry or footer
-        break;
-    }
-    if (entry_done) {
-      break;
-    }
-    cursor.Advance();
-  }
-  return Status::Ok();
+void ScanValidityLines(Scanner& in, uint64_t& valid_after, uint64_t& fresh_until,
+                       uint64_t& valid_until) {
+  valid_after = in.U64Line("valid-after ");
+  fresh_until = in.U64Line("fresh-until ");
+  valid_until = in.U64Line("valid-until ");
 }
 
-// --- strict relay-entry fast path --------------------------------------------
-// Single-sweep parser for the exact byte shape AppendRelay emits: single
-// spaces, fixed-width hex, canonical flag order, items in r/s/[v]/[pr]/w/p/m
-// order. Every honest document is canonical, so this is the steady-state
-// path; ANY deviation returns false with no verdict, and the caller re-parses
-// the entry with the general ParseRelayEntry above, which preserves the exact
-// accept set and error messages. Acceptance here implies the general parser
-// would produce the identical RelayStatus, which is what keeps round-trip
-// bytes and digests unchanged.
-
-// Parses a decimal run at `pos` inline (the out-of-line std::from_chars call
-// showed up in the parse profile). Runs of 19 digits always fit a uint64;
-// longer runs (which might overflow) bail to the general parser.
-inline bool ScanDigits(std::string_view text, size_t& pos, uint64_t& value) {
-  const char* const start = text.data() + pos;
-  const char* const end = text.data() + text.size();
-  const char* p = start;
-  uint64_t v = 0;
-  while (p != end) {
-    const unsigned digit = static_cast<unsigned char>(*p) - '0';
-    if (digit > 9) {
-      break;
-    }
-    v = v * 10 + digit;
-    ++p;
-  }
-  const size_t digits = static_cast<size_t>(p - start);
-  if (digits == 0 || digits > 19) {
-    return false;
-  }
-  value = v;
-  pos += digits;
-  return true;
-}
-
-// Same, requiring the run to end exactly at `delim`; advances past it.
-inline bool ScanU64(std::string_view text, size_t& pos, char delim, uint64_t& value) {
-  if (!ScanDigits(text, pos, value) || pos >= text.size() || text[pos] != delim) {
-    return false;
-  }
-  ++pos;
-  return true;
-}
-
-// Slices a non-empty word ending at ' ' on the current line; advances past
-// the space.
-inline bool ScanWord(std::string_view text, size_t& pos, std::string_view& word) {
-  const size_t space = text.find(' ', pos);
-  if (space == std::string_view::npos || space == pos) {
-    return false;
-  }
-  word = text.substr(pos, space - pos);
-  if (word.find('\n') != std::string_view::npos) {
-    return false;  // the line ended before the next space
-  }
-  pos = space + 1;
-  return true;
-}
-
-bool TryParseRelayEntryFast(StringPool& pool, const FlagsTable& flags_table,
-                            std::string_view text, size_t pos, InternMemo& memo,
-                            RelayStatus& relay, size_t* end_pos) {
-  pos += 2;  // caller verified the "r " prefix
-  std::string_view nickname;
-  if (!ScanWord(text, pos, nickname)) {
-    return false;
-  }
+// One r/s/[v]/[pr]/w/p/m row group, in the order AppendRelay writes it.
+void ScanRelay(Scanner& in, StringPool& pool, const FlagsTable& flags_table, InternMemo& memo,
+               RelayStatus& relay) {
+  in.Expect("r ");
+  const std::string_view nickname = in.Word();
   // The unique strings intern through the pool's probe table; issuing the
   // prefetches here hides the dependent-load latency behind the hex and
   // integer decoding below.
   pool.PrefetchIntern(nickname);
-  // Fingerprint: exactly 40 hex chars, then ' '.
-  if (text.size() - pos < 41 || text[pos + 40] != ' ' ||
-      !torbase::HexDecodeTo(text.substr(pos, 40), relay.fingerprint)) {
-    return false;
-  }
-  pos += 41;
-  // Descriptor digest stand-in: exactly 16 non-delimiter chars (the general
-  // parser ignores the content), then ' '.
-  if (text.size() - pos < 17 || text[pos + 16] != ' ') {
-    return false;
-  }
-  for (size_t i = 0; i < 16; ++i) {
-    const char c = text[pos + i];
-    if (c == ' ' || c == '\n') {
-      return false;
-    }
-  }
-  pos += 17;
-  std::string_view address;
-  if (!ScanWord(text, pos, address)) {
-    return false;
-  }
+  in.Hex(in.Word(), relay.fingerprint);
+  in.Word();  // descriptor digest: the writer derives it from the m line
+  const std::string_view address = in.Word();
   pool.PrefetchIntern(address);
-  uint64_t or_port = 0;
-  uint64_t dir_port = 0;
-  uint64_t published = 0;
-  if (!ScanU64(text, pos, ' ', or_port) || !ScanU64(text, pos, ' ', dir_port) ||
-      !ScanU64(text, pos, '\n', published)) {
-    return false;
-  }
+  relay.or_port = static_cast<uint16_t>(in.Number(' '));
+  relay.dir_port = static_cast<uint16_t>(in.Number(' '));
+  relay.published = in.Number('\n');
   relay.nickname = InternedString::FromId(pool.Intern(nickname));
   relay.address = InternedString::FromId(pool.Intern(address));
-  relay.or_port = static_cast<uint16_t>(or_port);
-  relay.dir_port = static_cast<uint16_t>(dir_port);
-  relay.published = published;
 
-  // "s <canonical flags>\n".
-  if (text.size() - pos < 2 || text[pos] != 's' || text[pos + 1] != ' ') {
-    return false;
-  }
-  size_t nl = text.find('\n', pos + 2);
-  if (nl == std::string_view::npos) {
-    return false;
-  }
-  const auto mask = flags_table.Mask(text.substr(pos + 2, nl - pos - 2));
-  if (!mask.has_value()) {
-    return false;
-  }
-  relay.flags = *mask;
-  pos = nl + 1;
-
-  // Optional "v <version>\n".
-  if (text.size() - pos >= 2 && text[pos] == 'v' && text[pos + 1] == ' ') {
-    nl = text.find('\n', pos + 2);
-    if (nl == std::string_view::npos) {
-      return false;
-    }
-    relay.version = memo.Get(text.substr(pos + 2, nl - pos - 2));
-    pos = nl + 1;
-  }
-  // Optional "pr <protocols>\n".
-  if (text.size() - pos >= 3 && text[pos] == 'p' && text[pos + 1] == 'r' &&
-      text[pos + 2] == ' ') {
-    nl = text.find('\n', pos + 3);
-    if (nl == std::string_view::npos) {
-      return false;
-    }
-    relay.protocols = memo.Get(text.substr(pos + 3, nl - pos - 3));
-    pos = nl + 1;
-  }
-
-  // "w Bandwidth=<n>[ Measured=<n>]\n".
-  constexpr std::string_view kBandwidth = "w Bandwidth=";
-  if (text.substr(pos, kBandwidth.size()) != kBandwidth) {
-    return false;
-  }
-  pos += kBandwidth.size();
-  if (!ScanDigits(text, pos, relay.bandwidth) || pos >= text.size()) {
-    return false;
-  }
-  if (text[pos] == '\n') {
-    ++pos;
+  in.Expect("s ");
+  if (const auto mask = flags_table.Mask(in.Rest()); mask.has_value()) {
+    relay.flags = *mask;
   } else {
-    constexpr std::string_view kMeasured = " Measured=";
-    if (text.substr(pos, kMeasured.size()) != kMeasured) {
-      return false;
-    }
-    pos += kMeasured.size();
-    uint64_t measured = 0;
-    if (!ScanU64(text, pos, '\n', measured)) {
-      return false;
-    }
-    relay.measured = measured;
+    in.Fail();
   }
-
-  // "p <policy>\n".
-  if (text.size() - pos < 2 || text[pos] != 'p' || text[pos + 1] != ' ') {
-    return false;
+  if (in.Accept("v ")) {
+    relay.version = memo.Get(in.Rest());
   }
-  nl = text.find('\n', pos + 2);
-  if (nl == std::string_view::npos) {
-    return false;
+  if (in.Accept("pr ")) {
+    relay.protocols = memo.Get(in.Rest());
   }
-  relay.exit_policy = memo.Get(text.substr(pos + 2, nl - pos - 2));
-  pos = nl + 1;
-
-  // "m <64 hex>\n".
-  if (text.size() - pos < 67 || text[pos] != 'm' || text[pos + 1] != ' ' ||
-      text[pos + 66] != '\n' ||
-      !torbase::HexDecodeTo(text.substr(pos + 2, 64), relay.microdesc_digest)) {
-    return false;
+  in.Expect("w Bandwidth=");
+  relay.bandwidth = in.Digits();
+  if (in.Accept(" Measured=")) {
+    relay.measured = in.Digits();
   }
-  pos += 67;
-
-  // Termination: the general parser keeps absorbing any further s/v/pr/w/p/m
-  // item lines into this entry. Canonical documents never have one here, so
-  // anything that even starts like one falls back rather than diverging.
-  if (pos < text.size()) {
-    const char c = text[pos];
-    if (c == 's' || c == 'v' || c == 'p' || c == 'w' || c == 'm') {
-      return false;
-    }
-  }
-  *end_pos = pos;
-  return true;
+  in.Expect("\n");
+  in.Expect("p ");
+  relay.exit_policy = memo.Get(in.Rest());
+  in.Expect("m ");
+  in.Hex(in.Rest(), relay.microdesc_digest);
 }
 
 // Serialized documents average well over 400 bytes per relay (see
 // EstimateVoteSizeBytes); dividing by a slightly smaller figure reserves the
 // relay vector once with a little headroom instead of growing it a dozen
 // times while parsing.
-size_t RelayCountUpperBound(size_t text_bytes) { return text_bytes / 400 + 1; }
+void ScanRelays(Scanner& in, std::vector<RelayStatus>& relays) {
+  relays.reserve(in.remaining() / 400 + 1);
+  StringPool& pool = StringPool::Global();
+  const FlagsTable& flags_table = FlagsTable::Get();
+  InternMemo memo;
+  while (in.Peek("r ")) {
+    ScanRelay(in, pool, flags_table, memo, relays.emplace_back());
+  }
+}
+
+// Backend that compares the writer's output with the scanned bytes instead
+// of storing it.
+struct MatchBackend {
+  std::string_view expected;
+  size_t matched = 0;  // leading bytes of `expected` the writer reproduced
+  bool diverged = false;
+
+  void Write(const char* data, size_t n) {
+    if (diverged || n > expected.size() - matched ||
+        std::memcmp(data, expected.data() + matched, n) != 0) {
+      diverged = true;
+      return;
+    }
+    matched += n;
+  }
+};
+
+// Accepts the scanned document only if `write` renders exactly `text`.
+template <typename WriteFn>
+Status MatchWriter(std::string_view text, WriteFn write) {
+  MatchBackend backend{text};
+  BufferedTextSink<MatchBackend> sink(backend);
+  write(sink);
+  sink.Flush();
+  if (backend.diverged || backend.matched != text.size()) {
+    return Status::InvalidArgument("non-canonical encoding after offset " +
+                                   std::to_string(backend.matched));
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -828,89 +625,21 @@ std::string SerializeVote(const VoteDocument& vote) {
 }
 
 Result<VoteDocument> ParseVote(const std::string& text) {
-  return ParseVote(text, ParseOptions{});
-}
-
-Result<VoteDocument> ParseVote(const std::string& text, const ParseOptions& options) {
-  LineCursor cursor(text);
+  Scanner in(text);
   VoteDocument vote;
-  if (cursor.done() || cursor.line() != "network-status-version 3 vote") {
-    return Status::InvalidArgument("not a v3 vote document");
+  in.Expect("network-status-version 3 vote\n");
+  in.Expect("authority ");
+  vote.authority_nickname = in.Word();
+  vote.authority = static_cast<torbase::NodeId>(in.Number('\n'));
+  ScanValidityLines(in, vote.valid_after, vote.fresh_until, vote.valid_until);
+  in.Rest();  // known-flags: a constant line, checked by the writer
+  ScanRelays(in, vote.relays);
+  in.Expect("directory-footer\n");
+  if (!in.ok()) {
+    return in.Error();
   }
-  cursor.Advance();
-  vote.relays.reserve(RelayCountUpperBound(text.size()));
-  InternMemo memo;
-  StringPool& pool = StringPool::Global();
-  const FlagsTable& flags_table = FlagsTable::Get();
-  bool saw_footer = false;
-  while (!cursor.done()) {
-    const std::string_view line = cursor.line();
-    // Relay entries first: after the short header every line group starts
-    // with "r ", and none of the header prefixes can match it.
-    if (StartsWith(line, "r ")) {
-      RelayStatus& relay = vote.relays.emplace_back();
-      size_t end_pos = 0;
-      if (options.use_relay_fast_path &&
-          TryParseRelayEntryFast(pool, flags_table, cursor.text(), cursor.line_start(), memo,
-                                 relay, &end_pos)) {
-        cursor.SeekTo(end_pos);
-      } else {
-        relay = RelayStatus{};  // the strict sweep may have left partial fields
-        if (Status s = ParseRelayEntry(cursor, memo, relay); !s.ok()) {
-          return s;
-        }
-      }
-    } else if (StartsWith(line, "authority ")) {
-      WordCursor words(line);
-      const std::string_view w0 = words.Next();
-      const std::string_view w1 = words.Next();
-      const std::string_view w2 = words.Next();
-      if (w2.empty() || !words.Next().empty()) {
-        return Status::InvalidArgument("malformed authority line");
-      }
-      (void)w0;  // "authority"
-      vote.authority_nickname = w1;
-      auto id = ParseU64(w2);
-      if (!id.ok()) {
-        return Status::InvalidArgument("bad authority id");
-      }
-      vote.authority = static_cast<torbase::NodeId>(*id);
-      cursor.Advance();
-    } else if (StartsWith(line, "valid-after ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      vote.valid_after = *v;
-      cursor.Advance();
-    } else if (StartsWith(line, "fresh-until ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      vote.fresh_until = *v;
-      cursor.Advance();
-    } else if (StartsWith(line, "valid-until ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      vote.valid_until = *v;
-      cursor.Advance();
-    } else if (StartsWith(line, "known-flags")) {
-      cursor.Advance();
-    } else if (line == "directory-footer") {
-      saw_footer = true;
-      cursor.Advance();
-      break;
-    } else if (line.empty()) {
-      cursor.Advance();
-    } else {
-      return Status::InvalidArgument("unexpected line: " + std::string(line));
-    }
-  }
-  if (!saw_footer) {
-    return Status::InvalidArgument("missing directory-footer");
+  if (Status s = MatchWriter(text, [&vote](auto& sink) { WriteVote(sink, vote); }); !s.ok()) {
+    return s;
   }
   return vote;
 }
@@ -957,105 +686,30 @@ std::string SerializeConsensus(const ConsensusDocument& consensus) {
 }
 
 Result<ConsensusDocument> ParseConsensus(const std::string& text) {
-  return ParseConsensus(text, ParseOptions{});
-}
-
-Result<ConsensusDocument> ParseConsensus(const std::string& text, const ParseOptions& options) {
-  LineCursor cursor(text);
+  Scanner in(text);
   ConsensusDocument consensus;
-  if (cursor.done() || cursor.line() != "network-status-version 3") {
-    return Status::InvalidArgument("not a v3 consensus document");
+  in.Expect("network-status-version 3\n");
+  in.Expect("vote-status consensus\n");
+  consensus.vote_count = static_cast<uint32_t>(in.U64Line("votes-counted "));
+  ScanValidityLines(in, consensus.valid_after, consensus.fresh_until, consensus.valid_until);
+  ScanRelays(in, consensus.relays);
+  in.Expect("directory-footer\n");
+  while (!in.AtEnd()) {
+    torcrypto::Signature& sig = consensus.signatures.emplace_back();
+    in.Expect("directory-signature ");
+    sig.signer = static_cast<torbase::NodeId>(in.Number(' '));
+    in.Hex(in.Rest(), sig.bytes);
   }
-  cursor.Advance();
-  consensus.relays.reserve(RelayCountUpperBound(text.size()));
-  InternMemo memo;
-  StringPool& pool = StringPool::Global();
-  const FlagsTable& flags_table = FlagsTable::Get();
-  bool saw_footer = false;
-  while (!cursor.done()) {
-    const std::string_view line = cursor.line();
-    if (StartsWith(line, "r ")) {
-      RelayStatus& relay = consensus.relays.emplace_back();
-      size_t end_pos = 0;
-      if (options.use_relay_fast_path &&
-          TryParseRelayEntryFast(pool, flags_table, cursor.text(), cursor.line_start(), memo,
-                                 relay, &end_pos)) {
-        cursor.SeekTo(end_pos);
-      } else {
-        relay = RelayStatus{};  // the strict sweep may have left partial fields
-        if (Status s = ParseRelayEntry(cursor, memo, relay); !s.ok()) {
-          return s;
-        }
-      }
-    } else if (line == "vote-status consensus") {
-      cursor.Advance();
-    } else if (StartsWith(line, "votes-counted ")) {
-      auto v = ParseU64(line.substr(14));
-      if (!v.ok()) {
-        return v.status();
-      }
-      consensus.vote_count = static_cast<uint32_t>(*v);
-      cursor.Advance();
-    } else if (StartsWith(line, "valid-after ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      consensus.valid_after = *v;
-      cursor.Advance();
-    } else if (StartsWith(line, "fresh-until ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      consensus.fresh_until = *v;
-      cursor.Advance();
-    } else if (StartsWith(line, "valid-until ")) {
-      auto v = ParseU64(line.substr(12));
-      if (!v.ok()) {
-        return v.status();
-      }
-      consensus.valid_until = *v;
-      cursor.Advance();
-    } else if (line == "directory-footer") {
-      saw_footer = true;
-      cursor.Advance();
-      // Signature lines follow the footer.
-      while (!cursor.done()) {
-        const std::string_view sig_line = cursor.line();
-        if (sig_line.empty()) {
-          cursor.Advance();
-          continue;
-        }
-        if (!StartsWith(sig_line, "directory-signature ")) {
-          return Status::InvalidArgument("unexpected line after footer: " + std::string(sig_line));
-        }
-        WordCursor words(sig_line);
-        const std::string_view w0 = words.Next();
-        const std::string_view w1 = words.Next();
-        const std::string_view w2 = words.Next();
-        if (w2.empty() || !words.Next().empty()) {
-          return Status::InvalidArgument("malformed directory-signature line");
-        }
-        (void)w0;  // "directory-signature"
-        torcrypto::Signature sig;
-        auto signer = ParseU64(w1);
-        if (!signer.ok() || !torbase::HexDecodeTo(w2, sig.bytes)) {
-          return Status::InvalidArgument("bad signature encoding");
-        }
-        sig.signer = static_cast<torbase::NodeId>(*signer);
-        consensus.signatures.push_back(sig);
-        cursor.Advance();
-      }
-      break;
-    } else if (line.empty()) {
-      cursor.Advance();
-    } else {
-      return Status::InvalidArgument("unexpected line: " + std::string(line));
-    }
+  if (!in.ok()) {
+    return in.Error();
   }
-  if (!saw_footer) {
-    return Status::InvalidArgument("missing directory-footer");
+  if (Status s = MatchWriter(text,
+                             [&consensus](auto& sink) {
+                               WriteConsensusUnsigned(sink, consensus);
+                               WriteSignatureLines(sink, consensus.signatures);
+                             });
+      !s.ok()) {
+    return s;
   }
   return consensus;
 }
@@ -1097,17 +751,12 @@ torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensu
   return torcrypto::Digest256(hash.Finish());
 }
 
-namespace {
-
-// Backend appending onto an existing string: the fragment writers below add
-// to a diff under construction rather than owning the whole output, so the
-// cursor sink (which resizes its string up front) does not fit.
-struct StringAppendBackend {
-  std::string& out;
-  void Write(const char* data, size_t n) { out.append(data, n); }
-};
-
-}  // namespace
+void AppendConsensusHeaderText(std::string& out, const ConsensusDocument& consensus) {
+  StringAppendBackend backend{out};
+  BufferedTextSink<StringAppendBackend> sink(backend);
+  WriteConsensusHeader(sink, consensus);
+  sink.Flush();
+}
 
 void AppendRelayRowText(std::string& out, const RelayStatus& relay, bool include_measured) {
   StringAppendBackend backend{out};

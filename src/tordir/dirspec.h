@@ -12,8 +12,15 @@
 //   p <exit policy summary>
 //   m <sha256-hex microdescriptor digest>
 //
-// Parsing returns Status errors for malformed input; Serialize/Parse round-trip
-// exactly (tested in tests/tordir_test.cc).
+// The writer is the one definition of the format. A parser accepts a text
+// exactly when it is the writer's own output: it scans the fixed shape, renders
+// the scanned document again and compares the bytes, and refuses anything else
+// with an InvalidArgument status. Integer spelling, hex case, port and id
+// ranges, the descriptor-digest prefix, line order and which optional lines
+// appear are therefore all decided by the writer, and Serialize(Parse(x)) == x
+// holds byte-exactly for every accepted x. That matters because authorities
+// name votes by the digest of their bytes: a second accepted spelling of one
+// document would split their views.
 #ifndef SRC_TORDIR_DIRSPEC_H_
 #define SRC_TORDIR_DIRSPEC_H_
 
@@ -29,21 +36,9 @@ class ThreadPool;
 
 namespace tordir {
 
-// Parser knobs. Defaults match honest steady-state behavior.
-struct ParseOptions {
-  // When false, every relay entry is parsed by the general fallback parser
-  // (ParseRelayEntry) instead of probing the strict canonical fast path
-  // first. On canonical input the two are interchangeable by construction;
-  // tests/codec_fuzz_test.cc parses every fuzzed mutant both ways and asserts
-  // they agree on accept/reject and produce identical documents, pinning the
-  // fast-path vs fallback boundary.
-  bool use_relay_fast_path = true;
-};
-
 // --- votes ----------------------------------------------------------------
 std::string SerializeVote(const VoteDocument& vote);
 torbase::Result<VoteDocument> ParseVote(const std::string& text);
-torbase::Result<VoteDocument> ParseVote(const std::string& text, const ParseOptions& options);
 
 // Digest of the serialized vote; this is the "h_i" the dissemination
 // sub-protocol signs and agrees on.
@@ -55,9 +50,8 @@ torcrypto::Digest256 VoteDigest(const VoteDocument& vote);
 std::string SerializeConsensusUnsigned(const ConsensusDocument& consensus);
 // Serializes including "directory-signature" lines.
 std::string SerializeConsensus(const ConsensusDocument& consensus);
+// Parses the signed form SerializeConsensus emits.
 torbase::Result<ConsensusDocument> ParseConsensus(const std::string& text);
-torbase::Result<ConsensusDocument> ParseConsensus(const std::string& text,
-                                                  const ParseOptions& options);
 
 // Digest of the unsigned consensus body (what signatures cover).
 torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus);
@@ -85,11 +79,14 @@ torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensu
                                                torbase::ThreadPool* pool = nullptr);
 
 // --- canonical fragment writers ---------------------------------------------
-// Append the exact bytes the serializers above would emit for one relay row
-// group (r/s/[v]/[pr]/w/p/m lines; include_measured selects the vote form) or
-// for a document's "directory-signature" tail. The diff codec encodes
-// replacement rows with these so a patched document splices byte-identically
-// into the full serialization.
+// Append the exact bytes the serializers above would emit for a consensus
+// header (the lines before the first relay row; relays and signatures are
+// ignored), for one relay row group (r/s/[v]/[pr]/w/p/m lines;
+// include_measured selects the vote form) or for a document's
+// "directory-signature" tail. The diff codec builds patched documents and
+// replacement rows with these so they splice byte-identically into the full
+// serialization.
+void AppendConsensusHeaderText(std::string& out, const ConsensusDocument& consensus);
 void AppendRelayRowText(std::string& out, const RelayStatus& relay, bool include_measured);
 void AppendSignatureLinesText(std::string& out,
                               const std::vector<torcrypto::Signature>& signatures);

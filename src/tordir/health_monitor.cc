@@ -113,25 +113,15 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
     }
   }
 
-  // Admission rejects, classified. Unparseable and non-canonical bytes are
-  // both "malformed wire" from the monitor's point of view; stale windows are
-  // replays.
+  // Admission rejects, classified: malformed bytes (unparseable or not the
+  // canonical encoding) are "malformed wire"; stale windows are replays.
   for (const auto& [sender, by_reason] : rejects_) {
-    uint32_t malformed = 0;
-    double malformed_at = -1.0;
-    for (VoteRejectReason reason :
-         {VoteRejectReason::kMalformed, VoteRejectReason::kNonCanonical}) {
-      if (auto it = by_reason.find(reason); it != by_reason.end()) {
-        malformed += it->second.count;
-        malformed_at = EarlierOf(malformed_at, it->second.earliest_seconds);
-      }
-    }
-    if (malformed > 0) {
+    if (auto it = by_reason.find(VoteRejectReason::kMalformed); it != by_reason.end()) {
       alerts.push_back(HealthAlert{HealthAlertKind::kMalformedVote,
                                    {sender},
                                    "authority " + std::to_string(sender) + " sent " +
-                                       std::to_string(malformed) + " malformed votes",
-                                   malformed_at});
+                                       std::to_string(it->second.count) + " malformed votes",
+                                   it->second.earliest_seconds});
     }
   }
   for (const auto& [sender, by_reason] : rejects_) {

@@ -10,8 +10,9 @@
 //   * kConsensusFork       — two differently-signed consensus documents in
 //                            one period (the Luo et al. equivocation attack)
 //   * kNoConsensus         — nobody produced a valid consensus this period
-//   * kMalformedVote       — an authority put unparseable or non-canonical
-//                            bytes on the wire (rejected at admission)
+//   * kMalformedVote       — an authority put bytes on the wire that are not
+//                            the canonical encoding of any vote (kMalformed
+//                            at admission)
 //   * kReplayedVote        — an authority re-sent a vote whose validity
 //                            window had already closed (replay/stale
 //                            signature)

@@ -50,48 +50,6 @@ const char* RelayFlagName(RelayFlag flag) {
   return "?";
 }
 
-std::optional<RelayFlag> RelayFlagFromName(std::string_view name) {
-  // First-character dispatch: the parser calls this for every flag of every
-  // relay's "s" line, and a linear scan over all ten names costs ~5 string
-  // compares per call. Only 'V' is ambiguous.
-  if (name.empty()) {
-    return std::nullopt;
-  }
-  switch (name[0]) {
-    case 'A':
-      if (name == "Authority") return RelayFlag::kAuthority;
-      break;
-    case 'B':
-      if (name == "BadExit") return RelayFlag::kBadExit;
-      break;
-    case 'E':
-      if (name == "Exit") return RelayFlag::kExit;
-      break;
-    case 'F':
-      if (name == "Fast") return RelayFlag::kFast;
-      break;
-    case 'G':
-      if (name == "Guard") return RelayFlag::kGuard;
-      break;
-    case 'H':
-      if (name == "HSDir") return RelayFlag::kHSDir;
-      break;
-    case 'R':
-      if (name == "Running") return RelayFlag::kRunning;
-      break;
-    case 'S':
-      if (name == "Stable") return RelayFlag::kStable;
-      break;
-    case 'V':
-      if (name == "V2Dir") return RelayFlag::kV2Dir;
-      if (name == "Valid") return RelayFlag::kValid;
-      break;
-    default:
-      break;
-  }
-  return std::nullopt;
-}
-
 std::string FlagsToString(uint16_t flags) {
   std::string out;
   for (RelayFlag flag : kRelayFlagOrder) {

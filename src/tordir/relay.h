@@ -41,7 +41,6 @@ constexpr uint16_t kAllRelayFlags = (1 << 10) - 1;
 extern const RelayFlag kRelayFlagOrder[10];
 
 const char* RelayFlagName(RelayFlag flag);
-std::optional<RelayFlag> RelayFlagFromName(std::string_view name);
 
 // Renders set flags in canonical order, space separated ("Exit Fast Running").
 std::string FlagsToString(uint16_t flags);

@@ -3,16 +3,15 @@
 // Two tiers:
 //
 //   * MutateWire — a general corpus mutator (byte flips, line splices, word
-//     swaps, truncation...) used by tests/codec_fuzz_test.cc to shake the
-//     ParseVote/ParseConsensus fast-path vs fallback boundary. Mutants may or
-//     may not still parse; the test asserts the two parsers agree and that
-//     anything accepted either round-trips byte-exactly or is refused by
-//     AdmitVote as non-canonical.
+//     swaps, truncation...) used by tests/codec_fuzz_test.cc to probe the
+//     ParseVote/ParseConsensus accept set. Mutants may or may not still
+//     parse; the test asserts that anything accepted is the writer's own
+//     output (it re-serializes to the mutant byte for byte).
 //
 //   * MutateWireStructural — a restricted mutator whose every output is
-//     guaranteed to be refused by the admission layer (either it no longer
-//     parses, or it parses but re-serializes differently). This is what the
-//     kMalformedWire byzantine behavior feeds onto the simulated wire: the
+//     guaranteed to be refused by the admission layer: no output is the
+//     canonical encoding of any vote, so ParseVote refuses it. This is what
+//     the kMalformedWire byzantine behavior feeds onto the simulated wire: the
 //     bytes look plausible enough to exercise parsers, but an honest
 //     authority must never aggregate them.
 //
@@ -32,9 +31,8 @@ namespace tordir {
 std::string MutateWire(const std::string& text, uint64_t seed);
 
 // Applies one seeded mutation from the restricted set (garbage line, line
-// duplication, truncation, keyword corruption). Every output is either
-// unparseable or parses to a document whose re-serialization differs from the
-// mutant bytes, so AdmitVote always rejects it.
+// duplication, truncation, keyword corruption). No output is the canonical
+// encoding of a vote, so AdmitVote always rejects it as malformed.
 std::string MutateWireStructural(const std::string& text, uint64_t seed);
 
 }  // namespace tordir

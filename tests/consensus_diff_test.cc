@@ -11,6 +11,7 @@
 //     must still produce the exact target bytes.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -192,6 +193,42 @@ TEST(ConsensusDiffTest, StructurallyEmptyOrTruncatedDiffsAreRefused) {
   EXPECT_FALSE(ApplyConsensusDiff("", diff).ok());
   for (const size_t cut : {diff.size() / 4, diff.size() / 2, diff.size() - 1}) {
     EXPECT_FALSE(ApplyConsensusDiff(base_text, diff.substr(0, cut)).ok()) << "cut " << cut;
+  }
+}
+
+TEST(ConsensusDiffTest, SecondSpellingsOfTheFramingAreRefused) {
+  // Each of these patches to the right bytes (the header values and digests
+  // are unchanged), but none is what ComputeConsensusDiff writes.
+  const ConsensusDocument base = BuildConsensus(40, 7);
+  const std::string base_text = SerializeConsensus(base);
+  const std::string diff = ComputeConsensusDiff(base, ChurnConsensus(base, {0.05, 0.0, 0.0, 1}));
+  ASSERT_TRUE(ApplyConsensusDiff(base_text, diff).ok());
+
+  const auto respell = [&diff](const std::string& prefix, const auto& edit) {
+    std::string bad = diff;
+    const size_t pos = bad.find(prefix);
+    EXPECT_NE(pos, std::string::npos) << prefix;
+    const size_t value = pos + prefix.size();
+    edit(bad, value, bad.find('\n', value) - value);
+    return bad;
+  };
+  const auto leading_zero = [](std::string& s, size_t value, size_t) { s.insert(value, "0"); };
+  const auto uppercase = [](std::string& s, size_t value, size_t size) {
+    for (size_t i = value; i < value + size; ++i) {
+      s[i] = static_cast<char>(std::toupper(static_cast<unsigned char>(s[i])));
+    }
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"votes-counted leading zero", respell("\ntarget-votes-counted ", leading_zero)},
+      {"valid-after leading zero", respell("\ntarget-valid-after ", leading_zero)},
+      {"uppercase base digest", respell("\nbase sha256-tree-v1 ", uppercase)},
+      {"uppercase target digest", respell("\ntarget sha256-tree-v1 ", uppercase)},
+  };
+  for (const auto& [label, bad] : cases) {
+    ASSERT_NE(bad, diff) << label;
+    const auto patched = ApplyConsensusDiff(base_text, bad);
+    EXPECT_FALSE(patched.ok()) << label << " was applied";
+    EXPECT_EQ(patched.status().code(), torbase::StatusCode::kInvalidArgument) << label;
   }
 }
 

@@ -158,10 +158,10 @@ TEST(HealthMonitorTaxonomyTest, EquivocationCarriesSecondSightingTimestamp) {
 TEST(HealthMonitorTaxonomyTest, MalformedRejectsClassifyAsMalformedVote) {
   HealthMonitor monitor(9);
   FillHealthyObservations(monitor, 9);
-  // Unparseable and non-canonical bytes both land in the malformed bucket;
-  // the evidence instant is the earliest reject.
+  // Every malformed reject of one sender lands in one alert; the evidence
+  // instant is the earliest reject.
   monitor.RecordReject(2, 4, VoteRejectReason::kMalformed, 7.5);
-  monitor.RecordReject(6, 4, VoteRejectReason::kNonCanonical, 3.25);
+  monitor.RecordReject(6, 4, VoteRejectReason::kMalformed, 3.25);
   const auto alerts = monitor.Analyze();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, HealthAlertKind::kMalformedVote);

@@ -85,10 +85,10 @@ TEST_P(VoteMutationProperty, MutatedDocumentsNeverCrashAndRoundTripsAreExact) {
   EXPECT_EQ(*parsed, vote);
   EXPECT_EQ(tordir::SerializeVote(*parsed), text);
 
-  // Byte-level mutations: the parser must either fail cleanly or produce a
-  // well-formed document — never crash. Accepted documents must reach a
-  // serialize/parse fixpoint (canonical form), which is what makes digests a
-  // sound identity for equivocation detection.
+  // Byte-level mutations: the parser must either fail cleanly or accept the
+  // writer's own bytes — never crash. An accepted mutant re-serializes to
+  // itself exactly, which is what makes digests a sound identity for
+  // equivocation detection.
   torbase::Rng rng(seed * 31 + 7);
   for (int trial = 0; trial < 50; ++trial) {
     std::string mutated = text;
@@ -96,10 +96,7 @@ TEST_P(VoteMutationProperty, MutatedDocumentsNeverCrashAndRoundTripsAreExact) {
     mutated[pos] = static_cast<char>(rng.UniformRange(32, 126));
     auto result = tordir::ParseVote(mutated);
     if (result.ok()) {
-      const std::string canonical = tordir::SerializeVote(*result);
-      auto reparsed = tordir::ParseVote(canonical);
-      ASSERT_TRUE(reparsed.ok());
-      EXPECT_EQ(tordir::SerializeVote(*reparsed), canonical);
+      EXPECT_EQ(tordir::SerializeVote(*result), mutated);
     }
   }
   // Truncations that cut into the body fail cleanly.

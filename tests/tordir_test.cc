@@ -70,15 +70,6 @@ TEST(FingerprintTest, RejectsWrongLength) {
   EXPECT_FALSE(FingerprintFromHex(std::string(39, 'A')).has_value());
 }
 
-TEST(RelayFlagTest, NamesRoundTrip) {
-  for (RelayFlag flag : kRelayFlagOrder) {
-    auto parsed = RelayFlagFromName(RelayFlagName(flag));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, flag);
-  }
-  EXPECT_FALSE(RelayFlagFromName("Bogus").has_value());
-}
-
 TEST(RelayFlagTest, FlagsToStringCanonicalOrder) {
   RelayStatus relay;
   relay.SetFlag(RelayFlag::kValid, true);
