@@ -24,7 +24,6 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
-#include "src/clients/population.h"
 #include "src/common/counting_allocator.h"
 #include "src/common/thread_pool.h"
 #include "src/crypto/sha256.h"
@@ -130,66 +129,6 @@ std::vector<torscenario::ScenarioSpec> Fig7StyleGrid(bool quick) {
     specs.push_back(std::move(spec));
   }
   return specs;
-}
-
-struct ClientPlaneMicro {
-  // 5M clients, 24 h replay: aggregate demand integrated per wall-second.
-  double fetches_per_second = 0.0;
-  double run_micros_16_caches = 0.0;
-  double run_micros_128_caches = 0.0;
-  // Simulator events the plane adds per client fetch: 0 by construction
-  // (closed-form aggregate flows) — the O(caches), not O(clients), contract.
-  double events_per_fetch = 0.0;
-  double allocations_per_fetch = 0.0;
-};
-
-// Times the consumption plane on a day-long timeline with a mid-day outage
-// (the shape bench/client_availability reports). Cost must track the cache
-// count, never the client count.
-ClientPlaneMicro MeasureClientPlane() {
-  constexpr int kHours = 24;
-  constexpr uint64_t kClients = 5'000'000;
-  std::vector<torclients::PublishedDocument> timeline;
-  for (int hour = 0; hour < kHours; ++hour) {
-    if (hour >= 2 && hour < 8) {
-      continue;  // six missed rounds: stale -> hard-down -> recovery
-    }
-    torclients::PublishedDocument doc;
-    doc.published_seconds = hour * 3600.0 + 300.0;
-    doc.fresh_until_seconds = hour * 3600.0 + 600.0 + 3600.0;
-    doc.valid_until_seconds = hour * 3600.0 + 600.0 + 3 * 3600.0;
-    doc.size_bytes = 800e3;
-    timeline.push_back(doc);
-  }
-
-  const auto time_plane = [&timeline](uint32_t caches, int rounds) {
-    torclients::ClientLoadSpec spec;
-    spec.client_count = kClients;
-    spec.cache_count = caches;
-    double sink = 0.0;
-    const auto start = Clock::now();
-    for (int i = 0; i < rounds; ++i) {
-      sink += torclients::SimulateClientLoad(spec, timeline, kHours * 3600.0).fresh_fetches;
-    }
-    const double elapsed = SecondsSince(start);
-    if (sink < 0.0) {
-      std::abort();  // keep the optimizer honest
-    }
-    return elapsed / rounds;
-  };
-
-  constexpr int kRounds = 2000;
-  ClientPlaneMicro micro;
-  const uint64_t allocs_before = AllocationCount();
-  const double seconds_16 = time_plane(16, kRounds);
-  const double fetches = static_cast<double>(kClients) * kHours;  // one fetch/client/hour
-  micro.allocations_per_fetch =
-      static_cast<double>(AllocationCount() - allocs_before) / kRounds / fetches;
-  micro.run_micros_16_caches = seconds_16 * 1e6;
-  micro.run_micros_128_caches = time_plane(128, kRounds) * 1e6;
-  micro.fetches_per_second = fetches / seconds_16;
-  micro.events_per_fetch = 0.0;  // SimulateClientLoad owns no Simulator
-  return micro;
 }
 
 struct AggregatePoint {
@@ -774,14 +713,6 @@ int main(int argc, char** argv) {
   std::printf("  allocations     : %7.4f per aggregated relay (8k)\n\n",
               aggregate.allocations_per_relay);
 
-  std::printf("client plane (5M clients, 24 h replay, closed-form flows)...\n");
-  const ClientPlaneMicro clients = MeasureClientPlane();
-  std::printf("  16-cache run    : %7.1f us  (%.2e fetches/s)\n", clients.run_micros_16_caches,
-              clients.fetches_per_second);
-  std::printf("  128-cache run   : %7.1f us  (cost tracks caches, not clients)\n",
-              clients.run_micros_128_caches);
-  std::printf("  sim events      : %7.3f per client fetch\n\n", clients.events_per_fetch);
-
   std::printf("timeline (%s-horizon fault calendar, 5M clients, %u threads)...\n",
               quick ? "24-round" : "7-day", threads);
   const TimelineMicro timeline = MeasureTimeline(quick, threads);
@@ -909,12 +840,7 @@ int main(int argc, char** argv) {
        << "  },\n"
        << "  \"event_schedule_fire_ns\": " << micro.schedule_fire_ns << ",\n"
        << "  \"event_schedule_cancel_ns\": " << micro.schedule_cancel_ns << ",\n"
-       << "  \"event_allocations_per_event\": " << micro.allocations_per_event << ",\n"
-       << "  \"client_plane_fetches_per_second\": " << clients.fetches_per_second << ",\n"
-       << "  \"client_plane_run_micros_16_caches\": " << clients.run_micros_16_caches << ",\n"
-       << "  \"client_plane_run_micros_128_caches\": " << clients.run_micros_128_caches << ",\n"
-       << "  \"client_plane_events_per_fetch\": " << clients.events_per_fetch << ",\n"
-       << "  \"client_plane_allocations_per_fetch\": " << clients.allocations_per_fetch << "\n"
+       << "  \"event_allocations_per_event\": " << micro.allocations_per_event << "\n"
        << "}\n";
   json.close();
   std::printf("wrote %s\n", out_path.c_str());

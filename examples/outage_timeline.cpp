@@ -2,11 +2,15 @@
 // are valid for three hours and generated hourly, so an attacker who breaks
 // every hourly run (five minutes of flooding each) takes the whole network
 // down three hours after the first broken run — and keeps it down for
-// $53.28/month. This example simulates a day of hourly runs under different
-// protocols/attack policies and prints the availability timeline — both the
-// authority-side view (did a consensus form?) and the client-side view (what
-// fraction of a million clients' fetch demand was served fresh), alongside
-// the consensus-health monitor's alerts for the first attacked hour.
+// $53.28/month. This example runs half a day of hourly rounds per protocol as
+// one fault-calendar timeline (ScenarioRunner::RunTimeline) and prints the
+// authority-side view (did a consensus form?), the client-side view (were a
+// million clients served a fresh document at each hour's end, and for how
+// long had they no valid one at all), and the consensus-health monitor's
+// alerts for the first attacked hour.
+//
+// Exits non-zero unless the deployed protocol goes hard down and ICPS does
+// not.
 //
 //   ./build/examples/outage_timeline
 #include <cstdio>
@@ -16,93 +20,45 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
-#include "src/clients/population.h"
 #include "src/scenario/runner.h"
-#include "src/tordir/freshness.h"
+#include "src/scenario/timeline.h"
 
 namespace {
 
-constexpr int kHours = 12;
+constexpr uint32_t kHours = 12;
+constexpr uint32_t kFirstAttackedHour = 2;
 
-torclients::ClientLoadSpec MillionClients() {
-  torclients::ClientLoadSpec clients;
-  clients.client_count = 1'000'000;
-  return clients;
+// Half a day of hourly rounds; from hour 2 on, the attacker floods 5
+// authorities for the first five minutes of every round.
+torscenario::TimelineSpec HourlyAttack(const std::string& protocol) {
+  torscenario::TimelineSpec timeline;
+  timeline.name = "outage_timeline/" + protocol;
+  timeline.base.protocol = protocol;
+  timeline.base.relay_count = 2000;
+  timeline.base.client_load.client_count = 1'000'000;
+  timeline.rounds = kHours;
+  torattack::AttackWindow window;
+  window.targets = torattack::FirstTargets(5);
+  window.start = 0;
+  window.end = torbase::Minutes(5);
+  window.available_bps = torattack::kUnderAttackBps;
+  timeline.attacks.push_back(torscenario::AttackCalendarEntry{
+      kFirstAttackedHour, kHours - 1,
+      std::make_shared<torattack::WindowedAttack>(std::vector<torattack::AttackWindow>{window})});
+  return timeline;
 }
 
-// Simulates one hourly run: the attacker floods 5 authorities for the first
-// five minutes of the run (if attacking this hour). Every hourly run shares
-// the caller's runner, and with it the generated population and votes.
-torscenario::ScenarioResult RunHour(torscenario::ScenarioRunner& runner,
-                                    const std::string& protocol, bool attacked) {
-  torscenario::ScenarioSpec spec;
-  spec.name = "outage_timeline";
-  spec.protocol = protocol;
-  spec.relay_count = 2000;
-  spec.horizon = torbase::Hours(1);
-  spec.client_load = MillionClients();
-  if (attacked) {
-    torattack::AttackWindow window;
-    window.targets = torattack::FirstTargets(5);
-    window.start = 0;
-    window.end = torbase::Minutes(5);
-    window.available_bps = torattack::kUnderAttackBps;
-    spec.attack = std::make_shared<torattack::WindowedAttack>(
-        std::vector<torattack::AttackWindow>{window});
+void PrintTimeline(const char* label, const torscenario::TimelineResult& result) {
+  std::printf("%-34s    runs: ", label);
+  for (const torscenario::ScenarioResult& round : result.rounds) {
+    std::printf("%c", round.succeeded ? '+' : 'x');
   }
-  return runner.Run(spec);
-}
-
-// Stitches the hourly publish metadata into a day-long client timeline (the
-// same mapping bench/client_availability uses).
-torclients::ClientAvailability DayAvailability(
-    const std::vector<torscenario::ScenarioResult>& rounds) {
-  torclients::ClientLoadSpec clients = MillionClients();
-  clients.evaluation_window = torbase::Hours(kHours);
-  std::vector<torclients::PublishedDocument> documents;
-  for (size_t hour = 0; hour < rounds.size(); ++hour) {
-    if (!rounds[hour].succeeded) {
-      continue;
-    }
-    const auto& round = rounds[hour];
-    documents.push_back(torclients::MapToTimeline(
-        static_cast<double>(hour) * 3600.0, round.consensus_published_seconds,
-        round.consensus_valid_after, round.consensus_fresh_until, round.consensus_valid_until,
-        static_cast<double>(round.consensus_size_bytes), clients.vote_lead));
+  std::printf("\n%-34s clients: ", "");
+  for (const torscenario::RoundSnapshot& snapshot : result.snapshots) {
+    std::printf("%c", snapshot.fresh_at_boundary ? 'F' : 's');
   }
-  return torclients::SimulateClientLoad(clients, std::move(documents), kHours * 3600.0);
-}
-
-void PrintTimeline(const char* label, const std::vector<torscenario::ScenarioResult>& rounds) {
-  std::vector<bool> runs;
-  for (const auto& round : rounds) {
-    runs.push_back(round.succeeded);
-  }
-  const auto timeline = tordir::AnalyzeAvailability(runs);
-  std::printf("%-34s runs: ", label);
-  for (bool ok : runs) {
-    std::printf("%c", ok ? '+' : 'x');
-  }
-  std::printf("\n%-34s  net: ", "");
-  for (bool up : timeline.network_up) {
-    std::printf("%c", up ? '+' : '!');
-  }
-  if (timeline.first_down_hour.has_value()) {
-    std::printf("   DOWN from hour %zu (%zu h total)\n", *timeline.first_down_hour,
-                timeline.hours_down);
-  } else {
-    std::printf("   network up throughout\n");
-  }
-
-  // The client-side view of the same hours: fresh-served share of each hourly
-  // run's million-client demand, then the stitched day-long outage.
-  std::printf("%-34s  clients fresh-served/hour: ", "");
-  for (const auto& round : rounds) {
-    const double fraction = round.client_availability.fresh_fraction;
-    std::printf("%3.0f%% ", 100.0 * fraction);
-  }
-  const auto day = DayAvailability(rounds);
-  std::printf("\n%-34s  day: %.1f%% fresh", "", 100.0 * day.fresh_fraction);
+  const torscenario::ClientAvailabilityResult& day = result.client_availability;
+  std::printf("\n%-34s     day: %.1f%% fresh", "", 100.0 * day.fresh_fraction);
   if (day.hard_down_seconds > 0.0) {
     std::printf(", HARD DOWN %.1f h from t = %.1f h", day.hard_down_seconds / 3600.0,
                 day.hard_down_start_seconds / 3600.0);
@@ -117,28 +73,22 @@ void PrintTimeline(const char* label, const std::vector<torscenario::ScenarioRes
 }  // namespace
 
 int main() {
-  std::printf("Network availability under hourly attacks (%d hours simulated)\n", kHours);
-  std::printf("'+' = run succeeded / network up, 'x' = run failed, '!' = network down\n\n");
+  std::printf("Network availability under hourly attacks (%u hours simulated)\n", kHours);
+  std::printf("runs: '+' = consensus published, 'x' = run failed\n");
+  std::printf("clients: at each hour's end, 'F' = served fresh, 's' = stale or no valid "
+              "document\n\n");
 
   torscenario::ScenarioRunner runner;
-
-  // The attacker starts flooding at hour 2 and never stops.
-  std::vector<torscenario::ScenarioResult> current_rounds;
-  std::vector<torscenario::ScenarioResult> icps_rounds;
-  for (int hour = 0; hour < kHours; ++hour) {
-    const bool attacked = hour >= 2;
-    current_rounds.push_back(RunHour(runner, "current", attacked));
-    icps_rounds.push_back(RunHour(runner, "icps", attacked));
-    std::fflush(stdout);
-  }
-  PrintTimeline("Current, attack from hour 2:", current_rounds);
+  const torscenario::TimelineResult current = runner.RunTimeline(HourlyAttack("current"));
+  const torscenario::TimelineResult icps = runner.RunTimeline(HourlyAttack("icps"));
+  PrintTimeline("Current, attack from hour 2:", current);
   std::printf("\n");
-  PrintTimeline("Ours (ICPS), attack from hour 2:", icps_rounds);
+  PrintTimeline("Ours (ICPS), attack from hour 2:", icps);
 
   // What the deployed consensus-health monitor (Table 1's mitigation) sees
   // during the first attacked hour.
-  std::printf("\nHealth-monitor alerts, hour 2 (current protocol):\n");
-  for (const auto& alert : current_rounds[2].health_alerts) {
+  std::printf("\nHealth-monitor alerts, hour %u (current protocol):\n", kFirstAttackedHour);
+  for (const tordir::HealthAlert& alert : current.rounds[kFirstAttackedHour].health_alerts) {
     std::printf("  [%s] %s\n", tordir::HealthAlertName(alert.kind), alert.detail.c_str());
   }
 
@@ -147,5 +97,11 @@ int main() {
   std::printf("the attacker keeps paying ~$0.074/hour. The partial-synchrony protocol\n");
   std::printf("completes each run after the 5-minute flood ends, so the network never goes\n");
   std::printf("down and every client fetch is served fresh.\n");
-  return 0;
+
+  const bool contrast = current.client_availability.hard_down_seconds > 0.0 &&
+                        icps.client_availability.hard_down_seconds == 0.0;
+  if (!contrast) {
+    std::fprintf(stderr, "outage_timeline: expected current hard down and ICPS up\n");
+  }
+  return contrast ? 0 : 1;
 }

@@ -6,6 +6,13 @@
 namespace torclients {
 namespace {
 
+// Fixed model constants (EXPERIMENTS.md): the hourly directory period (the
+// steady-state refetch cadence), a consensus valid for three periods
+// (tordir/freshness.h), and the publish-to-mirror delay of the cache tier.
+constexpr double kFetchPeriodSeconds = 3600.0;
+constexpr double kValidityPeriods = 3.0;
+constexpr double kCacheMirrorDelaySeconds = 10.0;
+
 // A document as the cache tier serves it: availability (publish + mirror
 // delay) plus the freshness window, all in virtual seconds.
 struct ServedDoc {
@@ -43,9 +50,8 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
     return out;
   }
 
-  const double period = torbase::ToSeconds(spec.fetch_period);
+  const double period = kFetchPeriodSeconds;
   const double lead = torbase::ToSeconds(spec.vote_lead);
-  const double mirror = torbase::ToSeconds(spec.cache_mirror_delay);
 
   std::sort(documents.begin(), documents.end(),
             [](const PublishedDocument& a, const PublishedDocument& b) {
@@ -62,16 +68,14 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
 
   std::vector<ServedDoc> docs;
   docs.reserve(documents.size() + 1);
-  if (spec.prior_consensus) {
-    // The previous period's document: already mirrored at t = 0, fresh until
-    // this run's consensus was due (the vote_lead clock convention), valid
-    // for the remaining validity_periods - 1 periods.
-    docs.push_back(ServedDoc{0.0, lead, lead + (spec.validity_periods - 1) * period,
-                             default_size, /*diff_size_bytes=*/0.0});
-  }
+  // The previous period's document: already mirrored at t = 0, fresh until
+  // this run's consensus was due (the vote_lead clock convention), valid for
+  // the remaining kValidityPeriods - 1 periods.
+  docs.push_back(ServedDoc{0.0, lead, lead + (kValidityPeriods - 1.0) * period, default_size,
+                           /*diff_size_bytes=*/0.0});
   for (const PublishedDocument& doc : documents) {
-    docs.push_back(ServedDoc{doc.published_seconds + mirror, doc.fresh_until_seconds,
-                             doc.valid_until_seconds,
+    docs.push_back(ServedDoc{doc.published_seconds + kCacheMirrorDelaySeconds,
+                             doc.fresh_until_seconds, doc.valid_until_seconds,
                              doc.size_bytes > 0.0 ? doc.size_bytes : default_size,
                              doc.diff_size_bytes});
   }
@@ -112,11 +116,7 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
   const double steady_rate =
       static_cast<double>(spec.client_count) * (1.0 - spec.bootstrap_fraction) / period;
 
-  // The carry-in herd: bootstraps a previous window left blocked compete for
-  // capacity from the first instant, exactly as if the window had never been
-  // split there.
-  double backlog = std::max(spec.initial_backlog_fetches, 0.0);
-  out.peak_backlog_fetches = backlog;
+  double backlog = 0.0;
   out.timeline.reserve(cuts.size() - 1);
   for (size_t i = 0; i + 1 < cuts.size(); ++i) {
     const double t0 = cuts[i];
@@ -243,11 +243,7 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
 
   // Demand still queued at the window edge never got a document in time.
   out.unserved_fetches += backlog;
-  out.end_backlog_fetches = backlog;
-  // Carried-in backlog is demand this window must answer for, so it counts
-  // toward the denominator too (fresh_fraction stays <= 1 under carry).
-  out.total_fetches =
-      (steady_rate + boot_rate) * window_seconds + std::max(spec.initial_backlog_fetches, 0.0);
+  out.total_fetches = (steady_rate + boot_rate) * window_seconds;
   if (out.total_fetches > 0.0) {
     out.fresh_fraction = out.fresh_fetches / out.total_fetches;
   }

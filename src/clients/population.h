@@ -9,30 +9,35 @@
 // Model (assumptions documented in EXPERIMENTS.md):
 //
 //   * Two cohorts. Steady-state clients already hold a consensus and refetch
-//     once per directory period; bootstrapping clients arrive fresh and must
-//     complete a fetch before they can use the network. Each cohort's fetch
-//     arrivals form a Poisson process; with millions of independent clients
-//     the superposed process is tracked in its fluid (mean-field) limit, so
-//     demand is a deterministic rate, exact up to O(1/sqrt(N)) fluctuations.
+//     once per hourly directory period; bootstrapping clients arrive fresh
+//     and must complete a fetch before they can use the network. Each
+//     cohort's fetch arrivals form a Poisson process; with millions of
+//     independent clients the superposed process is tracked in its fluid
+//     (mean-field) limit, so demand is a deterministic rate, exact up to
+//     O(1/sqrt(N)) fluctuations.
 //   * A tier of directory caches mirrors the freshest published consensus
-//     (after a small mirror delay) and serves all client fetches. Each cache
-//     is a torsim::BandwidthSchedule; aggregate demand is integrated against
-//     aggregate cache capacity in closed form. The cost of a run is
-//     O(caches + documents + schedule segments) — independent of the client
-//     count, so 5M clients cost the same as 5.
+//     10 s after an authority publishes it and serves all client fetches.
+//     Each cache is a torsim::BandwidthSchedule; aggregate demand is
+//     integrated against aggregate cache capacity in closed form. The cost of
+//     a run is O(caches + documents + schedule segments) — independent of the
+//     client count, so 5M clients cost the same as 5.
 //   * Clock convention: authorities start a run `vote_lead` before their
 //     consensus's valid-after instant (Tor votes at :50 for the :00
 //     consensus), so in healthy operation the new document lands exactly as
 //     the previous one goes stale. Virtual time t corresponds to unix time
 //     valid_after - vote_lead + t.
+//   * Clients and caches start the window holding the previous period's
+//     document: fresh until vote_lead, and valid for two further periods (a
+//     consensus is valid for three hourly periods, tordir/freshness.h).
 //
-// Served fetches are classified by the freshness (tordir/freshness.h) of the
-// best document the caches hold: *fresh* (the healthy path), *stale*
-// (discouraged but usable — the client-visible degradation window), or
-// *unserved* (no valid document at all, or no cache capacity). Bootstrapping
-// clients that cannot be served while no valid document exists accumulate in
-// a retry backlog that drains at cache capacity when a document returns —
-// the post-outage thundering herd.
+// Served fetches are classified by the freshness of the best document the
+// caches hold: *fresh* (the healthy path), *stale* (discouraged but usable —
+// the client-visible degradation window), or *unserved* (no valid document
+// at all, or no cache capacity). Bootstrapping clients that cannot be served
+// while no valid document exists accumulate in a retry backlog that drains at
+// cache capacity when a document returns — the post-outage thundering herd.
+// The window starts with an empty backlog; a multi-round horizon is one
+// window (torscenario::ScenarioRunner::RunTimeline), never chained ones.
 #ifndef SRC_CLIENTS_POPULATION_H_
 #define SRC_CLIENTS_POPULATION_H_
 
@@ -58,40 +63,20 @@ struct ClientLoadSpec {
   // Directory-cache tier mirroring the authorities' freshest consensus.
   uint32_t cache_count = 16;
   double cache_bandwidth_bps = torsim::MegabitsPerSecond(1000);
-  // Publish-to-mirror delay: how long after an authority publishes until the
-  // cache tier serves the new document.
-  torbase::Duration cache_mirror_delay = torbase::Seconds(10);
 
-  // Steady-state refetch cadence == the directory period (hourly consensus).
-  torbase::Duration fetch_period = torbase::Hours(1);
   // Authorities start their run this long before the consensus's valid-after
   // (Tor votes at :50 for the :00 consensus). This maps document validity
   // windows, which are unix times, onto virtual run time.
   torbase::Duration vote_lead = torbase::Minutes(10);
-  // A consensus is valid for this many directory periods (3 h for hourly
-  // consensuses, per tordir/freshness.h).
-  uint32_t validity_periods = 3;
 
   // Availability is evaluated over [0, evaluation_window) — one directory
   // period by default: the hour this run's consensus was supposed to cover.
   torbase::Duration evaluation_window = torbase::Hours(1);
 
-  // Clients and caches start the run holding the previous period's document
-  // (published one fetch_period earlier): fresh until vote_lead, valid for
-  // validity_periods - 1 further periods. Disable for a cold-start network.
-  bool prior_consensus = true;
-
   // Wire size used for the prior document and for runs that never published
   // (the demand integral needs a transfer size even when the round failed).
   // 0 = use the first real document's size, or 1 MB if there is none.
   double consensus_size_hint_bytes = 0.0;
-
-  // Bootstrap fetches already blocked (queued) when the window opens — the
-  // retry backlog carried in from an earlier evaluation window, so chained
-  // windows reproduce one long window's thundering herd instead of resetting
-  // it. 0 (the default) keeps results bit-identical to the pre-carry model;
-  // ClientAvailability::end_backlog_fetches is the matching carry-out.
-  double initial_backlog_fetches = 0.0;
 
   // Fraction of steady-state refetchers that fetch a consensus *diff*
   // (src/tordir/consensus_diff.h) instead of the full document when the
@@ -139,9 +124,11 @@ struct AvailabilitySlice {
   double backlog_fetches = 0.0;
 };
 
-// The client-visible availability of one run (or of a replayed multi-round
-// timeline). All "seconds" are virtual; NaN marks events that never happened.
-struct ClientAvailability {
+// The client-visible availability of one evaluation window, as aggregate
+// numbers. Shared with torscenario::ClientAvailabilityResult, which inherits
+// it, so the field list exists once. All "seconds" are virtual; NaN marks
+// events that never happened.
+struct ClientAvailabilitySummary {
   double total_fetches = 0.0;
   double fresh_fetches = 0.0;
   double stale_fetches = 0.0;
@@ -166,15 +153,14 @@ struct ClientAvailability {
 
   // High-water mark of bootstrapping clients blocked waiting for a document.
   double peak_backlog_fetches = 0.0;
-  // Bootstrap fetches still blocked when the window closed — the carry-out
-  // matching ClientLoadSpec::initial_backlog_fetches (also counted in
-  // unserved_fetches: demand this window never served).
-  double end_backlog_fetches = 0.0;
 
   // Total bytes the cache tier transferred over the window (the served-bytes
   // integral; divide by client-hours for the serving-cost headline).
   double served_bytes = 0.0;
+};
 
+// The summary plus the per-slice timeline it was integrated from.
+struct ClientAvailability : ClientAvailabilitySummary {
   std::vector<AvailabilitySlice> timeline;
 };
 

@@ -57,7 +57,6 @@ class Logger {
   void Err(TimePoint now, std::string message) { Log(now, LogLevel::kErr, std::move(message)); }
 
   const std::vector<LogRecord>& records() const { return records_; }
-  void Clear() { records_.clear(); }
 
   // True if any retained record's message contains `needle`.
   bool Contains(const std::string& needle) const;

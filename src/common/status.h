@@ -17,8 +17,6 @@ enum class StatusCode {
   kNotFound,
   kFailedPrecondition,
   kOutOfRange,
-  kAlreadyExists,
-  kUnavailable,
   kInternal,
 };
 
@@ -35,10 +33,6 @@ constexpr const char* StatusCodeName(StatusCode code) {
       return "FAILED_PRECONDITION";
     case StatusCode::kOutOfRange:
       return "OUT_OF_RANGE";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
     case StatusCode::kInternal:
       return "INTERNAL";
   }
@@ -59,12 +53,6 @@ class Status {
     return Status(StatusCode::kFailedPrecondition, std::move(m));
   }
   static Status OutOfRange(std::string m) { return Status(StatusCode::kOutOfRange, std::move(m)); }
-  static Status AlreadyExists(std::string m) {
-    return Status(StatusCode::kAlreadyExists, std::move(m));
-  }
-  static Status Unavailable(std::string m) {
-    return Status(StatusCode::kUnavailable, std::move(m));
-  }
   static Status Internal(std::string m) { return Status(StatusCode::kInternal, std::move(m)); }
 
   bool ok() const { return code_ == StatusCode::kOk; }

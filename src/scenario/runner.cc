@@ -122,9 +122,8 @@ void ComputeFaultMetrics(const ScenarioSpec& spec, ScenarioResult& result) {
   result.fault_detection_latency_seconds = latest;
 }
 
-// Runs the consumption plane: converts the run's publish timeline into the
-// client-visible availability metrics. Closed-form post-processing — adds no
-// simulator events, so its cost is independent of the client count.
+// The run's side of the consumption plane: maps its published consensus onto
+// the evaluation window, then hands the documents to EvaluateClientLoad.
 void AnalyzeClientLoad(const ScenarioSpec& spec, const torproto::PublishedConsensus& published,
                        size_t fallback_size_bytes, ScenarioResult& result) {
   torclients::ClientLoadSpec load = spec.client_load;
@@ -156,48 +155,7 @@ void AnalyzeClientLoad(const ScenarioSpec& spec, const torproto::PublishedConsen
 
   const double window =
       std::min(torbase::ToSeconds(spec.horizon), torbase::ToSeconds(load.evaluation_window));
-  // The full-document counterfactual only diverges when a diff cohort exists
-  // and a diff was actually served; copy the documents before they are moved.
-  const bool diff_serving =
-      load.diff_capable_fraction > 0.0 && result.consensus_diff_size_bytes > 0;
-  std::vector<torclients::PublishedDocument> full_doc_documents;
-  if (diff_serving) {
-    full_doc_documents = documents;
-  }
-  const torclients::ClientAvailability availability =
-      torclients::SimulateClientLoad(load, std::move(documents), window);
-
-  ClientAvailabilityResult& out = result.client_availability;
-  out.enabled = true;
-  out.total_fetches = availability.total_fetches;
-  out.fresh_fetches = availability.fresh_fetches;
-  out.stale_fetches = availability.stale_fetches;
-  out.unserved_fetches = availability.unserved_fetches;
-  out.fresh_fraction = availability.fresh_fraction;
-  out.time_to_first_stale_seconds = availability.time_to_first_stale_seconds;
-  out.outage_seconds = availability.outage_seconds;
-  out.outage_start_seconds = availability.outage_start_seconds;
-  out.hard_down_seconds = availability.hard_down_seconds;
-  out.hard_down_start_seconds = availability.hard_down_start_seconds;
-  out.peak_backlog_fetches = availability.peak_backlog_fetches;
-  out.served_bytes = availability.served_bytes;
-
-  const double client_hours =
-      static_cast<double>(load.client_count) * window / 3600.0;
-  if (client_hours > 0.0) {
-    out.bytes_per_client_hour = availability.served_bytes / client_hours;
-    if (diff_serving) {
-      // Same run, diff serving disabled: what the cache tier would have
-      // transferred if every fetch were the full document.
-      torclients::ClientLoadSpec full_load = load;
-      full_load.diff_capable_fraction = 0.0;
-      const torclients::ClientAvailability full =
-          torclients::SimulateClientLoad(full_load, std::move(full_doc_documents), window);
-      out.full_doc_bytes_per_client_hour = full.served_bytes / client_hours;
-    } else {
-      out.full_doc_bytes_per_client_hour = out.bytes_per_client_hour;
-    }
-  }
+  result.client_availability = EvaluateClientLoad(load, std::move(documents), window);
 }
 
 }  // namespace
@@ -252,11 +210,6 @@ size_t ScenarioRunner::workload_cache_misses() const {
 size_t ScenarioRunner::workload_cache_size() const {
   std::lock_guard<std::mutex> lock(workloads_mutex_);
   return workloads_.size();
-}
-
-void ScenarioRunner::ClearWorkloadCache() {
-  std::lock_guard<std::mutex> lock(workloads_mutex_);
-  workloads_.clear();
 }
 
 size_t ScenarioRunner::result_memo_hits() const {
@@ -551,6 +504,47 @@ std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpe
     }
   }
   return results;
+}
+
+ClientAvailabilityResult EvaluateClientLoad(
+    const torclients::ClientLoadSpec& load, std::vector<torclients::PublishedDocument> documents,
+    double window_seconds, std::vector<torclients::AvailabilitySlice>* timeline) {
+  // The full-document counterfactual only diverges when a diff cohort exists
+  // and a diff was actually served; copy the documents before they are moved.
+  const bool diff_serving =
+      load.diff_capable_fraction > 0.0 &&
+      std::any_of(documents.begin(), documents.end(), [](const torclients::PublishedDocument& doc) {
+        return doc.diff_size_bytes > 0.0;
+      });
+  std::vector<torclients::PublishedDocument> full_doc_documents;
+  if (diff_serving) {
+    full_doc_documents = documents;
+  }
+  torclients::ClientAvailability availability =
+      torclients::SimulateClientLoad(load, std::move(documents), window_seconds);
+
+  ClientAvailabilityResult out;
+  static_cast<torclients::ClientAvailabilitySummary&>(out) = availability;
+  out.enabled = true;
+  const double client_hours = static_cast<double>(load.client_count) * window_seconds / 3600.0;
+  if (client_hours > 0.0) {
+    out.bytes_per_client_hour = availability.served_bytes / client_hours;
+    if (diff_serving) {
+      // Same documents, diff serving disabled: what the cache tier would have
+      // transferred if every fetch were the full document.
+      torclients::ClientLoadSpec full_load = load;
+      full_load.diff_capable_fraction = 0.0;
+      const torclients::ClientAvailability full =
+          torclients::SimulateClientLoad(full_load, std::move(full_doc_documents), window_seconds);
+      out.full_doc_bytes_per_client_hour = full.served_bytes / client_hours;
+    } else {
+      out.full_doc_bytes_per_client_hour = out.bytes_per_client_hour;
+    }
+  }
+  if (timeline != nullptr) {
+    *timeline = std::move(availability.timeline);
+  }
+  return out;
 }
 
 double FindBandwidthRequirement(ScenarioRunner& runner, const ScenarioSpec& base,

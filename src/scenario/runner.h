@@ -87,7 +87,6 @@ class ScenarioRunner {
   size_t workload_cache_hits() const;
   size_t workload_cache_misses() const;
   size_t workload_cache_size() const;
-  void ClearWorkloadCache();
 
   // Result-memo telemetry and control. The memo is on by default; turning it
   // off makes every cell pay full simulation — the differential baseline the
@@ -162,6 +161,19 @@ class ScenarioRunner {
   size_t memo_misses_ = 0;
   bool memoize_ = true;
 };
+
+// The consumption plane's one path from published documents to a
+// ClientAvailabilityResult. Integrates `load`'s demand against `documents`
+// over [0, window_seconds) (torclients::SimulateClientLoad) and fills the
+// summary, bytes per client-hour and, when a diff-capable cohort was served
+// a diff, the full-document counterfactual. Run and RunTimeline each map
+// their own documents onto the window and call this. `timeline`, when
+// non-null, receives the slice timeline (RunTimeline walks it for its
+// round-boundary snapshots). Closed-form post-processing: no simulator
+// events, and a cost independent of the client count.
+ClientAvailabilityResult EvaluateClientLoad(
+    const torclients::ClientLoadSpec& load, std::vector<torclients::PublishedDocument> documents,
+    double window_seconds, std::vector<torclients::AvailabilitySlice>* timeline = nullptr);
 
 // Binary-searches the minimum per-victim bandwidth (bits/s, within
 // [lo_bps, hi_bps]) at which `base` still succeeds while its first

@@ -109,36 +109,15 @@ struct ScenarioSpec {
   bool retain_consensus = false;
 };
 
-// The client-visible availability of one run, distilled from
-// torclients::ClientAvailability (the per-slice timeline stays in the
-// library; results carry the aggregate surface).
-struct ClientAvailabilityResult {
+// The client-visible availability of one run (or of a timeline's whole
+// horizon): the summary fields of torclients::ClientAvailability (the
+// per-slice timeline stays in the library), plus the serving-cost headline.
+struct ClientAvailabilityResult : torclients::ClientAvailabilitySummary {
   bool enabled = false;  // the spec carried a client load
 
-  double total_fetches = 0.0;
-  double fresh_fetches = 0.0;
-  double stale_fetches = 0.0;
-  double unserved_fetches = 0.0;
-  // Fraction of fetch demand served with a fresh consensus; NaN = no demand.
-  double fresh_fraction = std::numeric_limits<double>::quiet_NaN();
-
-  // First instant the cache tier had no fresh document; NaN = never.
-  double time_to_first_stale_seconds = std::numeric_limits<double>::quiet_NaN();
-  // Client-visible outage: total time with no fresh document available.
-  double outage_seconds = 0.0;
-  double outage_start_seconds = std::numeric_limits<double>::quiet_NaN();
-  // Hard down: total time with no valid document at all (the paper's halt).
-  double hard_down_seconds = 0.0;
-  double hard_down_start_seconds = std::numeric_limits<double>::quiet_NaN();
-  // High-water mark of bootstrapping clients blocked waiting for a document.
-  double peak_backlog_fetches = 0.0;
-
-  // Total bytes the cache tier transferred over the evaluation window, and
-  // the serving-cost headline: bytes per client-hour under the spec's
-  // diff_capable_fraction, and the full-document counterfactual (the same
-  // run with diff serving disabled). Equal when no diff cohort exists; NaN
-  // when there was no demand.
-  double served_bytes = 0.0;
+  // Bytes per client-hour under the spec's diff_capable_fraction, and the
+  // full-document counterfactual (the same run with diff serving disabled).
+  // Equal when no diff cohort exists; NaN when there was no demand.
   double bytes_per_client_hour = std::numeric_limits<double>::quiet_NaN();
   double full_doc_bytes_per_client_hour = std::numeric_limits<double>::quiet_NaN();
 };

@@ -8,7 +8,7 @@ namespace {
 
 // Bump when the description layout changes; stale memo entries must never be
 // mistaken for current ones across versions of this code.
-constexpr std::string_view kDomain = "scenario-spec-digest-v1";
+constexpr std::string_view kDomain = "scenario-spec-digest-v2";
 
 // Field tags make the description self-framing: a field that moves, vanishes
 // or changes width can never alias another field's bytes. Tag values are
@@ -42,14 +42,9 @@ void DescribeClientLoad(const torclients::ClientLoadSpec& load, torbase::Writer&
   writer.WriteF64(load.bootstrap_fraction);
   writer.WriteU32(load.cache_count);
   writer.WriteF64(load.cache_bandwidth_bps);
-  writer.WriteU64(load.cache_mirror_delay);
-  writer.WriteU64(load.fetch_period);
   writer.WriteU64(load.vote_lead);
-  writer.WriteU32(load.validity_periods);
   writer.WriteU64(load.evaluation_window);
-  writer.WriteBool(load.prior_consensus);
   writer.WriteF64(load.consensus_size_hint_bytes);
-  writer.WriteF64(load.initial_backlog_fetches);
   writer.WriteF64(load.diff_capable_fraction);
 }
 

@@ -64,6 +64,9 @@ void ValidateTimeline(const TimelineSpec& spec) {
     if (entry.round >= spec.rounds) {
       CalendarError("churn entry round out of range");
     }
+    if (entry.event.node >= spec.base.authority_count) {
+      CalendarError("churn entry names a non-authority node");
+    }
   }
 }
 
@@ -453,7 +456,6 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
     }
     std::vector<torclients::PublishedDocument> documents;
     documents.reserve(chain.size());
-    bool any_diff = false;
     for (const ChainLink& link : chain) {
       const ScenarioResult& round = out.rounds[link.round];
       torclients::PublishedDocument doc = torclients::MapToTimeline(
@@ -462,54 +464,20 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
           static_cast<double>(link.text->size()), load.vote_lead);
       if (link.diff != nullptr) {
         doc.diff_size_bytes = static_cast<double>(link.diff->size());
-        any_diff = true;
       }
       documents.push_back(doc);
     }
-    const bool diff_serving = load.diff_capable_fraction > 0.0 && any_diff;
-    std::vector<torclients::PublishedDocument> full_doc_documents;
-    if (diff_serving) {
-      full_doc_documents = documents;
-    }
-    const torclients::ClientAvailability availability =
-        torclients::SimulateClientLoad(load, std::move(documents), window);
-
-    ClientAvailabilityResult& plane = out.client_availability;
-    plane.enabled = true;
-    plane.total_fetches = availability.total_fetches;
-    plane.fresh_fetches = availability.fresh_fetches;
-    plane.stale_fetches = availability.stale_fetches;
-    plane.unserved_fetches = availability.unserved_fetches;
-    plane.fresh_fraction = availability.fresh_fraction;
-    plane.time_to_first_stale_seconds = availability.time_to_first_stale_seconds;
-    plane.outage_seconds = availability.outage_seconds;
-    plane.outage_start_seconds = availability.outage_start_seconds;
-    plane.hard_down_seconds = availability.hard_down_seconds;
-    plane.hard_down_start_seconds = availability.hard_down_start_seconds;
-    plane.peak_backlog_fetches = availability.peak_backlog_fetches;
-    plane.served_bytes = availability.served_bytes;
-    const double client_hours = static_cast<double>(load.client_count) * window / 3600.0;
-    if (client_hours > 0.0) {
-      plane.bytes_per_client_hour = availability.served_bytes / client_hours;
-      if (diff_serving) {
-        torclients::ClientLoadSpec full_load = load;
-        full_load.diff_capable_fraction = 0.0;
-        const torclients::ClientAvailability full =
-            torclients::SimulateClientLoad(full_load, std::move(full_doc_documents), window);
-        plane.full_doc_bytes_per_client_hour = full.served_bytes / client_hours;
-      } else {
-        plane.full_doc_bytes_per_client_hour = plane.bytes_per_client_hour;
-      }
-    }
-    out.peak_retry_backlog = availability.peak_backlog_fetches;
+    std::vector<torclients::AvailabilitySlice> slices;
+    out.client_availability = EvaluateClientLoad(load, std::move(documents), window, &slices);
+    out.peak_retry_backlog = out.client_availability.peak_backlog_fetches;
 
     // Walk the slice timeline once: per-round backlog peaks for the horizon
     // monitor, and the exact boundary state for each snapshot. Backlog is
     // linear within a slice (all rates constant), so the boundary value
     // interpolates between the neighboring slice ends.
-    double slice_start_backlog = std::max(load.initial_backlog_fetches, 0.0);
+    double slice_start_backlog = 0.0;
     uint32_t boundary = 0;
-    for (const torclients::AvailabilitySlice& slice : availability.timeline) {
+    for (const torclients::AvailabilitySlice& slice : slices) {
       const uint32_t first_round = std::min(
           timeline.rounds - 1, static_cast<uint32_t>(slice.begin_seconds / period));
       const uint32_t last_round = std::min(
@@ -538,7 +506,7 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
     // the last fault cleared when the cache tier was serving fresh again.
     if (!std::isnan(out.last_fault_cleared_seconds)) {
       const double cleared = out.last_fault_cleared_seconds;
-      for (const torclients::AvailabilitySlice& slice : availability.timeline) {
+      for (const torclients::AvailabilitySlice& slice : slices) {
         if (slice.state == torclients::AvailabilitySlice::State::kFresh &&
             slice.end_seconds > cleared) {
           out.time_to_fresh_seconds = std::max(slice.begin_seconds - cleared, 0.0);

@@ -200,7 +200,8 @@ struct TimelineResult {
 // round_period, client plane off (the stitch runs it once over the whole
 // horizon), retain_consensus on. Exposed for tests and for drivers that want
 // to inspect or rerun a single round; aborts on malformed calendars
-// (out-of-range rounds, recover before crash, overlapping attack entries).
+// (out-of-range rounds, recover before crash, overlapping attack entries,
+// crash or churn entries naming a non-authority node).
 std::vector<ScenarioSpec> BuildTimelineRoundSpecs(const TimelineSpec& spec);
 
 // Field-by-field equality with NaN == NaN, the timeline engine's parallel ==

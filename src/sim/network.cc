@@ -22,11 +22,6 @@ void Network::SetLatency(NodeId a, NodeId b, Duration latency) {
   latencies_[static_cast<size_t>(a) * node_count() + b] = latency;
 }
 
-void Network::SetSymmetricLatency(NodeId a, NodeId b, Duration latency) {
-  SetLatency(a, b, latency);
-  SetLatency(b, a, latency);
-}
-
 Duration Network::latency(NodeId a, NodeId b) const {
   return latencies_[static_cast<size_t>(a) * node_count() + b];
 }
@@ -131,13 +126,6 @@ uint64_t Network::undeliverable_count() const {
     total += node->egress.dropped_count() + node->ingress.dropped_count();
   }
   return total;
-}
-
-void Network::ResetCounters() {
-  for (auto& node : nodes_) {
-    node->counters = TrafficCounters{};
-  }
-  bytes_by_kind_.clear();
 }
 
 }  // namespace torsim

@@ -81,8 +81,7 @@ class Network {
   // contract as LimitNode.
   void SetNodeRateFrom(NodeId node, TimePoint from, double bits_per_sec);
 
-  void SetLatency(NodeId a, NodeId b, Duration latency);           // directed a->b
-  void SetSymmetricLatency(NodeId a, NodeId b, Duration latency);  // both ways
+  void SetLatency(NodeId a, NodeId b, Duration latency);  // directed a->b
   Duration latency(NodeId a, NodeId b) const;
 
   // Registers the handler that receives node `node`'s inbound messages.
@@ -105,7 +104,6 @@ class Network {
   uint64_t total_bytes_sent() const;
   // Messages dropped because their NIC schedule could never carry them.
   uint64_t undeliverable_count() const;
-  void ResetCounters();
 
  private:
   // Shared-buffer transfer path used by both Send and Broadcast.

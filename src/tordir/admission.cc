@@ -7,16 +7,6 @@
 
 namespace tordir {
 
-const char* VoteRejectReasonName(VoteRejectReason reason) {
-  switch (reason) {
-    case VoteRejectReason::kMalformed:
-      return "malformed";
-    case VoteRejectReason::kStaleWindow:
-      return "stale-window";
-  }
-  return "unknown";
-}
-
 VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
                         uint64_t period_start) {
   return AdmitVote(cache, text, torcrypto::Digest256::Of(text), period_start);

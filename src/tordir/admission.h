@@ -32,8 +32,6 @@ enum class VoteRejectReason {
   kStaleWindow,  // valid_until has passed: replayed/expired signature window
 };
 
-const char* VoteRejectReasonName(VoteRejectReason reason);
-
 struct VoteAdmission {
   // Ok when admitted; otherwise a specific message for the protocol's log.
   torbase::Status status = torbase::Status::Ok();

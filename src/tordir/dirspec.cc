@@ -723,20 +723,6 @@ torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus) {
   return torcrypto::Digest256(hash.Finish());
 }
 
-torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
-                                         torbase::ThreadPool* pool) {
-  if (pool != nullptr) {
-    return torcrypto::Digest256(
-        torcrypto::Sha256TreeDigest(SerializeConsensusUnsigned(consensus), pool));
-  }
-  torcrypto::Sha256TreeHasher hash;
-  TreeDigestSinkBackend backend{hash};
-  BufferedTextSink<TreeDigestSinkBackend> sink(backend);
-  WriteConsensusUnsigned(sink, consensus);
-  sink.Flush();
-  return torcrypto::Digest256(hash.Finish());
-}
-
 torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus,
                                                torbase::ThreadPool* pool) {
   if (pool != nullptr) {

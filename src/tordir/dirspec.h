@@ -57,24 +57,21 @@ torbase::Result<ConsensusDocument> ParseConsensus(const std::string& text);
 torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus);
 
 // --- tree digests ----------------------------------------------------------
-// Parallel-friendly counterparts of VoteDigest/ConsensusDigest over the same
-// canonical serialized bytes, using the fixed "sha256-tree-v1" shape
-// (src/crypto/sha256_tree.h). NOT interchangeable with the streaming digests
-// above — tree digests are a distinct domain with their own goldens — and the
-// protocol-visible digests (vote identity, signature subjects) stay on the
-// streaming form. With a pool, leaf hashing fans out over its workers; the
-// result is bit-identical at any thread count (and to pool == nullptr, which
-// streams without materializing the document).
+// Parallel-friendly digests over the canonical serialized bytes, using the
+// fixed "sha256-tree-v1" shape (src/crypto/sha256_tree.h). NOT
+// interchangeable with the streaming digests above — tree digests are a
+// distinct domain with their own goldens — and the protocol-visible digests
+// (vote identity, signature subjects) stay on the streaming form. With a
+// pool, leaf hashing fans out over its workers; the result is bit-identical
+// at any thread count (and to pool == nullptr, which streams without
+// materializing the document).
 torcrypto::Digest256 TreeVoteDigest(const VoteDocument& vote, torbase::ThreadPool* pool = nullptr);
-torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
-                                         torbase::ThreadPool* pool = nullptr);
 
 // Tree digest of the *signed* consensus bytes (exactly what SerializeConsensus
 // emits, signature lines included). This is the framing digest the consensus
 // diff codec (src/tordir/consensus_diff.h) pins base and target documents
 // with, so a cache can verify a patched document against the digest without
-// reserializing anything. Distinct domain from TreeConsensusDigest, which
-// covers only the unsigned body.
+// reserializing anything.
 torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus,
                                                torbase::ThreadPool* pool = nullptr);
 

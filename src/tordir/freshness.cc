@@ -45,27 +45,4 @@ bool ValidateConsensusSignatures(const ConsensusDocument& consensus,
   return signers.size() >= authority_count / 2 + 1;
 }
 
-AvailabilityTimeline AnalyzeAvailability(const std::vector<bool>& hourly_run_success,
-                                         uint32_t validity_hours) {
-  AvailabilityTimeline timeline;
-  timeline.network_up.resize(hourly_run_success.size());
-  for (size_t hour = 0; hour < hourly_run_success.size(); ++hour) {
-    bool covered = false;
-    for (size_t back = 0; back < validity_hours && back <= hour; ++back) {
-      if (hourly_run_success[hour - back]) {
-        covered = true;
-        break;
-      }
-    }
-    timeline.network_up[hour] = covered;
-    if (!covered) {
-      ++timeline.hours_down;
-      if (!timeline.first_down_hour.has_value()) {
-        timeline.first_down_hour = hour;
-      }
-    }
-  }
-  return timeline;
-}
-
 }  // namespace tordir

@@ -1,15 +1,14 @@
-// Consensus freshness rules and network-availability accounting (paper §2/§3.1):
-// a consensus document is fresh for 1 hour, then stale (clients should avoid
-// it) but usable, and invalid 3 hours after generation. Because authorities
-// attempt one consensus per hour, three consecutive failed runs leave clients
-// with no valid consensus — the whole network halts, which is what makes the
-// 5-minute-per-hour DDoS catastrophic.
+// Consensus freshness rules (paper §2/§3.1): a consensus document is fresh
+// for 1 hour, then stale (clients should avoid it) but usable, and invalid 3
+// hours after generation. Because authorities attempt one consensus per hour,
+// three consecutive failed runs leave clients with no valid consensus — the
+// whole network halts, which is what makes the 5-minute-per-hour DDoS
+// catastrophic. The client plane (src/clients/population.h) applies these
+// rules to a published-document timeline; RunTimeline reports the outage.
 #ifndef SRC_TORDIR_FRESHNESS_H_
 #define SRC_TORDIR_FRESHNESS_H_
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "src/crypto/signature.h"
 #include "src/tordir/vote.h"
@@ -32,21 +31,6 @@ ConsensusFreshness EvaluateFreshness(const ConsensusDocument& consensus, uint64_
 bool ValidateConsensusSignatures(const ConsensusDocument& consensus,
                                  const torcrypto::KeyDirectory& directory,
                                  uint32_t authority_count);
-
-// --- availability timeline ---------------------------------------------------
-// Given the success/failure of each hourly consensus run, derives when clients
-// run out of valid consensus documents. Hour h is "covered" if any run in
-// (h - validity_hours, h] succeeded.
-struct AvailabilityTimeline {
-  // For each hour index: did clients hold a valid (<=3h old) consensus?
-  std::vector<bool> network_up;
-  // First hour with no valid consensus, if any.
-  std::optional<size_t> first_down_hour;
-  size_t hours_down = 0;
-};
-
-AvailabilityTimeline AnalyzeAvailability(const std::vector<bool>& hourly_run_success,
-                                         uint32_t validity_hours = 3);
 
 }  // namespace tordir
 

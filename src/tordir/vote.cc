@@ -24,10 +24,6 @@ void VoteCache::Seal() {
   sealed_ = true;
 }
 
-const CachedVote* VoteCache::FindByText(std::string_view text) const {
-  return Find(torcrypto::Digest256::Of(text));
-}
-
 const CachedVote* VoteCache::Find(const torcrypto::Digest256& digest) const {
   assert(sealed_ && "VoteCache must be sealed before lookup");
   const auto it = std::lower_bound(

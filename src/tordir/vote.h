@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,18 +72,10 @@ class VoteCache {
   void Add(const torcrypto::Digest256& digest, CachedVote vote);
   void Seal();  // sorts the index; required before Find()
   const CachedVote* Find(const torcrypto::Digest256& digest) const;
-  // Hashes `text` and looks the digest up: the one-liner every receive path
-  // uses ("digest match proves byte equality, byte-equal texts parse to
-  // identical documents"). Null on miss — callers fall back to ParseVote.
-  const CachedVote* FindByText(std::string_view text) const;
-  // Same for callers that already hold the text's digest.
+  // Find through a possibly-null cache; null on miss or without a cache.
   static const CachedVote* FindIn(const std::shared_ptr<const VoteCache>& cache,
                                   const torcrypto::Digest256& digest) {
     return cache == nullptr ? nullptr : cache->Find(digest);
-  }
-  static const CachedVote* FindIn(const std::shared_ptr<const VoteCache>& cache,
-                                  std::string_view text) {
-    return cache == nullptr ? nullptr : cache->FindByText(text);
   }
 
  private:

@@ -20,7 +20,6 @@ ClientLoadSpec MillionClients() {
   spec.bootstrap_fraction = 0.05;
   spec.cache_count = 16;
   spec.cache_bandwidth_bps = torsim::MegabitsPerSecond(1000);
-  spec.cache_mirror_delay = torbase::Seconds(10);
   return spec;
 }
 
@@ -72,7 +71,7 @@ TEST(ClientPopulationTest, FailedRoundGoesStaleWhenThePriorExpires) {
 
 TEST(ClientPopulationTest, ThreeMissedRoundsHardDownTheNetwork) {
   // The paper's §2.1 arithmetic, client-side: with no successful round, the
-  // prior document expires validity_periods - 1 periods after the lead and
+  // prior document expires two periods (validity 3 h) after the lead and
   // every fetch after that fails outright.
   ClientLoadSpec spec = MillionClients();
   spec.consensus_size_hint_bytes = 800e3;

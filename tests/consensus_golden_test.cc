@@ -43,7 +43,9 @@ const GoldenCase kGoldenCases[] = {
 
 // Tree-digest goldens over the same fixtures ("sha256-tree-v1" shape; the
 // construction itself is pinned against an independent implementation in
-// tests/crypto_test.cc, these pin its application to consensus bytes). The
+// tests/crypto_test.cc, these pin its application to consensus bytes through
+// TreeSignedConsensusDigest, the diff codec's framing digest; the fixtures
+// carry no signatures, so the signed bytes are the unsigned body). The
 // streaming goldens above must stay untouched — tree digests are a separate
 // domain, not a replacement.
 const char* const kGoldenTreeDigests[] = {
@@ -75,7 +77,7 @@ TEST(ConsensusGoldenTest, DigestsMatchPreRefactorImplementation) {
 TEST(ConsensusGoldenTest, TreeDigestsMatchPinnedRoots) {
   for (size_t i = 0; i < std::size(kGoldenCases); ++i) {
     const ConsensusDocument consensus = GoldenConsensus(kGoldenCases[i]);
-    EXPECT_EQ(TreeConsensusDigest(consensus).ToHex(), kGoldenTreeDigests[i])
+    EXPECT_EQ(TreeSignedConsensusDigest(consensus).ToHex(), kGoldenTreeDigests[i])
         << "relays=" << kGoldenCases[i].relay_count;
   }
 }

@@ -7,8 +7,10 @@
 //   * The Synchronous protocol's Dolev-Strong round defeats the same attack.
 //   * The ICPS witness-directed document fetch: nodes that never received a
 //     document named by the agreed vector retrieve it from proof witnesses.
-//   * Consensus freshness rules and the three-hour availability horizon that
-//     turns hourly consensus failures into a full network outage.
+//   * Consensus freshness rules and client-side signature validation. The
+//     three-hour availability horizon that turns hourly consensus failures
+//     into a full network outage is pinned on RunTimeline's client plane
+//     (tests/timeline_test.cc).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -312,7 +314,7 @@ TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
   EXPECT_EQ(digests.size(), 1u);
 }
 
-// --- freshness / availability ------------------------------------------------
+// --- freshness ---------------------------------------------------------------
 
 TEST(FreshnessTest, LifecycleStates) {
   tordir::ConsensusDocument consensus;
@@ -346,26 +348,6 @@ TEST(FreshnessTest, SignatureValidationThreshold) {
   tordir::ConsensusDocument tainted = consensus;
   tainted.signatures[2].bytes[0] ^= 1;
   EXPECT_FALSE(tordir::ValidateConsensusSignatures(tainted, directory, 9));
-}
-
-TEST(FreshnessTest, ThreeFailedRunsTakeTheNetworkDown) {
-  // The paper's §2.1 arithmetic: an hourly 5-minute attack fails every run;
-  // the last pre-attack consensus carries clients for 3 hours, then the
-  // network is down until a run succeeds again.
-  std::vector<bool> runs = {true, false, false, false, false, false, true, true};
-  const auto timeline = tordir::AnalyzeAvailability(runs);
-  ASSERT_TRUE(timeline.first_down_hour.has_value());
-  EXPECT_EQ(*timeline.first_down_hour, 3u);  // hours 0-2 covered by run 0
-  EXPECT_EQ(timeline.hours_down, 3u);        // hours 3,4,5; run at hour 6 restores
-  EXPECT_TRUE(timeline.network_up[6]);
-  EXPECT_TRUE(timeline.network_up[7]);
-}
-
-TEST(FreshnessTest, SingleFailureIsAbsorbedByValidityWindow) {
-  std::vector<bool> runs = {true, false, true, false, false, true};
-  const auto timeline = tordir::AnalyzeAvailability(runs);
-  EXPECT_FALSE(timeline.first_down_hour.has_value());
-  EXPECT_EQ(timeline.hours_down, 0u);
 }
 
 }  // namespace

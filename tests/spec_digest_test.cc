@@ -33,7 +33,7 @@ using torbase::Seconds;
 // revisiting SpecDigest (or the relevant Describe) and this test — a compile
 // error on the reference ABI.
 #if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(ScenarioSpec) == 416 && sizeof(torclients::ClientLoadSpec) == 104 &&
+static_assert(sizeof(ScenarioSpec) == 376 && sizeof(torclients::ClientLoadSpec) == 64 &&
                   sizeof(torproto::ByzantineSpec) == 64 && sizeof(ChurnEvent) == 24,
               "ScenarioSpec changed shape: extend SpecDigest (spec_digest.cc), the mutation "
               "sweep in SpecFieldListIsCoveredByDigest, then update these constants");
@@ -80,14 +80,9 @@ ScenarioSpec RichSpec() {
   spec.client_load.bootstrap_fraction = 0.1;
   spec.client_load.cache_count = 8;
   spec.client_load.cache_bandwidth_bps = 5e8;
-  spec.client_load.cache_mirror_delay = Seconds(20);
-  spec.client_load.fetch_period = Minutes(30);
   spec.client_load.vote_lead = Minutes(5);
-  spec.client_load.validity_periods = 4;
   spec.client_load.evaluation_window = Hours(2);
-  spec.client_load.prior_consensus = false;
   spec.client_load.consensus_size_hint_bytes = 123.0;
-  spec.client_load.initial_backlog_fetches = 10.0;
   spec.client_load.diff_capable_fraction = 0.5;
   spec.monitor_health = false;
   spec.previous_consensus = SmallConsensus(7200);
@@ -150,14 +145,9 @@ TEST(SpecDigestTest, SpecFieldListIsCoveredByDigest) {
       [](ScenarioSpec& s) { s.client_load.bootstrap_fraction += 0.01; },
       [](ScenarioSpec& s) { s.client_load.cache_count += 1; },
       [](ScenarioSpec& s) { s.client_load.cache_bandwidth_bps += 1.0; },
-      [](ScenarioSpec& s) { s.client_load.cache_mirror_delay += 1; },
-      [](ScenarioSpec& s) { s.client_load.fetch_period += 1; },
       [](ScenarioSpec& s) { s.client_load.vote_lead += 1; },
-      [](ScenarioSpec& s) { s.client_load.validity_periods += 1; },
       [](ScenarioSpec& s) { s.client_load.evaluation_window += 1; },
-      [](ScenarioSpec& s) { s.client_load.prior_consensus = true; },
       [](ScenarioSpec& s) { s.client_load.consensus_size_hint_bytes += 1.0; },
-      [](ScenarioSpec& s) { s.client_load.initial_backlog_fetches += 1.0; },
       [](ScenarioSpec& s) { s.client_load.diff_capable_fraction += 0.1; },
       [](ScenarioSpec& s) { s.monitor_health = true; },
       [](ScenarioSpec& s) { s.previous_consensus = nullptr; },

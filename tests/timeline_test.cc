@@ -1,10 +1,12 @@
 // Tests for the long-horizon timeline engine (src/scenario/timeline.h):
-// calendar -> per-round spec derivation, thread-count bit-identity of
-// RunTimeline, the golden 48-round recovery trace (who failed, who was fresh,
-// who rejoined at what cost), and the per-protocol snapshot/restore
-// round-trip that pins the AuthorityRoundState seam.
+// calendar -> per-round spec derivation and validation, thread-count
+// bit-identity of RunTimeline, the golden 48-round recovery trace (who
+// failed, who was fresh, who rejoined at what cost), the paper's three-hour
+// validity arithmetic on the horizon client plane, and the per-protocol
+// snapshot/restore round-trip that pins the AuthorityRoundState seam.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,16 +26,20 @@ namespace {
 using torbase::Hours;
 using torbase::Minutes;
 
-// The paper's 5-minute full DDoS on 5 of 9 authorities, at round-local time.
-std::shared_ptr<torattack::AttackSchedule> FiveMinuteDdos() {
+// 5 of 9 authorities cut to 0 bps for the first `length` of a round. Five
+// minutes is the paper's full DDoS; a whole round leaves no majority of votes
+// anywhere, so `current` publishes nothing that round.
+std::shared_ptr<torattack::AttackSchedule> KnockOut(torbase::Duration length) {
   torattack::AttackWindow window;
   window.targets = torattack::FirstTargets(5);
   window.start = 0;
-  window.end = Minutes(5);
+  window.end = length;
   window.available_bps = 0.0;
   return std::make_shared<torattack::WindowedAttack>(
       std::vector<torattack::AttackWindow>{window});
 }
+
+std::shared_ptr<torattack::AttackSchedule> FiveMinuteDdos() { return KnockOut(Minutes(5)); }
 
 TimelineSpec SmallTimeline() {
   TimelineSpec timeline;
@@ -236,6 +242,78 @@ TEST(TimelineTest, GoldenFortyEightRoundRecoveryTrace) {
     EXPECT_EQ(unmemoized.result_memo_hits() + unmemoized.result_memo_misses(), 0u);
     EXPECT_TRUE(BitIdentical(result, recomputed)) << threads << " threads, memo off";
   }
+}
+
+// Runs an hourly `current` timeline with a client population whose calendar
+// knocks out exactly the rounds marked 'x' in `pattern` ('+' = publishes).
+TimelineResult RunRoundPattern(const std::string& pattern) {
+  TimelineSpec timeline = SmallTimeline();
+  timeline.rounds = static_cast<uint32_t>(pattern.size());
+  timeline.base.client_load.client_count = 100000;
+  for (uint32_t r = 0; r < pattern.size(); ++r) {
+    if (pattern[r] == 'x') {
+      timeline.attacks.push_back(AttackCalendarEntry{r, r, KnockOut(Hours(1))});
+    }
+  }
+  ScenarioRunner runner;
+  return runner.RunTimeline(timeline);
+}
+
+std::string PublishedPattern(const TimelineResult& result) {
+  std::string published;
+  for (const ScenarioResult& round : result.rounds) {
+    published += round.succeeded ? '+' : 'x';
+  }
+  return published;
+}
+
+// The paper's §2 validity arithmetic on the client plane: a consensus is
+// valid for three hourly periods, so three failed runs in a row leave clients
+// with no valid document.
+TEST(TimelineClientPlaneTest, ThreeFailedRunsTakeTheNetworkDown) {
+  const TimelineResult result = RunRoundPattern("+xxxxx++");
+  ASSERT_EQ(PublishedPattern(result), "+xxxxx++");
+  const ClientAvailabilityResult& clients = result.client_availability;
+  ASSERT_TRUE(clients.enabled);
+
+  // Round 0's document carries clients for three hours past the 10-minute
+  // vote lead; then nothing is valid until round 6's document is published
+  // and mirrored (10 s later).
+  EXPECT_DOUBLE_EQ(clients.hard_down_start_seconds, 3 * 3600.0 + 600.0);
+  const double restored = 6 * 3600.0 + result.rounds[6].consensus_published_seconds + 10.0;
+  EXPECT_DOUBLE_EQ(clients.hard_down_start_seconds + clients.hard_down_seconds, restored);
+  EXPECT_NEAR(clients.hard_down_seconds, 10510.0, 1.0);
+  EXPECT_GT(clients.peak_backlog_fetches, 0.0);
+
+  // Per boundary: fresh after round 0, never fresh again until round 6.
+  std::string freshness;
+  for (const RoundSnapshot& snapshot : result.snapshots) {
+    freshness += snapshot.fresh_at_boundary ? 'F' : 's';
+  }
+  EXPECT_EQ(freshness, "FsssssFF");
+}
+
+TEST(TimelineClientPlaneTest, SingleFailureIsAbsorbedByValidityWindow) {
+  // Gaps of one and two failed runs stay inside the validity window: clients
+  // are served stale documents for a while, but never none.
+  const TimelineResult result = RunRoundPattern("+x+xx+");
+  ASSERT_EQ(PublishedPattern(result), "+x+xx+");
+  const ClientAvailabilityResult& clients = result.client_availability;
+  ASSERT_TRUE(clients.enabled);
+  EXPECT_EQ(clients.hard_down_seconds, 0.0);
+  EXPECT_TRUE(std::isnan(clients.hard_down_start_seconds));
+  EXPECT_GT(clients.outage_seconds, 0.0);
+  EXPECT_EQ(clients.peak_backlog_fetches, 0.0);
+}
+
+// A churn blip for a node the network does not have would index past the
+// harness's NICs; the calendar is refused before any round is derived, as a
+// crash entry for such a node is.
+TEST(TimelineSpecDeathTest, ChurnEntryNamingANonAuthorityNodeIsRejected) {
+  TimelineSpec timeline = SmallTimeline();
+  timeline.churn.push_back(
+      ChurnCalendarEntry{1, ChurnEvent{12, Minutes(3), ChurnEvent::Kind::kCrash}});
+  EXPECT_DEATH(BuildTimelineRoundSpecs(timeline), "churn entry names a non-authority node");
 }
 
 TEST(TimelineSnapshotTest, SnapshotRestoreRoundTripsPerProtocol) {

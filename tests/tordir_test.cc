@@ -191,24 +191,28 @@ TEST(DirspecTest, TreeVoteDigestIsDistinctDomainAndSensitive) {
   EXPECT_NE(TreeVoteDigest(vote), before);
 }
 
-TEST(DirspecTest, TreeConsensusDigestIgnoresSignaturesAndParallelizes) {
+TEST(DirspecTest, TreeSignedConsensusDigestCoversSignaturesAndParallelizes) {
   PopulationConfig config;
   config.relay_count = 2000;
   config.seed = 7;
   const auto population = GeneratePopulation(config);
   ConsensusDocument consensus = ComputeConsensus(MakeAllVotes(5, population, config));
-  const auto unsigned_digest = TreeConsensusDigest(consensus);
+  const auto unsigned_digest = TreeSignedConsensusDigest(consensus);
   EXPECT_EQ(unsigned_digest,
-            torcrypto::Digest256(
-                torcrypto::Sha256TreeDigest(SerializeConsensusUnsigned(consensus))));
+            torcrypto::Digest256(torcrypto::Sha256TreeDigest(SerializeConsensus(consensus))));
 
+  // The digest covers the signature lines: signing changes it.
   torcrypto::Signature sig;
   sig.signer = 1;
   consensus.signatures.push_back(sig);
-  EXPECT_EQ(TreeConsensusDigest(consensus), unsigned_digest);
+  const auto signed_digest = TreeSignedConsensusDigest(consensus);
+  EXPECT_NE(signed_digest, unsigned_digest);
+  EXPECT_EQ(signed_digest,
+            torcrypto::Digest256(torcrypto::Sha256TreeDigest(SerializeConsensus(consensus))));
 
+  // Fanning the leaves out over a pool gives the streaming result.
   torbase::ThreadPool pool(4);
-  EXPECT_EQ(TreeConsensusDigest(consensus, &pool), unsigned_digest);
+  EXPECT_EQ(TreeSignedConsensusDigest(consensus, &pool), signed_digest);
 }
 
 TEST(DirspecTest, ParseRejectsGarbage) {
