@@ -21,11 +21,11 @@ int main() {
   population_config.seed = 4;
   const auto population = tordir::GeneratePopulation(population_config);
 
-  torproto::ProtocolConfig config;
-  auto votes = tordir::MakeAllVotes(config.authority_count, population, population_config);
+  constexpr uint32_t kAuthorities = 9;
+  auto votes = tordir::MakeAllVotes(kAuthorities, population, population_config);
 
   torsim::NetworkConfig net_config;
-  net_config.node_count = config.authority_count;
+  net_config.node_count = kAuthorities;
   net_config.default_bandwidth_bps = torattack::kAuthorityLinkBps;  // 250 Mbit/s
   net_config.default_latency = torbase::Millis(50);
   torsim::Harness harness(net_config);
@@ -41,12 +41,12 @@ int main() {
   std::printf("Attack: authorities 0-4 limited to %.1f Mbit/s during [0, 5 min)\n\n",
               attack.available_bps / 1e6);
 
-  torcrypto::KeyDirectory directory(42, config.authority_count);
+  torcrypto::KeyDirectory directory(42, kAuthorities);
   std::vector<torproto::CurrentAuthority*> authorities;
-  for (uint32_t a = 0; a < config.authority_count; ++a) {
+  for (uint32_t a = 0; a < kAuthorities; ++a) {
     authorities.push_back(static_cast<torproto::CurrentAuthority*>(harness.AddActor(
         std::make_unique<torproto::CurrentAuthority>(
-            config, &directory,
+            &directory,
             torproto::AuthorityMaterials{
                 .vote = std::make_shared<const tordir::VoteDocument>(std::move(votes[a]))}))));
   }

@@ -10,6 +10,7 @@
 
 #include "src/clients/population.h"
 #include "src/core/icps_authority.h"
+#include "src/protocols/directory_protocol.h"
 #include "src/sim/actor.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
@@ -21,7 +22,7 @@ int main() {
   population_config.seed = 2026;
   const auto population = tordir::GeneratePopulation(population_config);
 
-  toricc::IcpsConfig config;  // 9 authorities, f = 2, Δ = 150 s
+  torproto::ProtocolRunConfig config;  // 9 authorities (so f = 2), Δ = 150 s
   auto votes = tordir::MakeAllVotes(config.authority_count, population, population_config);
   std::printf("Generated %zu relays; vote documents are ~%zu KB each.\n", population.size(),
               tordir::SerializeVote(votes[0]).size() / 1024);

@@ -1,10 +1,14 @@
 #include "src/consensus/hotstuff.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace torbft {
 namespace {
+
+// Pacemaker: view v runs for 20 s + (v - 1) * 5 s, capped at 60 s.
+constexpr Duration kViewTimeoutBase = torbase::Seconds(20);
+constexpr Duration kViewTimeoutStep = torbase::Seconds(5);
+constexpr Duration kViewTimeoutCap = torbase::Seconds(60);
 
 torcrypto::Digest256 DigestOf(const Bytes& value) { return torcrypto::Digest256::Of(value); }
 
@@ -17,17 +21,13 @@ HotStuffNode::HotStuffNode(NodeId id, const HotStuffConfig& config,
       directory_(directory),
       signer_(directory->SignerFor(id)),
       callbacks_(std::move(callbacks)),
-      log_("hotstuff" + std::to_string(id)) {
-  assert(config_.node_count >= 3 * config_.fault_tolerance + 1 &&
-         "partial synchrony requires n >= 3f + 1");
-}
+      log_("hotstuff" + std::to_string(id)) {}
 
 void HotStuffNode::Start() { EnterView(1); }
 
 Duration HotStuffNode::TimeoutFor(View view) const {
-  const Duration grown =
-      config_.view_timeout_base + (view > 0 ? (view - 1) * config_.view_timeout_increment : 0);
-  return std::min(grown, config_.view_timeout_cap);
+  const Duration grown = kViewTimeoutBase + (view > 0 ? (view - 1) * kViewTimeoutStep : 0);
+  return std::min(grown, kViewTimeoutCap);
 }
 
 void HotStuffNode::EnterView(View view) {
@@ -35,7 +35,6 @@ void HotStuffNode::EnterView(View view) {
     return;
   }
   current_view_ = view;
-  ++views_started_;
   proposed_this_view_ = false;
   sent_precommit_ = false;
   sent_commit_ = false;
@@ -171,15 +170,12 @@ void HotStuffNode::HandleNewView(NodeId from, torbase::Reader& r) {
   }
   if (decided_value_.has_value()) {
     // Serve stragglers: re-send the decision.
-    auto it = values_.find(locked_qc_.has_value() ? locked_qc_->digest
-                                                  : DigestOf(*decided_value_));
     torbase::Writer w;
     w.WriteU8(kDecide);
     w.WriteU64(current_view_);
     w.WriteBytes(*decided_value_);
     EncodeOptionalQc(w, decide_qc_);
     callbacks_.send(from, w.TakeBuffer());
-    (void)it;
     return;
   }
   if (qc->has_value() && (!prepare_qc_.has_value() || (*qc)->view > prepare_qc_->view)) {
@@ -249,25 +245,21 @@ void HotStuffNode::SendVote(Phase phase, View view, const torcrypto::Digest256& 
   }
   w.WriteU64(view);
   w.WriteRaw(digest.span());
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
+  torcrypto::WriteSignature(w, sig);
   callbacks_.send(leader, w.TakeBuffer());
 }
 
 void HotStuffNode::HandleVote(NodeId from, MessageType type, torbase::Reader& r) {
   auto view = r.ReadU64();
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  auto signer = r.ReadU32();
-  auto sig_raw = r.ReadRaw(64);
-  if (!view.ok() || !digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+  auto digest_read = torcrypto::ReadDigest(r);
+  auto sig = torcrypto::ReadSignature(r);
+  if (!view.ok() || !digest_read.ok() || !sig.ok()) {
     return;
   }
-  if (*view != current_view_ || LeaderOf(*view) != id_ || *signer != from) {
+  if (*view != current_view_ || LeaderOf(*view) != id_ || sig->signer != from) {
     return;
   }
-  std::array<uint8_t, torcrypto::kSha256DigestSize> digest_bytes;
-  std::copy(digest_raw->begin(), digest_raw->end(), digest_bytes.begin());
-  const torcrypto::Digest256 digest{digest_bytes};
+  const torcrypto::Digest256& digest = *digest_read;
 
   Phase phase;
   switch (type) {
@@ -283,14 +275,11 @@ void HotStuffNode::HandleVote(NodeId from, MessageType type, torbase::Reader& r)
     default:
       return;
   }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  if (!directory_->Verify(VotePayload(phase, *view, digest), sig)) {
+  if (!directory_->Verify(VotePayload(phase, *view, digest), *sig)) {
     return;
   }
   auto& vote_set = votes_[{static_cast<uint8_t>(phase), *view, digest}];
-  vote_set.sigs[from] = sig;
+  vote_set.sigs[from] = *sig;
   if (vote_set.sigs.size() < config_.Quorum()) {
     return;
   }

@@ -46,13 +46,12 @@ using torbase::Bytes;
 using torbase::Duration;
 using torbase::NodeId;
 
+// The largest number of byzantine nodes partial synchrony tolerates among n:
+// f = floor((n - 1) / 3), so that n >= 3f + 1.
+constexpr uint32_t FaultToleranceOf(uint32_t node_count) { return (node_count - 1) / 3; }
+
 struct HotStuffConfig {
   uint32_t node_count = 9;
-  uint32_t fault_tolerance = 2;  // f; quorum = n - f
-  // Pacemaker: view v runs for base + (v-1) * increment, capped.
-  Duration view_timeout_base = torbase::Seconds(20);
-  Duration view_timeout_increment = torbase::Seconds(5);
-  Duration view_timeout_cap = torbase::Seconds(60);
 
   // Two-phase commit path (Jolteon/Tendermint style, the variant the paper's
   // prototype builds on [17]): the leader turns a prepare QC directly into the
@@ -63,7 +62,8 @@ struct HotStuffConfig {
   // 3-phase textbook protocol.
   bool two_phase = false;
 
-  uint32_t Quorum() const { return node_count - fault_tolerance; }
+  // n - f signatures certify a phase.
+  uint32_t Quorum() const { return node_count - FaultToleranceOf(node_count); }
 };
 
 class HotStuffNode {
@@ -103,7 +103,6 @@ class HotStuffNode {
   bool decided() const { return decided_value_.has_value(); }
   const std::optional<Bytes>& decided_value() const { return decided_value_; }
   View current_view() const { return current_view_; }
-  uint64_t views_started() const { return views_started_; }
 
   NodeId LeaderOf(View view) const { return static_cast<NodeId>(view % config_.node_count); }
 
@@ -151,7 +150,6 @@ class HotStuffNode {
   torbase::Logger log_;
 
   View current_view_ = 0;
-  uint64_t views_started_ = 0;
   torsim::EventId view_timer_ = torsim::kNoEvent;
 
   // Highest prepare QC seen (carried in NEW_VIEW; leaders re-propose it).

@@ -19,8 +19,7 @@ void QuorumCert::Encode(torbase::Writer& w) const {
   w.WriteRaw(digest.span());
   w.WriteU32(static_cast<uint32_t>(signatures.size()));
   for (const auto& sig : signatures) {
-    w.WriteU32(sig.signer);
-    w.WriteRaw(sig.bytes);
+    torcrypto::WriteSignature(w, sig);
   }
 }
 
@@ -28,8 +27,8 @@ torbase::Result<QuorumCert> QuorumCert::Decode(torbase::Reader& r) {
   QuorumCert qc;
   auto phase = r.ReadU8();
   auto view = r.ReadU64();
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  if (!phase.ok() || !view.ok() || !digest_raw.ok()) {
+  auto digest = torcrypto::ReadDigest(r);
+  if (!phase.ok() || !view.ok() || !digest.ok()) {
     return torbase::Status::InvalidArgument("truncated quorum cert header");
   }
   if (*phase < 1 || *phase > 3) {
@@ -37,9 +36,7 @@ torbase::Result<QuorumCert> QuorumCert::Decode(torbase::Reader& r) {
   }
   qc.phase = static_cast<Phase>(*phase);
   qc.view = *view;
-  std::array<uint8_t, torcrypto::kSha256DigestSize> digest_bytes;
-  std::copy(digest_raw->begin(), digest_raw->end(), digest_bytes.begin());
-  qc.digest = torcrypto::Digest256(digest_bytes);
+  qc.digest = *digest;
   auto count = r.ReadU32();
   if (!count.ok()) {
     return count.status();
@@ -48,15 +45,11 @@ torbase::Result<QuorumCert> QuorumCert::Decode(torbase::Reader& r) {
     return torbase::Status::InvalidArgument("absurd signature count");
   }
   for (uint32_t i = 0; i < *count; ++i) {
-    auto signer = r.ReadU32();
-    auto sig_raw = r.ReadRaw(64);
-    if (!signer.ok() || !sig_raw.ok()) {
-      return torbase::Status::InvalidArgument("truncated signature");
+    auto sig = torcrypto::ReadSignature(r);
+    if (!sig.ok()) {
+      return sig.status();
     }
-    torcrypto::Signature sig;
-    sig.signer = *signer;
-    std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-    qc.signatures.push_back(sig);
+    qc.signatures.push_back(*sig);
   }
   return qc;
 }

@@ -1,41 +1,9 @@
 #include "src/core/digest_vector.h"
 
-#include <algorithm>
 #include <set>
 
 namespace toricc {
 namespace {
-
-void EncodeSignature(torbase::Writer& w, const torcrypto::Signature& sig) {
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
-}
-
-torbase::Result<torcrypto::Signature> DecodeSignature(torbase::Reader& r) {
-  auto signer = r.ReadU32();
-  auto raw = r.ReadRaw(64);
-  if (!signer.ok() || !raw.ok()) {
-    return torbase::Status::InvalidArgument("truncated signature");
-  }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(raw->begin(), raw->end(), sig.bytes.begin());
-  return sig;
-}
-
-void EncodeDigest(torbase::Writer& w, const torcrypto::Digest256& digest) {
-  w.WriteRaw(digest.span());
-}
-
-torbase::Result<torcrypto::Digest256> DecodeDigest(torbase::Reader& r) {
-  auto raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  std::array<uint8_t, torcrypto::kSha256DigestSize> bytes;
-  std::copy(raw->begin(), raw->end(), bytes.begin());
-  return torcrypto::Digest256(bytes);
-}
 
 bool DistinctSigners(const std::vector<torcrypto::Signature>& sigs, size_t minimum) {
   std::set<torbase::NodeId> signers;
@@ -64,10 +32,10 @@ void Proposal::Encode(torbase::Writer& w) const {
   for (const auto& entry : entries) {
     w.WriteBool(entry.digest.has_value());
     if (entry.digest.has_value()) {
-      EncodeDigest(w, *entry.digest);
-      EncodeSignature(w, *entry.sender_sig);
+      w.WriteRaw(entry.digest->span());
+      torcrypto::WriteSignature(w, *entry.sender_sig);
     }
-    EncodeSignature(w, entry.proposer_sig);
+    torcrypto::WriteSignature(w, entry.proposer_sig);
   }
 }
 
@@ -89,15 +57,15 @@ torbase::Result<Proposal> Proposal::Decode(torbase::Reader& r) {
       return present.status();
     }
     if (*present) {
-      auto digest = DecodeDigest(r);
-      auto sender_sig = DecodeSignature(r);
+      auto digest = torcrypto::ReadDigest(r);
+      auto sender_sig = torcrypto::ReadSignature(r);
       if (!digest.ok() || !sender_sig.ok()) {
         return torbase::Status::InvalidArgument("truncated proposal entry");
       }
       entry.digest = *digest;
       entry.sender_sig = *sender_sig;
     }
-    auto proposer_sig = DecodeSignature(r);
+    auto proposer_sig = torcrypto::ReadSignature(r);
     if (!proposer_sig.ok()) {
       return proposer_sig.status();
     }
@@ -145,25 +113,25 @@ Bytes CertifiedVector::Encode() const {
     w.WriteU8(static_cast<uint8_t>(entry.kind));
     switch (entry.kind) {
       case VectorEntry::Kind::kOk: {
-        EncodeDigest(w, *entry.digest);
-        EncodeSignature(w, *entry.sender_sig);
+        w.WriteRaw(entry.digest->span());
+        torcrypto::WriteSignature(w, *entry.sender_sig);
         w.WriteU32(static_cast<uint32_t>(entry.witness_sigs.size()));
         for (const auto& sig : entry.witness_sigs) {
-          EncodeSignature(w, sig);
+          torcrypto::WriteSignature(w, sig);
         }
         break;
       }
       case VectorEntry::Kind::kEquivocation: {
-        EncodeDigest(w, *entry.equivocation_a);
-        EncodeDigest(w, *entry.equivocation_b);
-        EncodeSignature(w, *entry.equivocation_sig_a);
-        EncodeSignature(w, *entry.equivocation_sig_b);
+        w.WriteRaw(entry.equivocation_a->span());
+        w.WriteRaw(entry.equivocation_b->span());
+        torcrypto::WriteSignature(w, *entry.equivocation_sig_a);
+        torcrypto::WriteSignature(w, *entry.equivocation_sig_b);
         break;
       }
       case VectorEntry::Kind::kTimeout: {
         w.WriteU32(static_cast<uint32_t>(entry.witness_sigs.size()));
         for (const auto& sig : entry.witness_sigs) {
-          EncodeSignature(w, sig);
+          torcrypto::WriteSignature(w, sig);
         }
         break;
       }
@@ -191,8 +159,8 @@ torbase::Result<CertifiedVector> CertifiedVector::Decode(const Bytes& bytes) {
     entry.kind = static_cast<VectorEntry::Kind>(*kind);
     switch (entry.kind) {
       case VectorEntry::Kind::kOk: {
-        auto digest = DecodeDigest(r);
-        auto sender_sig = DecodeSignature(r);
+        auto digest = torcrypto::ReadDigest(r);
+        auto sender_sig = torcrypto::ReadSignature(r);
         auto sig_count = r.ReadU32();
         if (!digest.ok() || !sender_sig.ok() || !sig_count.ok() || *sig_count > 1024) {
           return torbase::Status::InvalidArgument("truncated OK entry");
@@ -200,7 +168,7 @@ torbase::Result<CertifiedVector> CertifiedVector::Decode(const Bytes& bytes) {
         entry.digest = *digest;
         entry.sender_sig = *sender_sig;
         for (uint32_t s = 0; s < *sig_count; ++s) {
-          auto sig = DecodeSignature(r);
+          auto sig = torcrypto::ReadSignature(r);
           if (!sig.ok()) {
             return sig.status();
           }
@@ -209,10 +177,10 @@ torbase::Result<CertifiedVector> CertifiedVector::Decode(const Bytes& bytes) {
         break;
       }
       case VectorEntry::Kind::kEquivocation: {
-        auto a = DecodeDigest(r);
-        auto b = DecodeDigest(r);
-        auto sig_a = DecodeSignature(r);
-        auto sig_b = DecodeSignature(r);
+        auto a = torcrypto::ReadDigest(r);
+        auto b = torcrypto::ReadDigest(r);
+        auto sig_a = torcrypto::ReadSignature(r);
+        auto sig_b = torcrypto::ReadSignature(r);
         if (!a.ok() || !b.ok() || !sig_a.ok() || !sig_b.ok()) {
           return torbase::Status::InvalidArgument("truncated equivocation entry");
         }
@@ -228,7 +196,7 @@ torbase::Result<CertifiedVector> CertifiedVector::Decode(const Bytes& bytes) {
           return torbase::Status::InvalidArgument("truncated timeout entry");
         }
         for (uint32_t s = 0; s < *sig_count; ++s) {
-          auto sig = DecodeSignature(r);
+          auto sig = torcrypto::ReadSignature(r);
           if (!sig.ok()) {
             return sig.status();
           }

@@ -1,8 +1,5 @@
 #include "src/core/icps_authority.h"
 
-#include <algorithm>
-
-#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 
 namespace toricc {
@@ -16,7 +13,8 @@ constexpr const char* kKindConsensusSig = "CONSENSUS_SIG";
 
 }  // namespace
 
-IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
+IcpsAuthority::IcpsAuthority(const torproto::ProtocolRunConfig& config,
+                             const torcrypto::KeyDirectory* directory,
                              torproto::AuthorityMaterials materials)
     : AuthorityCore(directory, std::move(materials)),
       config_(config),
@@ -54,7 +52,10 @@ void IcpsAuthority::Start() {
   callbacks.validate = [this](const torbase::Bytes& value) { return ValidateValue(value); };
   callbacks.on_decide = [this](const torbase::Bytes& value) { OnDecide(value); };
   callbacks.now = [this] { return now(); };
-  agreement_.emplace(id(), config_.hotstuff, directory_, std::move(callbacks));
+  agreement_.emplace(id(),
+                     torbft::HotStuffConfig{.node_count = node_count(),
+                                            .two_phase = config_.two_phase_agreement},
+                     directory_, std::move(callbacks));
   agreement_->Start();
 }
 
@@ -73,13 +74,11 @@ void IcpsAuthority::BroadcastDocument() {
   }
   const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
   BroadcastVote(kKindDocument, [&](torbase::Writer& w, const std::string& text, bool alternate) {
-    const torcrypto::Signature& sig = alternate ? second_sig : own_sig;
     w.Reserve(text.size() + 128);
     w.WriteU8(kDocument);
     w.WriteString(text);
     w.WriteRaw((alternate ? second_digest : own_digest_).span());
-    w.WriteU32(sig.signer);
-    w.WriteRaw(sig.bytes);
+    torcrypto::WriteSignature(w, alternate ? second_sig : own_sig);
   });
 }
 
@@ -120,23 +119,17 @@ void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payloa
 
 void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
   auto text = r.ReadString();
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  auto signer = r.ReadU32();
-  auto sig_raw = r.ReadRaw(64);
-  if (!text.ok() || !digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+  auto claimed = torcrypto::ReadDigest(r);
+  auto sig = torcrypto::ReadSignature(r);
+  if (!text.ok() || !claimed.ok() || !sig.ok()) {
     return;
   }
   const torcrypto::Digest256 digest = torcrypto::Digest256::Of(*text);
-  std::array<uint8_t, torcrypto::kSha256DigestSize> claimed;
-  std::copy(digest_raw->begin(), digest_raw->end(), claimed.begin());
-  if (digest != torcrypto::Digest256(claimed)) {
+  if (digest != *claimed) {
     log().Warn(now(), "Document digest mismatch from " + std::to_string(from));
     return;
   }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  if (sig.signer != from || !directory_->Verify(EntryPayload(from, digest), sig)) {
+  if (sig->signer != from || !directory_->Verify(EntryPayload(from, digest), *sig)) {
     log().Warn(now(), "Bad document signature from " + std::to_string(from));
     return;
   }
@@ -149,7 +142,7 @@ void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
     return;
   }
   Observe(from, admission);
-  StoreDocument(from, std::move(admission.text), digest, sig);
+  StoreDocument(from, std::move(admission.text), digest, *sig);
 }
 
 void IcpsAuthority::StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
@@ -168,10 +161,6 @@ void IcpsAuthority::StoreDocument(torbase::NodeId sender, std::shared_ptr<const 
     return;
   }
   documents_.emplace(sender, ReceivedDoc{digest, std::move(text), sender_sig});
-  if (documents_.size() == config_.authority_count &&
-      outcome_.documents_complete_at == torbase::kTimeNever) {
-    outcome_.documents_complete_at = now();
-  }
   MaybeSendProposal();
 }
 
@@ -181,14 +170,13 @@ void IcpsAuthority::OnDisseminationTimeout() {
 }
 
 void IcpsAuthority::MaybeSendProposal() {
-  const uint32_t quorum = config_.authority_count - config_.fault_tolerance;
-  const bool have_all = documents_.size() == config_.authority_count;
+  const uint32_t quorum = node_count() - torbft::FaultToleranceOf(node_count());
+  const bool have_all = documents_.size() == node_count();
   const bool have_quorum_after_timeout = dissemination_timed_out_ && documents_.size() >= quorum;
   if (proposal_sent_ || (!have_all && !have_quorum_after_timeout)) {
     return;
   }
   proposal_sent_ = true;
-  outcome_.proposal_sent_at = now();
 
   const Proposal proposal = BuildOwnProposal();
   proposals_[id()] = proposal;
@@ -196,7 +184,7 @@ void IcpsAuthority::MaybeSendProposal() {
   w.WriteU8(kProposal);
   proposal.Encode(w);
   log().Info(now(), "Sending PROPOSAL (" + std::to_string(documents_.size()) + " of " +
-                        std::to_string(config_.authority_count) + " documents).");
+                        std::to_string(node_count()) + " documents).");
   SendToAllOthers(kKindProposal, w.buffer());
   if (agreement_.has_value()) {
     agreement_->NotifyProposalReady();
@@ -206,8 +194,8 @@ void IcpsAuthority::MaybeSendProposal() {
 Proposal IcpsAuthority::BuildOwnProposal() const {
   Proposal proposal;
   proposal.proposer = id();
-  proposal.entries.resize(config_.authority_count);
-  for (torbase::NodeId j = 0; j < config_.authority_count; ++j) {
+  proposal.entries.resize(node_count());
+  for (torbase::NodeId j = 0; j < node_count(); ++j) {
     ProposalEntry& entry = proposal.entries[j];
     auto it = documents_.find(j);
     if (it != documents_.end()) {
@@ -224,7 +212,7 @@ void IcpsAuthority::HandleProposal(torbase::NodeId from, torbase::Reader& r) {
   if (!proposal.ok()) {
     return;
   }
-  if (proposal->proposer != from || !proposal->Verify(*directory_, config_.authority_count)) {
+  if (proposal->proposer != from || !proposal->Verify(*directory_, node_count())) {
     log().Warn(now(), "Invalid PROPOSAL from " + std::to_string(from));
     return;
   }
@@ -236,7 +224,7 @@ void IcpsAuthority::HandleProposal(torbase::NodeId from, torbase::Reader& r) {
 
 std::optional<torbase::Bytes> IcpsAuthority::LeaderValue() {
   auto vector =
-      BuildCertifiedVector(proposals_, config_.authority_count, config_.fault_tolerance);
+      BuildCertifiedVector(proposals_, node_count(), torbft::FaultToleranceOf(node_count()));
   if (!vector.has_value()) {
     return std::nullopt;
   }
@@ -248,7 +236,7 @@ bool IcpsAuthority::ValidateValue(const torbase::Bytes& value) {
   if (!vector.ok()) {
     return false;
   }
-  return vector->Verify(*directory_, config_.authority_count, config_.fault_tolerance);
+  return vector->Verify(*directory_, node_count(), torbft::FaultToleranceOf(node_count()));
 }
 
 void IcpsAuthority::OnDecide(const torbase::Bytes& value) {
@@ -261,16 +249,15 @@ void IcpsAuthority::OnDecide(const torbase::Bytes& value) {
   outcome_.decided = true;
   outcome_.decided_at = now();
   outcome_.vector_non_empty = static_cast<uint32_t>(agreed_vector_->NonEmptyCount());
-  outcome_.documents_held = static_cast<uint32_t>(documents_.size());
   log().Notice(now(), "Agreement reached on digest vector (" +
                           std::to_string(outcome_.vector_non_empty) + " of " +
-                          std::to_string(config_.authority_count) + " documents included).");
+                          std::to_string(node_count()) + " documents included).");
   RequestMissingDocuments();
   MaybeFinishAggregation();
 }
 
 void IcpsAuthority::RequestMissingDocuments() {
-  for (torbase::NodeId j = 0; j < config_.authority_count; ++j) {
+  for (torbase::NodeId j = 0; j < node_count(); ++j) {
     const VectorEntry& entry = agreed_vector_->entries[j];
     if (!entry.NonEmpty()) {
       continue;
@@ -300,17 +287,15 @@ void IcpsAuthority::RequestMissingDocuments() {
 
 void IcpsAuthority::HandleDocRequest(torbase::NodeId from, torbase::Reader& r) {
   auto j = r.ReadU32();
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  if (!j.ok() || !digest_raw.ok()) {
+  auto wanted = torcrypto::ReadDigest(r);
+  if (!j.ok() || !wanted.ok()) {
     return;
   }
   auto it = documents_.find(*j);
   if (it == documents_.end()) {
     return;
   }
-  std::array<uint8_t, torcrypto::kSha256DigestSize> wanted;
-  std::copy(digest_raw->begin(), digest_raw->end(), wanted.begin());
-  if (it->second.digest != torcrypto::Digest256(wanted)) {
+  if (it->second.digest != *wanted) {
     return;  // we hold a different version; not useful
   }
   torbase::Writer w;
@@ -318,18 +303,15 @@ void IcpsAuthority::HandleDocRequest(torbase::NodeId from, torbase::Reader& r) {
   w.WriteU8(kDocResponse);
   w.WriteU32(*j);
   w.WriteString(*it->second.text);
-  w.WriteU32(it->second.sender_sig.signer);
-  w.WriteRaw(it->second.sender_sig.bytes);
+  torcrypto::WriteSignature(w, it->second.sender_sig);
   SendTo(from, kKindDocFetch, w.TakeBuffer());
 }
 
-void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) {
-  (void)from;
+void IcpsAuthority::HandleDocResponse(torbase::NodeId, torbase::Reader& r) {
   auto j = r.ReadU32();
   auto text = r.ReadString();
-  auto signer = r.ReadU32();
-  auto sig_raw = r.ReadRaw(64);
-  if (!j.ok() || !text.ok() || !signer.ok() || !sig_raw.ok()) {
+  auto sig = torcrypto::ReadSignature(r);
+  if (!j.ok() || !text.ok() || !sig.ok()) {
     return;
   }
   if (pending_fetches_.count(*j) == 0 || !agreed_vector_.has_value()) {
@@ -340,10 +322,7 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) 
   if (!entry.digest.has_value() || digest != *entry.digest) {
     return;  // wrong document
   }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  if (sig.signer != *j || !directory_->Verify(EntryPayload(*j, digest), sig)) {
+  if (sig->signer != *j || !directory_->Verify(EntryPayload(*j, digest), *sig)) {
     return;
   }
   // Same admission as the direct dissemination path: a certified-but-faulty
@@ -356,18 +335,13 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) 
     return;
   }
   Observe(*j, admission);
-  ReceivedDoc doc;
-  doc.digest = digest;
-  doc.text = std::move(admission.text);
-  doc.sender_sig = sig;
-  documents_[*j] = std::move(doc);
+  documents_[*j] = ReceivedDoc{digest, std::move(admission.text), *sig};
   pending_fetches_.erase(*j);
   MaybeFinishAggregation();
 }
 
 void IcpsAuthority::MaybeFinishAggregation() {
-  if (!agreed_vector_.has_value() || consensus_digest_.has_value() ||
-      !pending_fetches_.empty()) {
+  if (!agreed_vector_.has_value() || outcome_.computed_consensus || !pending_fetches_.empty()) {
     return;
   }
   // All agreed documents present: aggregate exactly the non-⟂ entries. The
@@ -375,7 +349,7 @@ void IcpsAuthority::MaybeFinishAggregation() {
   // the cache turns this into pointer lookups; a miss parses as before.
   std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
   votes.reserve(agreed_vector_->entries.size());
-  for (torbase::NodeId j = 0; j < config_.authority_count; ++j) {
+  for (torbase::NodeId j = 0; j < node_count(); ++j) {
     const VectorEntry& entry = agreed_vector_->entries[j];
     if (!entry.NonEmpty()) {
       continue;
@@ -392,19 +366,11 @@ void IcpsAuthority::MaybeFinishAggregation() {
     }
     votes.push_back(std::move(admission.document));
   }
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes.size());
-  for (const auto& vote : votes) {
-    vote_ptrs.push_back(vote.get());
-  }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
+  const torcrypto::Signature sig = ComputeConsensus(votes, outcome_);
   log().Notice(now(), "Consensus computed from " + std::to_string(votes.size()) +
                           " documents (" + std::to_string(outcome_.consensus.relays.size()) +
                           " relays); broadcasting signature.");
-
-  const torcrypto::Signature sig = signer_.Sign(consensus_digest_->span());
-  AcceptConsensusSig(sig);
+  PublishOnMajority();
   // Replay signatures that arrived before we finished aggregating.
   std::vector<torcrypto::Signature> pending;
   pending.swap(pending_consensus_sigs_);
@@ -413,50 +379,34 @@ void IcpsAuthority::MaybeFinishAggregation() {
   }
   torbase::Writer w;
   w.WriteU8(kConsensusSig);
-  w.WriteRaw(consensus_digest_->span());
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
+  w.WriteRaw(consensus_digest()->span());
+  torcrypto::WriteSignature(w, sig);
   SendToAllOthers(kKindConsensusSig, w.buffer());
 }
 
-void IcpsAuthority::HandleConsensusSig(torbase::NodeId from, torbase::Reader& r) {
-  (void)from;
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  auto signer = r.ReadU32();
-  auto sig_raw = r.ReadRaw(64);
-  if (!digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+void IcpsAuthority::HandleConsensusSig(torbase::NodeId, torbase::Reader& r) {
+  auto digest = torcrypto::ReadDigest(r);
+  auto sig = torcrypto::ReadSignature(r);
+  if (!digest.ok() || !sig.ok()) {
     return;
   }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  AcceptConsensusSig(sig);
+  AcceptConsensusSig(*sig);
 }
 
 void IcpsAuthority::AcceptConsensusSig(const torcrypto::Signature& sig) {
-  if (!consensus_digest_.has_value()) {
+  if (!outcome_.computed_consensus) {
     // Peers that finished aggregation first may sign before we do; keep their
     // signatures until our own consensus digest exists.
     pending_consensus_sigs_.push_back(sig);
     return;
   }
-  if (sig.signer >= config_.authority_count || consensus_sigs_.count(sig.signer) > 0) {
-    return;
-  }
-  if (!directory_->Verify(consensus_digest_->span(), sig)) {
-    log().Warn(now(), "Consensus signature from " + std::to_string(sig.signer) +
-                          " does not match our document.");
-    return;
-  }
-  consensus_sigs_.emplace(sig.signer, sig);
-  if (!outcome_.valid_consensus && consensus_sigs_.size() >= config_.SignatureThreshold()) {
-    outcome_.valid_consensus = true;
-    outcome_.finished_at = now();
-    for (const auto& [signer, s] : consensus_sigs_) {
-      outcome_.consensus.signatures.push_back(s);
-    }
-    log().Notice(now(), "Consensus valid with " + std::to_string(consensus_sigs_.size()) +
-                            " signatures.");
+  AcceptSignature(sig, outcome_);
+  PublishOnMajority();
+}
+
+void IcpsAuthority::PublishOnMajority() {
+  if (!outcome_.valid_consensus && outcome_.finished_at != torbase::kTimeNever) {
+    Publish(outcome_);
   }
 }
 

@@ -32,61 +32,28 @@
 #include "src/core/digest_vector.h"
 #include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
+#include "src/protocols/directory_protocol.h"
 #include "src/tordir/vote.h"
 
 namespace toricc {
 
-struct IcpsConfig {
-  uint32_t authority_count = 9;
-  // ICPS under partial synchrony tolerates f < n/3 (2 of 9), the trade-off
-  // discussed in §5.1.
-  uint32_t fault_tolerance = 2;
-  // Dissemination wait Δ: after this, proceed with >= n - f documents.
-  torbase::Duration dissemination_timeout = torbase::Seconds(150);
-  // Pacemaker settings for the agreement sub-protocol.
-  torbft::HotStuffConfig hotstuff;
-  tordir::AggregationParams aggregation;
-
-  // Tor validity rule: majority of all authorities must sign.
-  uint32_t SignatureThreshold() const { return authority_count / 2 + 1; }
-
-  // Resizes the protocol to `n` authorities with the largest fault tolerance
-  // partial synchrony allows (f = floor((n-1)/3)).
-  void SetAuthorityCount(uint32_t n) {
-    authority_count = n;
-    fault_tolerance = (n - 1) / 3;
-    hotstuff.node_count = n;
-    hotstuff.fault_tolerance = fault_tolerance;
-  }
-
-  IcpsConfig() {
-    hotstuff.node_count = authority_count;
-    hotstuff.fault_tolerance = fault_tolerance;
-  }
-};
-
-// Per-authority result probes, extending the lock-step outcome with the
-// ICPS-specific milestones.
-struct IcpsOutcome {
+// Per-authority result probes, extending the shared consensus outcome with
+// the agreement milestones.
+struct IcpsOutcome : torproto::ConsensusOutcome {
   bool decided = false;           // agreement sub-protocol output
-  bool valid_consensus = false;   // majority signatures collected
-  uint32_t documents_held = 0;    // documents at decide time
   uint32_t vector_non_empty = 0;  // |H_o| non-⟂ entries
-  tordir::ConsensusDocument consensus;
-
-  torbase::TimePoint documents_complete_at = torbase::kTimeNever;  // all n docs
-  torbase::TimePoint proposal_sent_at = torbase::kTimeNever;
   torbase::TimePoint decided_at = torbase::kTimeNever;
-  torbase::TimePoint finished_at = torbase::kTimeNever;  // valid consensus
 };
 
 class IcpsAuthority : public torproto::AuthorityCore {
  public:
   // `directory` must outlive the actor; `materials` are shared and immutable
   // (see torproto::AuthorityMaterials). An equivocating authority's second
-  // variant travels with its own digest and sender signature.
-  IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                torproto::AuthorityMaterials materials);
+  // variant travels with its own digest and sender signature. Of `config`,
+  // ICPS reads the dissemination wait Δ and the agreement commit path; n
+  // comes from the network and f = floor((n - 1) / 3) from n.
+  IcpsAuthority(const torproto::ProtocolRunConfig& config,
+                const torcrypto::KeyDirectory* directory, torproto::AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(torbase::NodeId from, const torbase::Bytes& payload) override;
@@ -131,14 +98,17 @@ class IcpsAuthority : public torproto::AuthorityCore {
   void HandleDocResponse(torbase::NodeId from, torbase::Reader& r);
   void MaybeFinishAggregation();
   void HandleConsensusSig(torbase::NodeId from, torbase::Reader& r);
+  // Counts `sig` (buffered until our own consensus exists).
   void AcceptConsensusSig(const torcrypto::Signature& sig);
+  // ICPS's publish rule: publish as soon as a majority has signed.
+  void PublishOnMajority();
 
   // Stores a received document (first version wins; a second, different
   // version is retained as equivocation evidence).
   void StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
                      const torcrypto::Digest256& digest, const torcrypto::Signature& sender_sig);
 
-  IcpsConfig config_;
+  torproto::ProtocolRunConfig config_;
   torcrypto::Digest256 own_digest_;
 
   // Documents received: sender -> (digest, text). First valid one wins; a
@@ -164,7 +134,6 @@ class IcpsAuthority : public torproto::AuthorityCore {
 
   // Aggregation state.
   std::set<torbase::NodeId> pending_fetches_;
-  std::map<torbase::NodeId, torcrypto::Signature> consensus_sigs_;
   // Signatures received before our own aggregation finished.
   std::vector<torcrypto::Signature> pending_consensus_sigs_;
 

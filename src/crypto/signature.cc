@@ -1,8 +1,8 @@
 #include "src/crypto/signature.h"
 
+#include <algorithm>
 #include <cassert>
 
-#include "src/common/serialize.h"
 #include "src/crypto/hmac.h"
 
 namespace torcrypto {
@@ -31,6 +31,33 @@ std::array<uint8_t, 64> MacHalves(const std::array<uint8_t, 32>& secret,
 }  // namespace
 
 std::string Signature::ToHex() const { return torbase::HexEncode(bytes); }
+
+torbase::Result<Digest256> ReadDigest(torbase::Reader& r) {
+  auto raw = r.ReadRaw(kSha256DigestSize);
+  if (!raw.ok()) {
+    return raw.status();
+  }
+  std::array<uint8_t, kSha256DigestSize> bytes;
+  std::copy(raw->begin(), raw->end(), bytes.begin());
+  return Digest256(bytes);
+}
+
+void WriteSignature(torbase::Writer& w, const Signature& sig) {
+  w.WriteU32(sig.signer);
+  w.WriteRaw(sig.bytes);
+}
+
+torbase::Result<Signature> ReadSignature(torbase::Reader& r) {
+  auto signer = r.ReadU32();
+  auto raw = r.ReadRaw(64);
+  if (!signer.ok() || !raw.ok()) {
+    return torbase::Status::InvalidArgument("truncated signature");
+  }
+  Signature sig;
+  sig.signer = *signer;
+  std::copy(raw->begin(), raw->end(), sig.bytes.begin());
+  return sig;
+}
 
 Signature Signer::Sign(std::span<const uint8_t> message) const {
   assert(id_ != torbase::kNoNode && "Sign() on a default-constructed Signer");

@@ -19,6 +19,9 @@
 
 #include "src/common/bytes.h"
 #include "src/common/ids.h"
+#include "src/common/serialize.h"
+#include "src/common/status.h"
+#include "src/crypto/digest.h"
 
 namespace torcrypto {
 
@@ -35,6 +38,13 @@ struct Signature {
 
 // Wire size of a serialized signature: 4-byte signer id + 64-byte value.
 constexpr size_t kSignatureWireSize = 4 + 64;
+
+// The wire codec every protocol message shares: a digest is its 32 raw bytes
+// (written with WriteRaw(digest.span())); a signature is a u32 signer
+// followed by its 64 raw bytes.
+torbase::Result<Digest256> ReadDigest(torbase::Reader& r);
+void WriteSignature(torbase::Writer& w, const Signature& sig);
+torbase::Result<Signature> ReadSignature(torbase::Reader& r);
 
 class KeyDirectory;
 

@@ -1,5 +1,6 @@
 #include "src/protocols/authority_core.h"
 
+#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
@@ -44,6 +45,47 @@ tordir::VoteAdmission AuthorityCore::Admit(const std::string& text,
 
 void AuthorityCore::Observe(NodeId sender, const tordir::VoteAdmission& admission) {
   observed_votes_.push_back(ObservedVote{sender, admission.digest, now(), admission.document});
+}
+
+torcrypto::Signature AuthorityCore::ComputeConsensus(
+    const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
+    ConsensusOutcome& outcome) {
+  std::vector<const tordir::VoteDocument*> vote_ptrs;
+  vote_ptrs.reserve(votes.size());
+  for (const auto& vote : votes) {
+    vote_ptrs.push_back(vote.get());
+  }
+  outcome.consensus = tordir::ComputeConsensus(vote_ptrs);
+  outcome.computed_consensus = true;
+  consensus_digest_ = tordir::ConsensusDigest(outcome.consensus);
+  const torcrypto::Signature own = signer_.Sign(consensus_digest_->span());
+  AcceptSignature(own, outcome);
+  return own;
+}
+
+void AuthorityCore::AcceptSignature(const torcrypto::Signature& sig, ConsensusOutcome& outcome) {
+  if (!consensus_digest_.has_value() || sig.signer >= node_count() ||
+      signatures_.contains(sig.signer)) {
+    return;
+  }
+  if (!directory_->Verify(consensus_digest_->span(), sig)) {
+    log().Warn(now(), "Signature from authority " + std::to_string(sig.signer) +
+                          " does not match our consensus.");
+    return;
+  }
+  signatures_.emplace(sig.signer, sig);
+  if (signatures_.size() == MajorityOf(node_count())) {
+    outcome.finished_at = now();
+  }
+}
+
+void AuthorityCore::Publish(ConsensusOutcome& outcome) {
+  outcome.valid_consensus = true;
+  for (const auto& [signer, sig] : signatures_) {
+    outcome.consensus.signatures.push_back(sig);
+  }
+  log().Notice(now(), "Consensus valid with " + std::to_string(signatures_.size()) +
+                          " signatures.");
 }
 
 }  // namespace torproto

@@ -1,16 +1,21 @@
 // The part of a directory authority every built-in protocol shares: its
 // immutable materials (own vote, its bytes, the workload vote cache, the
 // equivocation variant, the restore seam), its signing key, the admission
-// evidence the consensus-health monitor reads, the consensus digest and the
-// initial vote broadcast. CurrentAuthority, SyncAuthority and IcpsAuthority
-// add only their phase logic, their attribution rule for refused votes, the
-// senders they hold votes from and their §6.2 network-time formula — so one
-// protocol adapter (registry.cc) probes all three through this class, and
-// admission evidence is recorded the same way for every protocol.
+// evidence the consensus-health monitor reads, the initial vote broadcast and
+// the consensus phase — aggregating the agreed votes with Tor's algorithm
+// (Figure 2), signing the result, counting peers' signatures over it and
+// publishing it with a majority of them (§3.1, §5.2). CurrentAuthority,
+// SyncAuthority and IcpsAuthority add only their phase logic (how they agree
+// on a vote set and when they publish), their attribution rule for refused
+// votes, the senders they hold votes from and their §6.2 network-time
+// formula — so one protocol adapter (registry.cc) probes all three through
+// this class, and admission evidence and signatures are handled the same way
+// for every protocol.
 #ifndef SRC_PROTOCOLS_AUTHORITY_CORE_H_
 #define SRC_PROTOCOLS_AUTHORITY_CORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,10 +108,28 @@ class AuthorityCore : public torsim::Actor {
     }
   }
 
-  // Published() for protocols whose outcome carries valid_consensus,
-  // consensus and finished_at.
-  template <typename Outcome>
-  PublishedConsensus PublishedFrom(const Outcome& outcome) const {
+  // Aggregates `votes` (from distinct authorities) into outcome.consensus,
+  // records the digest of its unsigned body, and counts and returns this
+  // authority's own signature over it.
+  torcrypto::Signature ComputeConsensus(
+      const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
+      ConsensusOutcome& outcome);
+  // Counts `sig` towards the consensus unless it arrived before the consensus
+  // was computed, its signer is outside the authority set or already
+  // counted, or it does not verify against this authority's consensus digest
+  // (a forgery, or a signature over a different document — which is what
+  // makes equivocation observable). Sets outcome.finished_at when the count
+  // first reaches a majority.
+  void AcceptSignature(const torcrypto::Signature& sig, ConsensusOutcome& outcome);
+  // Marks the consensus valid and attaches the counted signatures in signer
+  // order. Each protocol decides when: the lock-step ones at the end of their
+  // last round, ICPS as soon as a majority has signed.
+  void Publish(ConsensusOutcome& outcome);
+  // Signatures counted so far, by signer.
+  const std::map<NodeId, torcrypto::Signature>& signatures() const { return signatures_; }
+
+  // Published() over this protocol's outcome.
+  PublishedConsensus PublishedFrom(const ConsensusOutcome& outcome) const {
     if (!outcome.valid_consensus) {
       return {};
     }
@@ -131,13 +154,14 @@ class AuthorityCore : public torsim::Actor {
   std::shared_ptr<const std::string> own_vote_text_;
   // Null when the authority is honest.
   const std::shared_ptr<const std::string> second_vote_text_;
-  std::optional<torcrypto::Digest256> consensus_digest_;
 
  private:
   const std::shared_ptr<const tordir::VoteCache> vote_cache_;
   const std::shared_ptr<const AuthorityRoundState> round_state_;
   std::vector<ObservedVote> observed_votes_;
   std::vector<RejectedVote> rejected_votes_;
+  std::optional<torcrypto::Digest256> consensus_digest_;
+  std::map<NodeId, torcrypto::Signature> signatures_;
 };
 
 }  // namespace torproto

@@ -1,5 +1,5 @@
-// Shared vocabulary for the three directory-protocol implementations: run
-// configuration, per-authority outcomes and admission evidence.
+// Shared vocabulary for the three directory-protocol implementations: the
+// protocol constants, per-authority outcomes and admission evidence.
 #ifndef SRC_PROTOCOLS_COMMON_H_
 #define SRC_PROTOCOLS_COMMON_H_
 
@@ -14,7 +14,6 @@
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
 #include "src/tordir/admission.h"
-#include "src/tordir/aggregate.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
@@ -23,39 +22,39 @@ using torbase::Duration;
 using torbase::NodeId;
 using torbase::TimePoint;
 
-struct ProtocolConfig {
-  uint32_t authority_count = 9;
+// Lock-step round length of the deployed protocol (§3.1: 150 s per round).
+constexpr Duration kRoundLength = torbase::Seconds(150);
 
-  // Lock-step round length of the deployed protocol (§3.1: 150 s per round).
-  Duration round_length = torbase::Seconds(150);
+// Per-directory-request completion deadline: a vote POST or fetch response
+// that has not fully arrived this long after it was initiated is abandoned,
+// matching the "Giving up downloading votes" behaviour in Figure 1. The
+// calibration of this constant against the paper's crossovers is documented
+// in EXPERIMENTS.md.
+constexpr Duration kDirRequestDeadline = torbase::Seconds(28);
 
-  // Per-directory-request completion deadline: a vote POST or fetch response
-  // that has not fully arrived this long after it was initiated is abandoned,
-  // matching the "Giving up downloading votes" behaviour in Figure 1. The
-  // calibration of this constant against the paper's crossovers is documented
-  // in EXPERIMENTS.md.
-  Duration dir_request_deadline = torbase::Seconds(28);
+// Votes needed to compute a consensus, and matching signatures needed for it
+// to be valid: a majority of all n authorities (5 of 9).
+constexpr uint32_t MajorityOf(uint32_t n) { return n / 2 + 1; }
 
-  tordir::AggregationParams aggregation;
-
-  // Votes needed to compute a consensus, and matching signatures needed for it
-  // to be valid: the majority of all authorities (5 of 9).
-  uint32_t MajorityThreshold() const { return authority_count / 2 + 1; }
+// The consensus phase every protocol ends with (AuthorityCore): the document
+// this authority computed and whether a majority signed it.
+struct ConsensusOutcome {
+  bool computed_consensus = false;       // aggregated an agreed vote set
+  bool valid_consensus = false;          // published with >= majority signatures
+  tordir::ConsensusDocument consensus;   // populated iff computed_consensus
+  // When a majority of matching signatures was first held (the §6.2
+  // network-time probe); torbase::kTimeNever if never.
+  TimePoint finished_at = torbase::kTimeNever;
 };
 
-// What one authority experienced during a run.
-struct AuthorityOutcome {
-  bool computed_consensus = false;       // had >= majority votes at compute time
-  bool valid_consensus = false;          // collected >= majority matching sigs
+// What one authority of the deployed protocol experienced during a run.
+struct AuthorityOutcome : ConsensusOutcome {
   uint32_t votes_held = 0;               // votes available at compute time
   uint32_t signatures_held = 0;          // matching signatures at finish
-  tordir::ConsensusDocument consensus;   // populated iff computed_consensus
 
-  // Network-time probes (paper §6.2): completion times relative to the phase
-  // start, torbase::kTimeNever if the phase never completed.
+  // Network-time probe (paper §6.2): when the last vote arrived,
+  // torbase::kTimeNever if some never did.
   TimePoint all_votes_received_at = torbase::kTimeNever;
-  TimePoint all_signatures_received_at = torbase::kTimeNever;
-  TimePoint finished_at = torbase::kTimeNever;  // valid consensus assembled
 };
 
 // The durable state one authority carries across a round boundary of a

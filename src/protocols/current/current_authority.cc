@@ -1,8 +1,5 @@
 #include "src/protocols/current/current_authority.h"
 
-#include <algorithm>
-
-#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
@@ -15,16 +12,15 @@ constexpr const char* kKindSigFetch = "SIG_FETCH";
 
 }  // namespace
 
-CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
-                                   const torcrypto::KeyDirectory* directory,
+CurrentAuthority::CurrentAuthority(const torcrypto::KeyDirectory* directory,
                                    AuthorityMaterials materials)
-    : AuthorityCore(directory, std::move(materials)), config_(config) {}
+    : AuthorityCore(directory, std::move(materials)) {}
 
 void CurrentAuthority::Start() {
   votes_[id()] = own_vote_;
   vote_texts_[id()] = own_vote_text_;
 
-  const Duration r = config_.round_length;
+  const Duration r = kRoundLength;
   BeginVoteRound();
   SetTimer(r, [this] { BeginFetchVotesRound(); });
   SetTimer(2 * r, [this] { BeginComputeRound(); });
@@ -83,7 +79,7 @@ void CurrentAuthority::BeginFetchVotesRound() {
 
   // Log give-ups for requests still unanswered at the directory deadline,
   // matching connection_dir_client_request_failed() in Figure 1.
-  SetTimer(config_.dir_request_deadline, [this] {
+  SetTimer(kDirRequestDeadline, [this] {
     if (outstanding_vote_fetches_.empty()) {
       return;
     }
@@ -99,33 +95,27 @@ void CurrentAuthority::BeginFetchVotesRound() {
 void CurrentAuthority::BeginComputeRound() {
   log().Notice(now(), "Time to compute a consensus.");
   outcome_.votes_held = static_cast<uint32_t>(votes_.size());
-  const uint32_t majority = config_.MajorityThreshold();
+  const uint32_t majority = MajorityOf(node_count());
   if (votes_.size() < majority) {
     log().Warn(now(), "We don't have enough votes to generate a consensus: " +
                           std::to_string(votes_.size()) + " of " + std::to_string(majority));
     return;
   }
 
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes_.size());
+  std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
+  votes.reserve(votes_.size());
   for (const auto& [authority, vote] : votes_) {
-    vote_ptrs.push_back(vote.get());
+    votes.push_back(vote);
   }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
-  outcome_.computed_consensus = true;
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
+  const torcrypto::Signature sig = ComputeConsensus(votes, outcome_);
   log().Notice(now(), "Consensus computed (" + std::to_string(outcome_.consensus.relays.size()) +
                           " relays), broadcasting signature.");
 
-  const torcrypto::Signature sig = signer_.Sign(consensus_digest_->span());
-  AcceptSignature(sig);
-
   torbase::Writer w;
   w.WriteU8(kSigPost);
-  w.WriteU64(now());
-  w.WriteRaw(consensus_digest_->span());
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
+  w.WriteU64(now());  // posted_at
+  w.WriteRaw(consensus_digest()->span());
+  torcrypto::WriteSignature(w, sig);
   SendToAllOthers(kKindSig, w.buffer());
 }
 
@@ -142,21 +132,13 @@ void CurrentAuthority::BeginFetchSignaturesRound() {
 
 void CurrentAuthority::Finish() {
   finished_ = true;
-  outcome_.signatures_held = static_cast<uint32_t>(signatures_.size());
-  const uint32_t majority = config_.MajorityThreshold();
-  if (outcome_.computed_consensus && signatures_.size() >= majority) {
-    outcome_.valid_consensus = true;
-    if (outcome_.finished_at == torbase::kTimeNever) {
-      outcome_.finished_at = now();
-    }
-    for (const auto& [signer, sig] : signatures_) {
-      outcome_.consensus.signatures.push_back(sig);
-    }
-    log().Notice(now(), "Consensus valid with " + std::to_string(signatures_.size()) +
-                            " signatures.");
+  outcome_.signatures_held = static_cast<uint32_t>(signatures().size());
+  const uint32_t majority = MajorityOf(node_count());
+  if (outcome_.computed_consensus && signatures().size() >= majority) {
+    Publish(outcome_);
   } else {
     log().Warn(now(), "No valid consensus this period (signatures: " +
-                          std::to_string(signatures_.size()) + " of " +
+                          std::to_string(signatures().size()) + " of " +
                           std::to_string(majority) + ").");
   }
 }
@@ -197,7 +179,7 @@ void CurrentAuthority::HandleVotePost(NodeId from, torbase::Reader& reader) {
   if (!posted_at.ok() || !text.ok()) {
     return;
   }
-  if (now() > *posted_at + config_.dir_request_deadline) {
+  if (now() > *posted_at + kDirRequestDeadline) {
     log().Info(now(), "Discarding stale vote transfer from " + AuthorityAddress(from));
     return;
   }
@@ -245,7 +227,7 @@ void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
   if (!request_time.ok() || !count.ok()) {
     return;
   }
-  const bool on_time = now() <= *request_time + config_.dir_request_deadline;
+  const bool on_time = now() <= *request_time + kDirRequestDeadline;
   for (uint32_t i = 0; i < *count; ++i) {
     auto text = reader.ReadString();
     if (!text.ok()) {
@@ -287,30 +269,25 @@ void CurrentAuthority::MaybeRecordVoteCompletion() {
 
 void CurrentAuthority::HandleSigPost(NodeId, torbase::Reader& reader) {
   auto posted_at = reader.ReadU64();
-  auto digest_raw = reader.ReadRaw(torcrypto::kSha256DigestSize);
-  auto signer = reader.ReadU32();
-  auto sig_raw = reader.ReadRaw(64);
-  if (!posted_at.ok() || !digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+  auto digest = torcrypto::ReadDigest(reader);
+  auto sig = torcrypto::ReadSignature(reader);
+  if (!posted_at.ok() || !digest.ok() || !sig.ok()) {
     return;
   }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  AcceptSignature(sig);
+  AcceptSignature(*sig, outcome_);
 }
 
 void CurrentAuthority::HandleSigRequest(NodeId from, torbase::Reader& reader) {
   auto request_time = reader.ReadU64();
-  if (!request_time.ok() || signatures_.empty()) {
+  if (!request_time.ok() || signatures().empty()) {
     return;
   }
   torbase::Writer w;
   w.WriteU8(kSigResponse);
   w.WriteU64(*request_time);
-  w.WriteU32(static_cast<uint32_t>(signatures_.size()));
-  for (const auto& [signer, sig] : signatures_) {
-    w.WriteU32(sig.signer);
-    w.WriteRaw(sig.bytes);
+  w.WriteU32(static_cast<uint32_t>(signatures().size()));
+  for (const auto& [signer, sig] : signatures()) {
+    torcrypto::WriteSignature(w, sig);
   }
   SendTo(from, kKindSigFetch, w.TakeBuffer());
 }
@@ -321,44 +298,15 @@ void CurrentAuthority::HandleSigResponse(NodeId, torbase::Reader& reader) {
   if (!request_time.ok() || !count.ok()) {
     return;
   }
-  if (now() > *request_time + config_.dir_request_deadline) {
+  if (now() > *request_time + kDirRequestDeadline) {
     return;
   }
   for (uint32_t i = 0; i < *count; ++i) {
-    auto signer = reader.ReadU32();
-    auto sig_raw = reader.ReadRaw(64);
-    if (!signer.ok() || !sig_raw.ok()) {
+    auto sig = torcrypto::ReadSignature(reader);
+    if (!sig.ok()) {
       return;
     }
-    torcrypto::Signature sig;
-    sig.signer = *signer;
-    std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-    AcceptSignature(sig);
-  }
-}
-
-void CurrentAuthority::AcceptSignature(const torcrypto::Signature& sig) {
-  if (!consensus_digest_.has_value()) {
-    return;  // nothing to check against (we failed to compute)
-  }
-  if (sig.signer >= node_count() || signatures_.count(sig.signer) > 0) {
-    return;
-  }
-  if (!directory_->Verify(consensus_digest_->span(), sig)) {
-    // Either a forgery or a signature over a *different* consensus document;
-    // both are discarded, which is what makes equivocation observable.
-    log().Warn(now(), "Signature from authority " + std::to_string(sig.signer) +
-                          " does not match our consensus.");
-    return;
-  }
-  signatures_.emplace(sig.signer, sig);
-  if (signatures_.size() == node_count() &&
-      outcome_.all_signatures_received_at == torbase::kTimeNever) {
-    outcome_.all_signatures_received_at = now();
-  }
-  if (signatures_.size() >= config_.MajorityThreshold() &&
-      outcome_.finished_at == torbase::kTimeNever) {
-    outcome_.finished_at = now();
+    AcceptSignature(*sig, outcome_);
   }
 }
 

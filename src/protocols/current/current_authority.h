@@ -9,7 +9,7 @@
 // A consensus can be computed only with votes from a majority of authorities
 // (5 of 9), and is valid only once a majority of authorities signed the same
 // document. Individual directory transfers are abandoned when they exceed the
-// configured per-request deadline, which is exactly how the DDoS attack of §4
+// per-request deadline (kDirRequestDeadline), which is how the DDoS attack of §4
 // breaks the protocol: victims' bandwidth no longer moves a vote inside the
 // deadline, fetch retries fail the same way, and consensus computation comes up
 // short ("We don't have enough votes to generate a consensus: 4 of 5").
@@ -36,8 +36,7 @@ class CurrentAuthority : public AuthorityCore {
   // `directory` must outlive the actor. `materials` are shared and immutable
   // (see AuthorityMaterials); the scenario runner shares one set of
   // documents across every cell and run.
-  CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                   AuthorityMaterials materials);
+  CurrentAuthority(const torcrypto::KeyDirectory* directory, AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
@@ -49,7 +48,7 @@ class CurrentAuthority : public AuthorityCore {
   // Vote rounds' network time plus signature rounds' network time: the
   // signature phases start two rounds in, so the idle offset is subtracted.
   double NetworkTimeSeconds() const override {
-    const double round_seconds = torbase::ToSeconds(config_.round_length);
+    const double round_seconds = torbase::ToSeconds(kRoundLength);
     const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 2 * round_seconds;
     return torbase::ToSeconds(outcome_.all_votes_received_at) + sig_time;
   }
@@ -83,10 +82,7 @@ class CurrentAuthority : public AuthorityCore {
   // fetch responses (the middleman is not the author); stale votes against
   // their own author.
   void AcceptVote(NodeId culprit, const std::string& text);
-  void AcceptSignature(const torcrypto::Signature& sig);
   void MaybeRecordVoteCompletion();
-
-  ProtocolConfig config_;
 
   // Votes received (and their serialized form, for re-serving fetches). The
   // documents are shared with the workload cache whenever the received bytes
@@ -94,9 +90,6 @@ class CurrentAuthority : public AuthorityCore {
   // not megabytes.
   std::map<NodeId, std::shared_ptr<const tordir::VoteDocument>> votes_;
   std::map<NodeId, std::shared_ptr<const std::string>> vote_texts_;
-
-  // Signatures over our computed consensus digest.
-  std::map<NodeId, torcrypto::Signature> signatures_;
 
   // Fetch bookkeeping: ids we asked for and when, to log give-ups.
   std::set<NodeId> outstanding_vote_fetches_;

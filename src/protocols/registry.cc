@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <type_traits>
 
 #include "src/core/icps_authority.h"
 #include "src/protocols/authority_core.h"
@@ -92,24 +93,18 @@ class BuiltinProtocol : public DirectoryProtocol {
   Factory factory_;
 };
 
-// Factories for the lock-step protocols (CurrentAuthority, SyncAuthority).
+// One factory per built-in: the lock-step protocols read n from the network
+// and take no configuration; ICPS reads its Δ and commit path from `config`.
 template <typename Authority>
-std::unique_ptr<AuthorityCore> MakeLockStep(const ProtocolRunConfig& config,
-                                            const torcrypto::KeyDirectory* directory,
-                                            AuthorityMaterials materials) {
-  ProtocolConfig lock_step;
-  lock_step.authority_count = config.authority_count;
-  return std::make_unique<Authority>(lock_step, directory, std::move(materials));
-}
-
-std::unique_ptr<AuthorityCore> MakeIcps(const ProtocolRunConfig& config,
-                                        const torcrypto::KeyDirectory* directory,
-                                        AuthorityMaterials materials) {
-  toricc::IcpsConfig icps_config;
-  icps_config.SetAuthorityCount(config.authority_count);
-  icps_config.dissemination_timeout = config.dissemination_timeout;
-  icps_config.hotstuff.two_phase = config.two_phase_agreement;
-  return std::make_unique<toricc::IcpsAuthority>(icps_config, directory, std::move(materials));
+std::unique_ptr<AuthorityCore> MakeBuiltin(const ProtocolRunConfig& config,
+                                           const torcrypto::KeyDirectory* directory,
+                                           AuthorityMaterials materials) {
+  if constexpr (std::is_constructible_v<Authority, const ProtocolRunConfig&,
+                                        const torcrypto::KeyDirectory*, AuthorityMaterials>) {
+    return std::make_unique<Authority>(config, directory, std::move(materials));
+  } else {
+    return std::make_unique<Authority>(directory, std::move(materials));
+  }
 }
 
 using ProtocolMap = std::map<std::string, std::unique_ptr<DirectoryProtocol>, std::less<>>;
@@ -118,9 +113,9 @@ ProtocolMap& Registry() {
   static ProtocolMap* registry = [] {
     auto* map = new ProtocolMap();
     for (auto* protocol :
-         {new BuiltinProtocol("current", "Current", MakeLockStep<CurrentAuthority>),
-          new BuiltinProtocol("synchronous", "Synchronous", MakeLockStep<SyncAuthority>),
-          new BuiltinProtocol("icps", "Ours", MakeIcps)}) {
+         {new BuiltinProtocol("current", "Current", MakeBuiltin<CurrentAuthority>),
+          new BuiltinProtocol("synchronous", "Synchronous", MakeBuiltin<SyncAuthority>),
+          new BuiltinProtocol("icps", "Ours", MakeBuiltin<toricc::IcpsAuthority>)}) {
       (*map)[std::string(protocol->name())] = std::unique_ptr<DirectoryProtocol>(protocol);
     }
     return map;

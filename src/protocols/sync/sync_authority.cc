@@ -1,8 +1,5 @@
 #include "src/protocols/sync/sync_authority.h"
 
-#include <algorithm>
-
-#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
@@ -15,14 +12,13 @@ constexpr const char* kKindSig = "SYNC_SIG";
 
 }  // namespace
 
-SyncAuthority::SyncAuthority(const ProtocolConfig& config,
-                             const torcrypto::KeyDirectory* directory,
+SyncAuthority::SyncAuthority(const torcrypto::KeyDirectory* directory,
                              AuthorityMaterials materials)
-    : AuthorityCore(directory, std::move(materials)), config_(config) {}
+    : AuthorityCore(directory, std::move(materials)) {}
 
 void SyncAuthority::Start() {
   lists_[id()] = own_vote_text_;
-  const Duration r = config_.round_length;
+  const Duration r = kRoundLength;
   BeginProposePhase();
   SetTimer(r, [this] { BeginVotePhase(); });
   SetTimer(2 * r, [this] { BeginSynchronizePhase(); });
@@ -158,38 +154,31 @@ void SyncAuthority::BeginSynchronizePhase() {
   w.WriteU8(kDsRelay);
   w.WriteRaw(digest.span());
   w.WriteU32(1);
-  w.WriteU32(chains_[digest][0].signer);
-  w.WriteRaw(chains_[digest][0].bytes);
+  torcrypto::WriteSignature(w, chains_[digest][0]);
   SendToAllOthers(kKindDs, w.buffer());
 }
 
 void SyncAuthority::HandleDsRelay(NodeId, torbase::Reader& r) {
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
+  auto digest_read = torcrypto::ReadDigest(r);
   auto count = r.ReadU32();
-  if (!digest_raw.ok() || !count.ok() || *count == 0 || *count > node_count()) {
+  if (!digest_read.ok() || !count.ok() || *count == 0 || *count > node_count()) {
     return;
   }
-  std::array<uint8_t, torcrypto::kSha256DigestSize> digest_bytes;
-  std::copy(digest_raw->begin(), digest_raw->end(), digest_bytes.begin());
-  const torcrypto::Digest256 digest(digest_bytes);
+  const torcrypto::Digest256& digest = *digest_read;
 
   std::vector<torcrypto::Signature> chain;
   std::set<NodeId> signers;
   const torbase::Bytes payload = DsPayload(digest);
   for (uint32_t i = 0; i < *count; ++i) {
-    auto signer = r.ReadU32();
-    auto sig_raw = r.ReadRaw(64);
-    if (!signer.ok() || !sig_raw.ok()) {
+    auto sig = torcrypto::ReadSignature(r);
+    if (!sig.ok()) {
       return;
     }
-    torcrypto::Signature sig;
-    sig.signer = *signer;
-    std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-    if (!directory_->Verify(payload, sig)) {
+    if (!directory_->Verify(payload, *sig)) {
       return;  // broken chain
     }
-    chain.push_back(sig);
-    signers.insert(sig.signer);
+    chain.push_back(*sig);
+    signers.insert(sig->signer);
   }
   // A valid chain must originate at the designated sender and have distinct
   // signers.
@@ -218,8 +207,7 @@ void SyncAuthority::DsRoundBoundary(uint32_t round) {
     w.WriteRaw(digest.span());
     w.WriteU32(static_cast<uint32_t>(chain.size()));
     for (const auto& sig : chain) {
-      w.WriteU32(sig.signer);
-      w.WriteRaw(sig.bytes);
+      torcrypto::WriteSignature(w, sig);
     }
     SendToAllOthers(kKindDs, w.buffer());
   }
@@ -275,63 +263,32 @@ void SyncAuthority::BeginSignaturePhase() {
     }
   }
   outcome_.lists_in_agreed_vote = static_cast<uint32_t>(votes.size());
-  if (votes.size() < config_.MajorityThreshold()) {
+  if (votes.size() < MajorityOf(node_count())) {
     log().Warn(now(), "Agreed vote has only " + std::to_string(votes.size()) +
                           " lists; not enough to compute a consensus.");
     return;
   }
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes.size());
-  for (const auto& vote : votes) {
-    vote_ptrs.push_back(vote.get());
-  }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
-  outcome_.computed_consensus = true;
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
-
-  const torcrypto::Signature sig = signer_.Sign(consensus_digest_->span());
-  signatures_.emplace(id(), sig);
+  const torcrypto::Signature sig = ComputeConsensus(votes, outcome_);
   torbase::Writer w;
   w.WriteU8(kSigPost);
-  w.WriteRaw(consensus_digest_->span());
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
+  w.WriteRaw(consensus_digest()->span());
+  torcrypto::WriteSignature(w, sig);
   SendToAllOthers(kKindSig, w.buffer());
 }
 
 void SyncAuthority::HandleSigPost(NodeId, torbase::Reader& r) {
-  auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
-  auto signer = r.ReadU32();
-  auto sig_raw = r.ReadRaw(64);
-  if (!digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+  auto digest = torcrypto::ReadDigest(r);
+  auto sig = torcrypto::ReadSignature(r);
+  if (!digest.ok() || !sig.ok()) {
     return;
   }
-  if (!consensus_digest_.has_value() || *signer >= node_count() ||
-      signatures_.count(*signer) > 0) {
-    return;
-  }
-  torcrypto::Signature sig;
-  sig.signer = *signer;
-  std::copy(sig_raw->begin(), sig_raw->end(), sig.bytes.begin());
-  if (!directory_->Verify(consensus_digest_->span(), sig)) {
-    return;
-  }
-  signatures_.emplace(*signer, sig);
-  if (signatures_.size() >= config_.MajorityThreshold() &&
-      outcome_.finished_at == torbase::kTimeNever) {
-    outcome_.finished_at = now();
-  }
+  AcceptSignature(*sig, outcome_);
 }
 
 void SyncAuthority::Finish() {
   finished_ = true;
-  if (outcome_.computed_consensus && signatures_.size() >= config_.MajorityThreshold()) {
-    outcome_.valid_consensus = true;
-    for (const auto& [signer, sig] : signatures_) {
-      outcome_.consensus.signatures.push_back(sig);
-    }
-    log().Notice(now(), "Consensus valid with " + std::to_string(signatures_.size()) +
-                            " signatures.");
+  if (outcome_.computed_consensus && signatures().size() >= MajorityOf(node_count())) {
+    Publish(outcome_);
   } else {
     log().Warn(now(), "No valid consensus this period.");
   }

@@ -42,25 +42,20 @@
 
 namespace torproto {
 
-struct SyncOutcome {
+struct SyncOutcome : ConsensusOutcome {
   bool decided = false;           // Dolev-Strong produced a unique packed vote
-  bool computed_consensus = false;
-  bool valid_consensus = false;
   uint32_t lists_in_agreed_vote = 0;
-  tordir::ConsensusDocument consensus;
 
   torbase::TimePoint all_lists_received_at = torbase::kTimeNever;
   torbase::TimePoint all_packed_received_at = torbase::kTimeNever;
   torbase::TimePoint decided_at = torbase::kTimeNever;
-  torbase::TimePoint finished_at = torbase::kTimeNever;
 };
 
 class SyncAuthority : public AuthorityCore {
  public:
   // `directory` must outlive the actor; `materials` are shared and immutable
   // (see AuthorityMaterials).
-  SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                AuthorityMaterials materials);
+  SyncAuthority(const torcrypto::KeyDirectory* directory, AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
@@ -72,7 +67,7 @@ class SyncAuthority : public AuthorityCore {
   // Propose, vote and signature rounds' network time, each net of the idle
   // rounds before it.
   double NetworkTimeSeconds() const override {
-    const double round_seconds = torbase::ToSeconds(config_.round_length);
+    const double round_seconds = torbase::ToSeconds(kRoundLength);
     const double list_time = torbase::ToSeconds(outcome_.all_lists_received_at);
     const double packed_time = torbase::ToSeconds(outcome_.all_packed_received_at) - round_seconds;
     const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 3 * round_seconds;
@@ -110,8 +105,6 @@ class SyncAuthority : public AuthorityCore {
   // The byte string the Dolev-Strong chain signs.
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;
 
-  ProtocolConfig config_;
-
   // Phase 1 state: relay lists by author, shared with the workload text when
   // the received bytes match a canonical vote.
   std::map<NodeId, std::shared_ptr<const std::string>> lists_;
@@ -128,8 +121,6 @@ class SyncAuthority : public AuthorityCore {
   std::map<torcrypto::Digest256, std::vector<torcrypto::Signature>> chains_;
   std::set<torcrypto::Digest256> relayed_;
 
-  // Phase 4 state.
-  std::map<NodeId, torcrypto::Signature> signatures_;
   bool finished_ = false;
 
   SyncOutcome outcome_;

@@ -51,6 +51,9 @@ void ValidateTimeline(const TimelineSpec& spec) {
     if (entry.crash_offset >= spec.round_period) {
       CalendarError("crash offset outside the round");
     }
+    if (entry.recover_offset >= spec.round_period) {
+      CalendarError("recover offset outside the round");
+    }
     if (entry.node >= spec.base.authority_count) {
       CalendarError("crash entry names a non-authority node");
     }
@@ -66,6 +69,9 @@ void ValidateTimeline(const TimelineSpec& spec) {
     }
     if (entry.event.node >= spec.base.authority_count) {
       CalendarError("churn entry names a non-authority node");
+    }
+    if (entry.event.at >= spec.round_period) {
+      CalendarError("churn offset outside the round");
     }
   }
 }

@@ -221,8 +221,7 @@ void AggregateRelay(const std::vector<Listing>& listings, AggregateScratch& scra
 
 }  // namespace
 
-ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes,
-                                   const AggregationParams& params) {
+ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes) {
   ConsensusDocument consensus;
   consensus.vote_count = static_cast<uint32_t>(votes.size());
   if (votes.empty()) {
@@ -271,7 +270,8 @@ ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes
     cursors.push_back(cursor);
   }
 
-  const size_t threshold = params.InclusionThreshold(votes.size());
+  // The majority inclusion rule: a relay needs more than half of the votes.
+  const size_t threshold = votes.size() / 2 + 1;
   // Upper bound on the output size: every included relay consumes at least
   // `threshold` listings. One reservation, no per-relay growth.
   consensus.relays.reserve(std::min(total_listings, total_listings / threshold + 1));
@@ -310,14 +310,13 @@ ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes
   return consensus;
 }
 
-ConsensusDocument ComputeConsensus(const std::vector<VoteDocument>& votes,
-                                   const AggregationParams& params) {
+ConsensusDocument ComputeConsensus(const std::vector<VoteDocument>& votes) {
   std::vector<const VoteDocument*> ptrs;
   ptrs.reserve(votes.size());
   for (const auto& vote : votes) {
     ptrs.push_back(&vote);
   }
-  return ComputeConsensus(ptrs, params);
+  return ComputeConsensus(ptrs);
 }
 
 }  // namespace tordir

@@ -6,8 +6,8 @@
 // aggregation code.
 //
 // Rules implemented (Fig. 2):
-//   * A relay is included iff it appears in at least `inclusion_threshold`
-//     votes (default: strictly more than half of the votes aggregated).
+//   * A relay is included iff a majority of the votes aggregated list it
+//     (strictly more than half of them).
 //   * Its nickname is taken from the listing vote with the largest authority ID.
 //   * Each flag is set by popular vote among listing votes; ties mean unset.
 //   * Version / protocols: popular vote, ties broken towards the largest value
@@ -29,35 +29,19 @@
 #ifndef SRC_TORDIR_AGGREGATE_H_
 #define SRC_TORDIR_AGGREGATE_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "src/tordir/vote.h"
 
 namespace tordir {
 
-struct AggregationParams {
-  // Number of listing votes required for inclusion, as a function of how many
-  // votes are being aggregated. 0 = default majority rule floor(n/2)+1.
-  size_t fixed_inclusion_threshold = 0;
-
-  size_t InclusionThreshold(size_t vote_count) const {
-    if (fixed_inclusion_threshold > 0) {
-      return fixed_inclusion_threshold;
-    }
-    return vote_count / 2 + 1;
-  }
-};
-
 // Aggregates `votes` into a consensus document. Votes must come from distinct
 // authorities; the result is independent of input order (tested). The
 // consensus is unsigned; callers collect signatures separately.
-ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes,
-                                   const AggregationParams& params = {});
+ConsensusDocument ComputeConsensus(const std::vector<const VoteDocument*>& votes);
 
 // Convenience overload for owned votes.
-ConsensusDocument ComputeConsensus(const std::vector<VoteDocument>& votes,
-                                   const AggregationParams& params = {});
+ConsensusDocument ComputeConsensus(const std::vector<VoteDocument>& votes);
 
 }  // namespace tordir
 

@@ -61,7 +61,7 @@ const std::string& CanonicalConsensusText() {
     for (const auto& vote : votes) {
       vote_ptrs.push_back(&vote);
     }
-    return new std::string(SerializeConsensus(ComputeConsensus(vote_ptrs, {})));
+    return new std::string(SerializeConsensus(ComputeConsensus(vote_ptrs)));
   }();
   return *text;
 }

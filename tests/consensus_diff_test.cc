@@ -37,7 +37,7 @@ ConsensusDocument BuildConsensus(size_t relay_count, uint64_t seed) {
   config.seed = seed;
   const auto population = GeneratePopulation(config);
   const auto votes = MakeAllVotes(9, population, config);
-  ConsensusDocument consensus = ComputeConsensus(votes, {});
+  ConsensusDocument consensus = ComputeConsensus(votes);
   for (uint32_t a = 0; a < 9; ++a) {
     torcrypto::Signature sig;
     sig.signer = a;

@@ -210,15 +210,13 @@ TEST(ConsensusGoldenTest, DuplicateFingerprintEndpointTieIsOrderIndependent) {
   RelayStatus second = TieRelay();
   second.address = "10.0.0.1";
 
-  AggregationParams params;
-  params.fixed_inclusion_threshold = 1;
   for (const bool swapped : {false, true}) {
     VoteDocument vote;
     vote.authority = 0;
     vote.authority_nickname = "auth0";
     vote.relays = swapped ? std::vector<RelayStatus>{second, first}
                           : std::vector<RelayStatus>{first, second};
-    const auto consensus = ComputeConsensus(std::vector<VoteDocument>{vote}, params);
+    const auto consensus = ComputeConsensus(std::vector<VoteDocument>{vote});
     ASSERT_EQ(consensus.relays.size(), 1u);
     EXPECT_EQ(consensus.relays[0].address, "10.0.0.1") << "swapped=" << swapped;
   }

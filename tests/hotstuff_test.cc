@@ -19,6 +19,7 @@ using torbase::Seconds;
 
 constexpr uint32_t kN = 9;
 constexpr uint32_t kF = 2;
+static_assert(FaultToleranceOf(kN) == kF, "9 nodes tolerate 2 byzantine faults");
 
 // An actor hosting one HotStuffNode, with hooks for test behaviours.
 class BftActor : public torsim::Actor {
@@ -106,9 +107,6 @@ struct Fleet {
   HotStuffConfig Config() const {
     HotStuffConfig config;
     config.node_count = kN;
-    config.fault_tolerance = kF;
-    config.view_timeout_base = Seconds(20);
-    config.view_timeout_increment = Seconds(5);
     config.two_phase = two_phase;
     return config;
   }

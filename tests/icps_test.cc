@@ -72,13 +72,13 @@ struct Fleet {
   std::vector<torsim::Actor*> actors;
   std::vector<tordir::VoteDocument> votes;
 
-  IcpsConfig Config(torbase::Duration dissemination_timeout = Seconds(150)) const {
-    IcpsConfig config;
+  torproto::ProtocolRunConfig Config(torbase::Duration dissemination_timeout = Seconds(150)) const {
+    torproto::ProtocolRunConfig config;
     config.dissemination_timeout = dissemination_timeout;
     return config;
   }
 
-  void Build(size_t relay_count, double bandwidth_bps, const IcpsConfig& config,
+  void Build(size_t relay_count, double bandwidth_bps, const torproto::ProtocolRunConfig& config,
              const std::set<NodeId>& silent = {}, const std::set<NodeId>& equivocators = {},
              const std::vector<AttackWindow>& attacks = {}) {
     tordir::PopulationConfig pop_config;

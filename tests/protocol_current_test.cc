@@ -45,15 +45,15 @@ struct Fixture {
   // uniform authority bandwidth.
   void Build(size_t relay_count, double bandwidth_bps,
              const std::vector<AttackWindow>& attacks = {}) {
-    ProtocolConfig config;
+    constexpr uint32_t kAuthorities = 9;
     tordir::PopulationConfig pop_config;
     pop_config.relay_count = relay_count;
     pop_config.seed = 7;
     const auto population = tordir::GeneratePopulation(pop_config);
-    auto votes = tordir::MakeAllVotes(config.authority_count, population, pop_config);
+    auto votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
 
     torsim::NetworkConfig net_config;
-    net_config.node_count = config.authority_count;
+    net_config.node_count = kAuthorities;
     net_config.default_bandwidth_bps = bandwidth_bps;
     net_config.default_latency = torbase::Millis(50);
     harness = std::make_unique<torsim::Harness>(net_config);
@@ -61,10 +61,10 @@ struct Fixture {
       torattack::ApplyAttack(harness->net(), window);
     }
     authorities.clear();
-    for (uint32_t a = 0; a < config.authority_count; ++a) {
+    for (uint32_t a = 0; a < kAuthorities; ++a) {
       authorities.push_back(static_cast<CurrentAuthority*>(harness->AddActor(
           std::make_unique<CurrentAuthority>(
-              config, &directory,
+              &directory,
               AuthorityMaterials{.vote = std::make_shared<const tordir::VoteDocument>(
                   std::move(votes[a]))}))));
     }

@@ -1,6 +1,8 @@
-// Pins whole ScenarioResults of every built-in protocol on four shapes — the
-// honest round, the paper's 5-of-9 five-minute knockout and two byzantine
-// mixes — against digests recorded before the authorities shared one core.
+// Pins whole ScenarioResults of every built-in protocol on six shapes — the
+// honest round, the paper's 5-of-9 five-minute knockout, two byzantine mixes,
+// and an honest round and a 4-of-7 knockout at 7 authorities, where the
+// majority, f and the agreement quorum all differ from 9's — against digests
+// recorded before the authorities shared one core and one consensus phase.
 // Every field BitIdentical compares enters the digest (latencies as exact
 // hex floats, bytes by kind, attack history, health-alert details and
 // evidence times, fault metrics, the client plane and the published
@@ -114,35 +116,59 @@ std::map<std::string, ScenarioSpec> PinnedShapes(const std::string& protocol) {
   replay_inflate.byzantine.behaviors = {{2, ByzantineBehavior::kReplay},
                                         {7, ByzantineBehavior::kInflateBandwidth}};
   shapes["replay+inflate"] = replay_inflate;
+
+  // n = 7: majority 4, f = 2, agreement quorum 5.
+  ScenarioSpec honest7 = base;
+  honest7.authority_count = 7;
+  shapes["honest@7"] = honest7;
+
+  ScenarioSpec knockout7 = honest7;
+  window.targets = torattack::FirstTargets(4);
+  knockout7.attack = std::make_shared<torattack::WindowedAttack>(
+      std::vector<torattack::AttackWindow>{window});
+  shapes["knockout@7"] = knockout7;
   return shapes;
 }
 
 // SHA-256 of Dump(result) per protocol/shape, recorded before the protocol
-// seam was consolidated.
+// seam was consolidated (the @7 shapes: before the consensus phase moved into
+// AuthorityCore).
 const std::map<std::string, std::string>& PinnedDigests() {
   static const auto* digests = new std::map<std::string, std::string>{
       {"current/equivocate+malformed",
        "d3df1e6ee121c389925a41c2172bd51cb3276a4f13ead779599283651a709d98"},
       {"current/honest",
        "6e26c598771bd05b68cc0739ce2158b24d60e4d599b80418137141a23e2d1013"},
+      {"current/honest@7",
+       "3ae646cc542a2a191586e089e36fee7d45c912762873b7b8d751adfbc20d6353"},
       {"current/knockout",
        "a2e8c7c897ca8887604c0598959660da6be22711904ad30ea912cc72042e52ea"},
+      {"current/knockout@7",
+       "d78bc5db03343cdfd32f7d2ad8a46347479c7b1b60d2d0516ce1f7e5dd183c71"},
       {"current/replay+inflate",
        "67819735df10dbc302b43f510d6a4fe9694d93f17e75590646761bd891615717"},
       {"icps/equivocate+malformed",
        "45d080df3b99d2af3fd516a38df83254847d6701baf2b433b2d77c498324134c"},
       {"icps/honest",
        "7d51e47b3c0885e0ed1e0869c8067c5a7ff77dceece62534a52312d3540c718d"},
+      {"icps/honest@7",
+       "3366ea70e7481e5e1e2a594f4437482790eeb60ed6f01306122223abe1069d00"},
       {"icps/knockout",
        "409564b65a708332be7e7b04e2af51b60568010e3d4e0225856d31cd07297749"},
+      {"icps/knockout@7",
+       "5e376251b895bd4e4cbfdc9eba7f33cdae52349eb4f547a1298c092724ac130e"},
       {"icps/replay+inflate",
        "28a9e31d9c75ee0fed08e14b370559f5086f4ab5a1643238528b38083bc933fe"},
       {"synchronous/equivocate+malformed",
        "c09e82b0932502706a784042eefe9825adcc1742bc6d053d1be76bb05fd3b53f"},
       {"synchronous/honest",
        "bedb128f52cab2d37cfef1d3d28ace5840745b6dea734b557a195cf6b516350a"},
+      {"synchronous/honest@7",
+       "39272f641c0e549698d14ccd572035b3e67009f8ab4d963657bb8cafde96573d"},
       {"synchronous/knockout",
        "d8116eec755eaeca4e8e9badc6f56d68b9f53640f508f7f688ae0ece4c220477"},
+      {"synchronous/knockout@7",
+       "6a052f5acf9757032ba8b6a4eb87d5116d30cf1bf16d9cbae90b154e4202ee48"},
       {"synchronous/replay+inflate",
        "4a12cad8cecccc42421d7084c048a170d566ad7a173fcc02af74a1fe0a361957"},
   };
@@ -163,15 +189,24 @@ TEST(ProtocolPinTest, ResultsMatchRecordedDigests) {
 }
 
 // The pinned shapes reproduce the paper's contrast, so the digests above pin
-// meaningful runs: the knockout halts the lock-step protocols but not ICPS,
-// and every injected byzantine fault is detected.
+// meaningful runs: at 9 and at 7 authorities every authority holds a valid
+// consensus in the honest round, and the knockout of a majority halts the
+// lock-step protocols but not ICPS; every injected byzantine fault is
+// detected.
 TEST(ProtocolPinTest, PinnedShapesShowThePapersContrast) {
   ScenarioRunner runner;
   for (const char* protocol : {"current", "synchronous", "icps"}) {
     const std::map<std::string, ScenarioSpec> shapes = PinnedShapes(protocol);
-    EXPECT_TRUE(runner.Run(shapes.at("honest")).succeeded) << protocol;
-    EXPECT_EQ(runner.Run(shapes.at("knockout")).succeeded, std::string(protocol) == "icps")
-        << protocol;
+    for (const char* honest : {"honest", "honest@7"}) {
+      const ScenarioResult result = runner.Run(shapes.at(honest));
+      EXPECT_TRUE(result.succeeded) << protocol << "/" << honest;
+      EXPECT_EQ(result.valid_count, shapes.at(honest).authority_count)
+          << protocol << "/" << honest;
+    }
+    for (const char* knockout : {"knockout", "knockout@7"}) {
+      EXPECT_EQ(runner.Run(shapes.at(knockout)).succeeded, std::string(protocol) == "icps")
+          << protocol << "/" << knockout;
+    }
     for (const char* shape : {"equivocate+malformed", "replay+inflate"}) {
       const ScenarioResult result = runner.Run(shapes.at(shape));
       EXPECT_EQ(result.byzantine_count, 2u) << protocol << "/" << shape;

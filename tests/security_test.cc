@@ -58,10 +58,9 @@ std::vector<tordir::VoteDocument> MakeKnifeEdgeVotes(uint32_t n, uint32_t guard_
 // the other half, then signs whatever consensus digest each half computes.
 class EquivocatingCurrentAuthority : public torsim::Actor {
  public:
-  EquivocatingCurrentAuthority(const torproto::ProtocolConfig& config,
-                               const torcrypto::KeyDirectory* directory,
+  EquivocatingCurrentAuthority(const torcrypto::KeyDirectory* directory,
                                tordir::VoteDocument own_vote)
-      : config_(config), directory_(directory), vote_a_(std::move(own_vote)) {
+      : directory_(directory), vote_a_(std::move(own_vote)) {
     vote_b_ = vote_a_;
     vote_a_.relays[0].SetFlag(tordir::RelayFlag::kGuard, true);
     vote_b_.relays[0].SetFlag(tordir::RelayFlag::kGuard, false);
@@ -79,7 +78,7 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
       SendTo(peer, "VOTE", w.TakeBuffer());
     }
     // Round 3: compute both consensus variants and sign both digests.
-    SetTimer(2 * config_.round_length + torbase::Millis(100), [this] { SignBothForks(); });
+    SetTimer(2 * torproto::kRoundLength + torbase::Millis(100), [this] { SignBothForks(); });
   }
 
   void OnMessage(NodeId from, const torbase::Bytes& payload) override {
@@ -108,7 +107,7 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
       for (const auto& [author, vote] : honest_votes_) {
         votes.push_back(&vote);
       }
-      const auto consensus = tordir::ComputeConsensus(votes, config_.aggregation);
+      const auto consensus = tordir::ComputeConsensus(votes);
       const auto digest = tordir::ConsensusDigest(consensus);
       const auto sig = signer.Sign(digest.span());
       torbase::Writer w;
@@ -128,7 +127,6 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
     }
   }
 
-  torproto::ProtocolConfig config_;
   const torcrypto::KeyDirectory* directory_;
   tordir::VoteDocument vote_a_;
   tordir::VoteDocument vote_b_;
@@ -137,7 +135,6 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
 
 TEST(SecurityTest, CurrentProtocolSplitsUnderEquivocation) {
   // Luo et al.'s attack: one compromised authority, two valid consensuses.
-  torproto::ProtocolConfig config;
   auto votes = MakeKnifeEdgeVotes(9, /*guard_votes=*/4);
   torcrypto::KeyDirectory directory(42, 9);
 
@@ -147,12 +144,12 @@ TEST(SecurityTest, CurrentProtocolSplitsUnderEquivocation) {
   net_config.default_latency = torbase::Millis(50);
   torsim::Harness harness(net_config);
 
-  harness.AddActor(std::make_unique<EquivocatingCurrentAuthority>(config, &directory,
-                                                                  std::move(votes[0])));
+  harness.AddActor(
+      std::make_unique<EquivocatingCurrentAuthority>(&directory, std::move(votes[0])));
   std::vector<torproto::CurrentAuthority*> honest;
   for (NodeId a = 1; a < 9; ++a) {
     honest.push_back(static_cast<torproto::CurrentAuthority*>(harness.AddActor(
-        std::make_unique<torproto::CurrentAuthority>(config, &directory,
+        std::make_unique<torproto::CurrentAuthority>(&directory,
                                                      Materials(std::move(votes[a]))))));
   }
   harness.StartAll();
@@ -209,7 +206,6 @@ class EquivocatingSyncProposer : public torsim::Actor {
 };
 
 TEST(SecurityTest, SynchronousProtocolResistsVoteEquivocation) {
-  torproto::ProtocolConfig config;
   auto votes = MakeKnifeEdgeVotes(9, /*guard_votes=*/4);
   torcrypto::KeyDirectory directory(42, 9);
 
@@ -226,7 +222,7 @@ TEST(SecurityTest, SynchronousProtocolResistsVoteEquivocation) {
       harness.AddActor(std::make_unique<EquivocatingSyncProposer>(std::move(votes[a])));
     } else {
       honest.push_back(static_cast<torproto::SyncAuthority*>(harness.AddActor(
-          std::make_unique<torproto::SyncAuthority>(config, &directory,
+          std::make_unique<torproto::SyncAuthority>(&directory,
                                                     Materials(std::move(votes[a]))))));
     }
   }
@@ -274,7 +270,7 @@ class SelectiveDisseminator : public torsim::Actor {
 };
 
 TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
-  toricc::IcpsConfig config;
+  torproto::ProtocolRunConfig config;
   config.dissemination_timeout = Seconds(30);
   tordir::PopulationConfig pop_config;
   pop_config.relay_count = 150;

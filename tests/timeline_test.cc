@@ -316,6 +316,26 @@ TEST(TimelineSpecDeathTest, ChurnEntryNamingANonAuthorityNodeIsRejected) {
   EXPECT_DEATH(BuildTimelineRoundSpecs(timeline), "churn entry names a non-authority node");
 }
 
+// Every calendar offset is an offset into its own round. A recovery two hours
+// into a one-hour round would leave the node down for the whole round while
+// the round's snapshot lists no crashed authority, and the rejoin would be
+// charged to the wrong round; the calendar is refused instead.
+TEST(TimelineSpecDeathTest, RecoverOffsetPastTheRoundIsRejected) {
+  TimelineSpec timeline = SmallTimeline();
+  timeline.rounds = 5;
+  timeline.crashes.push_back(CrashCalendarEntry{1, 1, 0, 2, Hours(2)});
+  EXPECT_DEATH(BuildTimelineRoundSpecs(timeline), "recover offset outside the round");
+}
+
+// A churn crash 90 minutes into a 60-minute round never happens inside the
+// round's simulation, yet the round's snapshot would list the node as crashed.
+TEST(TimelineSpecDeathTest, ChurnOffsetPastTheRoundIsRejected) {
+  TimelineSpec timeline = SmallTimeline();
+  timeline.churn.push_back(
+      ChurnCalendarEntry{1, ChurnEvent{2, Minutes(90), ChurnEvent::Kind::kCrash}});
+  EXPECT_DEATH(BuildTimelineRoundSpecs(timeline), "churn offset outside the round");
+}
+
 TEST(TimelineSnapshotTest, SnapshotRestoreRoundTripsPerProtocol) {
   // The round-boundary seam, per registered protocol: snapshot an authority
   // that assembled a consensus, hand the state to a fresh authority as its

@@ -318,22 +318,6 @@ TEST(AggregateTest, ExactMajorityBoundary) {
   EXPECT_EQ(consensus.relays[0].fingerprint, MakeFp(0x22));
 }
 
-TEST(AggregateTest, ConfigurableThreshold) {
-  std::vector<VoteDocument> votes;
-  for (torbase::NodeId a = 0; a < 5; ++a) {
-    std::vector<RelayStatus> relays;
-    if (a == 0) {
-      relays.push_back(MakeRelay(0x11));
-    }
-    votes.push_back(MakeVoteDoc(a, std::move(relays)));
-  }
-  AggregationParams params;
-  params.fixed_inclusion_threshold = 1;
-  EXPECT_EQ(ComputeConsensus(votes, params).relays.size(), 1u);
-  params.fixed_inclusion_threshold = 2;
-  EXPECT_EQ(ComputeConsensus(votes, params).relays.size(), 0u);
-}
-
 TEST(AggregateTest, NicknameFromLargestAuthorityId) {
   std::vector<VoteDocument> votes;
   for (torbase::NodeId a = 0; a < 3; ++a) {
