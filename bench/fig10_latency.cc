@@ -14,7 +14,6 @@
 // 1 and 0.5 Mbit/s even with 1,000 relays; Ours completes everywhere, with
 // second-scale overhead at high bandwidth and minute-scale latency at
 // 0.5 Mbit/s.
-#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -51,51 +50,28 @@ int main(int argc, char** argv) {
               : std::vector<size_t>{1000, 2500, 5000, 7500, 10000};
   const std::vector<std::string> protocols = {"current", "synchronous", "icps"};
 
-  // Memory guards for the single-box harness: the Synchronous protocol's
-  // packed votes hold ~n^2 copies of every list in RAM. Beyond 7,500 relays a
-  // cell is skipped outright (it fails there at low bandwidth anyway); from
-  // 5,000 relays up it runs, but serially — several such cells in flight at
-  // once would multiply the serial run's peak memory by the thread count.
-  const auto skipped = [](const std::string& protocol, size_t relays) {
-    return protocol == "synchronous" && relays > 7500;
-  };
-  const auto memory_heavy = [](const std::string& protocol, size_t relays) {
-    return protocol == "synchronous" && relays >= 5000;
-  };
-
-  std::vector<torscenario::ScenarioSpec> parallel_specs;
-  std::vector<torscenario::ScenarioSpec> heavy_specs;
-  // Grid position -> (is_heavy, index within its spec vector).
-  std::vector<std::pair<bool, size_t>> cell_index;
+  std::vector<torscenario::ScenarioSpec> specs;
   for (double bw : bandwidths_mbps) {
     for (size_t relays : relay_counts) {
       for (const std::string& protocol : protocols) {
-        if (skipped(protocol, relays)) {
-          cell_index.emplace_back(false, SIZE_MAX);  // placeholder, never read
-          continue;
-        }
         torscenario::ScenarioSpec spec;
         spec.name = "fig10";
         spec.protocol = protocol;
         spec.relay_count = relays;
         spec.bandwidth_bps = bw * 1e6;
         spec.horizon = torbase::Hours(4);
-        const bool heavy = memory_heavy(protocol, relays);
-        auto& bucket = heavy ? heavy_specs : parallel_specs;
-        cell_index.emplace_back(heavy, bucket.size());
-        bucket.push_back(std::move(spec));
+        specs.push_back(std::move(spec));
       }
     }
   }
 
   torscenario::SweepOptions sweep_options;
   sweep_options.threads = torbase::ThreadPool::DefaultThreads();
-  std::printf("running %zu grid cells on %u thread(s) (+ %zu memory-heavy cells serially)...\n\n",
-              parallel_specs.size(), sweep_options.threads, heavy_specs.size());
+  std::printf("running %zu grid cells on %u thread(s)...\n\n", specs.size(),
+              sweep_options.threads);
 
   torscenario::ScenarioRunner runner;
-  const auto parallel_results = runner.Sweep(parallel_specs, sweep_options);
-  const auto heavy_results = runner.Sweep(heavy_specs);  // serial, shared cache
+  const auto results = runner.Sweep(specs, sweep_options);
 
   size_t cell = 0;
   for (double bw : bandwidths_mbps) {
@@ -107,14 +83,8 @@ int main(int argc, char** argv) {
     torbase::Table table(std::move(headers));
     for (size_t relays : relay_counts) {
       std::vector<std::string> row = {torbase::Table::Int(static_cast<long long>(relays))};
-      for (const std::string& protocol : protocols) {
-        if (skipped(protocol, relays)) {
-          row.push_back("(skipped)");
-          ++cell;
-          continue;
-        }
-        const auto [heavy, index] = cell_index[cell++];
-        row.push_back(Cell(heavy ? heavy_results[index] : parallel_results[index]));
+      for (size_t p = 0; p < protocols.size(); ++p) {
+        row.push_back(Cell(results[cell++]));
       }
       table.AddRow(std::move(row));
     }

@@ -20,6 +20,7 @@
 #include "src/tordir/consensus_diff.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+#include "src/tordir/vote.h"
 
 namespace {
 
@@ -155,6 +156,29 @@ void BM_VoteDigestStreaming(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
 }
 BENCHMARK(BM_VoteDigestStreaming)->Arg(8000);
+
+// What a receiver pays instead of hashing a canonical vote: VoteCache's
+// content lookup over the nine authorities' votes, given a separate copy of
+// one of them, so the hit is a real full-length byte comparison.
+void BM_VoteCacheFindText(benchmark::State& state) {
+  tordir::PopulationConfig config;
+  config.relay_count = static_cast<size_t>(state.range(0));
+  config.seed = 3;
+  const auto population = tordir::GeneratePopulation(config);
+  tordir::VoteCache cache;
+  for (tordir::VoteDocument& vote : tordir::MakeAllVotes(9, population, config)) {
+    auto document = std::make_shared<const tordir::VoteDocument>(std::move(vote));
+    auto text = std::make_shared<const std::string>(tordir::SerializeVote(*document));
+    cache.Add(torcrypto::Digest256::Of(*text), tordir::CachedVote{document, text});
+  }
+  cache.Seal();
+  const std::string text = tordir::SerializeVote(MakeBenchVote(config.relay_count));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.FindText(text));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_VoteCacheFindText)->Arg(8000);
 
 // Multi-lane batch hashing: lanes x message-size grid. With 1 lane this is
 // the plain dispatched core; 4/8 lanes show what lock-step batching adds on

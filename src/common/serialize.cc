@@ -108,12 +108,17 @@ Result<Bytes> Reader::ReadBytes() {
   return ReadRaw(*len);
 }
 
-Result<std::string> Reader::ReadString() {
-  auto raw = ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
+Result<std::string_view> Reader::ReadStringView() {
+  auto len = ReadU32();
+  if (!len.ok()) {
+    return len.status();
   }
-  return std::string(raw->begin(), raw->end());
+  if (Status s = Need(*len); !s.ok()) {
+    return s;
+  }
+  const std::string_view view(reinterpret_cast<const char*>(data_.data()) + pos_, *len);
+  pos_ += *len;
+  return view;
 }
 
 Result<Bytes> Reader::ReadRaw(size_t n) {

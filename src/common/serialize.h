@@ -208,7 +208,10 @@ class Reader {
   Result<uint64_t> ReadU64();
   Result<bool> ReadBool();
   Result<Bytes> ReadBytes();
-  Result<std::string> ReadString();
+  // Length-prefixed (u32) character string, as a view into the buffer: no
+  // copy. The view is valid only as long as the buffer is — for a received
+  // frame, until the message handler returns.
+  Result<std::string_view> ReadStringView();
   // Reads exactly n raw bytes.
   Result<Bytes> ReadRaw(size_t n);
 

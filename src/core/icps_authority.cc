@@ -18,7 +18,7 @@ IcpsAuthority::IcpsAuthority(const torproto::ProtocolRunConfig& config,
                              torproto::AuthorityMaterials materials)
     : AuthorityCore(directory, std::move(materials)),
       config_(config),
-      own_digest_(torcrypto::Digest256::Of(*own_vote_text_)) {}
+      own_digest_(Hold(*own_vote_text_).digest) {}
 
 std::optional<std::pair<uint64_t, torbase::NodeId>> IcpsAuthority::agreement_view() const {
   if (!agreement_.has_value() || agreement_->decided() || agreement_->current_view() == 0) {
@@ -118,31 +118,31 @@ void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payloa
 }
 
 void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
-  auto text = r.ReadString();
+  auto text = r.ReadStringView();
   auto claimed = torcrypto::ReadDigest(r);
   auto sig = torcrypto::ReadSignature(r);
   if (!text.ok() || !claimed.ok() || !sig.ok()) {
     return;
   }
-  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(*text);
-  if (digest != *claimed) {
+  HeldText held = Hold(*text);
+  if (held.digest != *claimed) {
     log().Warn(now(), "Document digest mismatch from " + std::to_string(from));
     return;
   }
-  if (sig->signer != from || !directory_->Verify(EntryPayload(from, digest), *sig)) {
+  if (sig->signer != from || !directory_->Verify(EntryPayload(from, held.digest), *sig)) {
     log().Warn(now(), "Bad document signature from " + std::to_string(from));
     return;
   }
   // Admission: the sender signed these exact bytes, so all reject reasons are
   // attributable to `from` directly.
   tordir::VoteAdmission admission =
-      Admit(*text, &digest, from, torproto::StaleBlame::kCulprit,
+      Admit(*held.text, &held.digest, from, torproto::StaleBlame::kCulprit,
             "Rejecting document from " + std::to_string(from));
   if (!admission.status.ok()) {
     return;
   }
   Observe(from, admission);
-  StoreDocument(from, std::move(admission.text), digest, *sig);
+  StoreDocument(from, std::move(held.text), held.digest, *sig);
 }
 
 void IcpsAuthority::StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
@@ -185,7 +185,7 @@ void IcpsAuthority::MaybeSendProposal() {
   proposal.Encode(w);
   log().Info(now(), "Sending PROPOSAL (" + std::to_string(documents_.size()) + " of " +
                         std::to_string(node_count()) + " documents).");
-  SendToAllOthers(kKindProposal, w.buffer());
+  SendToAllOthers(kKindProposal, w.TakeBuffer());
   if (agreement_.has_value()) {
     agreement_->NotifyProposalReady();
   }
@@ -309,7 +309,7 @@ void IcpsAuthority::HandleDocRequest(torbase::NodeId from, torbase::Reader& r) {
 
 void IcpsAuthority::HandleDocResponse(torbase::NodeId, torbase::Reader& r) {
   auto j = r.ReadU32();
-  auto text = r.ReadString();
+  auto text = r.ReadStringView();
   auto sig = torcrypto::ReadSignature(r);
   if (!j.ok() || !text.ok() || !sig.ok()) {
     return;
@@ -318,24 +318,24 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId, torbase::Reader& r) {
     return;  // duplicate or unsolicited
   }
   const VectorEntry& entry = agreed_vector_->entries[*j];
-  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(*text);
-  if (!entry.digest.has_value() || digest != *entry.digest) {
+  HeldText held = Hold(*text);
+  if (!entry.digest.has_value() || held.digest != *entry.digest) {
     return;  // wrong document
   }
-  if (sig->signer != *j || !directory_->Verify(EntryPayload(*j, digest), *sig)) {
+  if (sig->signer != *j || !directory_->Verify(EntryPayload(*j, held.digest), *sig)) {
     return;
   }
   // Same admission as the direct dissemination path: a certified-but-faulty
   // document (only possible past the fault tolerance) must still not enter
   // aggregation.
   tordir::VoteAdmission admission =
-      Admit(*text, &digest, *j, torproto::StaleBlame::kCulprit,
+      Admit(*held.text, &held.digest, *j, torproto::StaleBlame::kCulprit,
             "Rejecting fetched document for " + std::to_string(*j));
   if (!admission.status.ok()) {
     return;
   }
   Observe(*j, admission);
-  documents_[*j] = ReceivedDoc{digest, std::move(admission.text), *sig};
+  documents_[*j] = ReceivedDoc{held.digest, std::move(held.text), *sig};
   pending_fetches_.erase(*j);
   MaybeFinishAggregation();
 }
@@ -381,7 +381,7 @@ void IcpsAuthority::MaybeFinishAggregation() {
   w.WriteU8(kConsensusSig);
   w.WriteRaw(consensus_digest()->span());
   torcrypto::WriteSignature(w, sig);
-  SendToAllOthers(kKindConsensusSig, w.buffer());
+  SendToAllOthers(kKindConsensusSig, w.TakeBuffer());
 }
 
 void IcpsAuthority::HandleConsensusSig(torbase::NodeId, torbase::Reader& r) {

@@ -19,13 +19,13 @@ AuthorityCore::AuthorityCore(const torcrypto::KeyDirectory* directory,
   }
 }
 
-tordir::VoteAdmission AuthorityCore::Admit(const std::string& text,
+tordir::VoteAdmission AuthorityCore::Admit(std::string_view text,
                                            const torcrypto::Digest256* digest, NodeId culprit,
                                            StaleBlame stale_blame, std::string_view context) {
-  // A digest hit in the workload cache proves the bytes are a canonical vote
-  // already held parsed, so ParseVote (and a private copy of the
-  // multi-megabyte text) is skipped; misses are parsed, canonicality-checked
-  // and validity-window-checked.
+  // A cache hit — the workload's own bytes, found by comparing them or by the
+  // caller's digest — is a canonical vote already held parsed, so ParseVote
+  // (and a private copy of the multi-megabyte text) is skipped; misses are
+  // hashed, parsed, canonicality-checked and validity-window-checked.
   tordir::VoteAdmission admission =
       digest == nullptr ? tordir::AdmitVote(vote_cache_, text, own_vote_->valid_after)
                         : tordir::AdmitVote(vote_cache_, text, *digest, own_vote_->valid_after);
@@ -41,6 +41,18 @@ tordir::VoteAdmission AuthorityCore::Admit(const std::string& text,
     rejected_votes_.push_back(RejectedVote{culprit, admission.reason, now()});
   }
   return admission;
+}
+
+AuthorityCore::HeldText AuthorityCore::Hold(std::string_view text) const {
+  if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
+    return {hit->first, hit->second.text};
+  }
+  return {torcrypto::Digest256::Of(text), std::make_shared<const std::string>(text)};
+}
+
+std::shared_ptr<const std::string> AuthorityCore::Share(std::string_view text) const {
+  const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text);
+  return hit != nullptr ? hit->second.text : std::make_shared<const std::string>(text);
 }
 
 void AuthorityCore::Observe(NodeId sender, const tordir::VoteAdmission& admission) {

@@ -73,13 +73,24 @@ class AuthorityCore : public torsim::Actor {
 
  protected:
   // Runs `text` through vote admission (src/tordir/admission.h) against this
-  // authority's voting period; a non-null `digest` spares re-hashing. A
-  // refusal is logged as "<context>: <status>" and recorded against
-  // `culprit`, or — under StaleBlame::kAuthor — a stale vote against its own
-  // author. Culprits outside the authority set (kNoNode: unattributable)
-  // are not recorded.
-  tordir::VoteAdmission Admit(const std::string& text, const torcrypto::Digest256* digest,
+  // authority's voting period. A canonical vote is found by its bytes, or by
+  // `digest` when non-null; only a miss is hashed and parsed. A refusal is
+  // logged as "<context>: <status>" and recorded against `culprit`, or —
+  // under StaleBlame::kAuthor — a stale vote against its own author.
+  // Culprits outside the authority set (kNoNode: unattributable) are not
+  // recorded.
+  tordir::VoteAdmission Admit(std::string_view text, const torcrypto::Digest256* digest,
                               NodeId culprit, StaleBlame stale_blame, std::string_view context);
+  // A received text's digest and a shared copy that outlives its frame: the
+  // vote cache entry's when the bytes are a canonical vote (no hash, no
+  // copy), otherwise Digest256::Of(text) and a private copy.
+  struct HeldText {
+    torcrypto::Digest256 digest;
+    std::shared_ptr<const std::string> text;
+  };
+  HeldText Hold(std::string_view text) const;
+  // Hold's shared copy alone; nothing is hashed.
+  std::shared_ptr<const std::string> Share(std::string_view text) const;
   // Records an admitted peer vote from `sender` as health-monitor evidence.
   void Observe(NodeId sender, const tordir::VoteAdmission& admission);
 
@@ -94,7 +105,7 @@ class AuthorityCore : public torsim::Actor {
     if (second_vote_text_ == nullptr) {
       torbase::Writer w;
       frame(w, *own_vote_text_, false);
-      SendToAllOthers(kind, w.buffer());
+      SendToAllOthers(kind, w.TakeBuffer());
       return;
     }
     for (NodeId peer = 0; peer < node_count(); ++peer) {

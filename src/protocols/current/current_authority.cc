@@ -75,7 +75,7 @@ void CurrentAuthority::BeginFetchVotesRound() {
     w.WriteU32(a);
     outstanding_vote_fetches_.insert(a);
   }
-  SendToAllOthers(kKindVoteFetch, w.buffer());
+  SendToAllOthers(kKindVoteFetch, w.TakeBuffer());
 
   // Log give-ups for requests still unanswered at the directory deadline,
   // matching connection_dir_client_request_failed() in Figure 1.
@@ -116,7 +116,7 @@ void CurrentAuthority::BeginComputeRound() {
   w.WriteU64(now());  // posted_at
   w.WriteRaw(consensus_digest()->span());
   torcrypto::WriteSignature(w, sig);
-  SendToAllOthers(kKindSig, w.buffer());
+  SendToAllOthers(kKindSig, w.TakeBuffer());
 }
 
 void CurrentAuthority::BeginFetchSignaturesRound() {
@@ -127,7 +127,7 @@ void CurrentAuthority::BeginFetchSignaturesRound() {
   torbase::Writer w;
   w.WriteU8(kSigRequest);
   w.WriteU64(now());
-  SendToAllOthers(kKindSigFetch, w.buffer());
+  SendToAllOthers(kKindSigFetch, w.TakeBuffer());
 }
 
 void CurrentAuthority::Finish() {
@@ -175,7 +175,7 @@ void CurrentAuthority::OnMessage(NodeId from, const torbase::Bytes& payload) {
 
 void CurrentAuthority::HandleVotePost(NodeId from, torbase::Reader& reader) {
   auto posted_at = reader.ReadU64();
-  auto text = reader.ReadString();
+  auto text = reader.ReadStringView();
   if (!posted_at.ok() || !text.ok()) {
     return;
   }
@@ -229,7 +229,7 @@ void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
   }
   const bool on_time = now() <= *request_time + kDirRequestDeadline;
   for (uint32_t i = 0; i < *count; ++i) {
-    auto text = reader.ReadString();
+    auto text = reader.ReadStringView();
     if (!text.ok()) {
       return;
     }
@@ -241,7 +241,7 @@ void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
   }
 }
 
-void CurrentAuthority::AcceptVote(NodeId culprit, const std::string& text) {
+void CurrentAuthority::AcceptVote(NodeId culprit, std::string_view text) {
   tordir::VoteAdmission admission =
       Admit(text, nullptr, culprit, StaleBlame::kAuthor, "Rejecting unparseable vote");
   if (!admission.status.ok()) {

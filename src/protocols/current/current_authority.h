@@ -20,6 +20,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -77,11 +78,11 @@ class CurrentAuthority : public AuthorityCore {
   void HandleSigRequest(NodeId from, torbase::Reader& reader);
   void HandleSigResponse(NodeId from, torbase::Reader& reader);
 
-  // Admits `text` and stores it if new and in range. Refusals are held
-  // against `culprit`: the wire sender of a direct post, kNoNode for relayed
-  // fetch responses (the middleman is not the author); stale votes against
-  // their own author.
-  void AcceptVote(NodeId culprit, const std::string& text);
+  // Admits `text` (a view into the received frame) and stores its shared
+  // copy if new and in range. Refusals are held against `culprit`: the wire
+  // sender of a direct post, kNoNode for relayed fetch responses (the
+  // middleman is not the author); stale votes against their own author.
+  void AcceptVote(NodeId culprit, std::string_view text);
   void MaybeRecordVoteCompletion();
 
   // Votes received (and their serialized form, for re-serving fetches). The

@@ -1,6 +1,8 @@
 #include "src/protocols/sync/sync_authority.h"
 
-#include "src/tordir/dirspec.h"
+#include <algorithm>
+
+#include "src/crypto/sha256.h"
 
 namespace torproto {
 namespace {
@@ -9,6 +11,36 @@ constexpr const char* kKindPropose = "SYNC_PROPOSE";
 constexpr const char* kKindPacked = "SYNC_PACKED";
 constexpr const char* kKindDs = "SYNC_DS";
 constexpr const char* kKindSig = "SYNC_SIG";
+
+// Emits `packed`'s wire encoding piece by piece to `emit(std::string_view)`,
+// integers little-endian as torbase::Writer writes them. The frame, its
+// length prefix and the digest all come from here, so they cover the same
+// bytes.
+template <typename Emit>
+void EncodePacked(const PackedVote& packed, Emit&& emit) {
+  const auto u32 = [&emit](size_t v) {
+    const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                           static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+    emit(std::string_view(bytes, sizeof(bytes)));
+  };
+  u32(packed.packer);
+  u32(packed.lists.size());
+  for (const auto& [author, text] : packed.lists) {
+    u32(author);
+    u32(text->size());
+    emit(std::string_view(*text));
+  }
+}
+
+// The SHA-256 of `packed`'s wire encoding, streamed and computed once.
+const torcrypto::Digest256& DigestOf(PackedVote& packed) {
+  if (!packed.digest.has_value()) {
+    torcrypto::Sha256 hash;
+    EncodePacked(packed, [&hash](std::string_view bytes) { hash.Update(bytes); });
+    packed.digest = torcrypto::Digest256(hash.Finish());
+  }
+  return *packed.digest;
+}
 
 }  // namespace
 
@@ -39,7 +71,7 @@ void SyncAuthority::BeginProposePhase() {
 }
 
 void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
-  auto text = r.ReadString();
+  auto text = r.ReadStringView();
   if (!text.ok()) {
     return;
   }
@@ -51,10 +83,10 @@ void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
   if (lists_.count(from) > 0) {
     return;
   }
-  // Admission shares the workload's canonical text on a digest match instead
-  // of retaining a private multi-megabyte copy per peer; misses are parsed,
-  // canonicality-checked and validity-window-checked before the list may
-  // enter a packed vote.
+  // Admission shares the workload's canonical text when the bytes match it
+  // instead of retaining a private multi-megabyte copy per peer; misses are
+  // parsed, canonicality-checked and validity-window-checked before the list
+  // may enter a packed vote.
   tordir::VoteAdmission admission =
       Admit(*text, nullptr, from, StaleBlame::kCulprit,
             "Rejecting relay list from " + std::to_string(from));
@@ -78,38 +110,51 @@ void SyncAuthority::BeginVotePhase() {
   vote_phase_started_ = true;
   log().Notice(now(), "Vote round: packing " + std::to_string(lists_.size()) +
                           " lists into a vote.");
-  // Serialize the packed vote: every list we received, tagged by author. The
-  // packer's identity is part of the document (real packed votes are signed by
-  // their author), so two authorities' packed votes never collide.
-  size_t packed_bytes = 16;
-  for (const auto& [author, text] : lists_) {
-    packed_bytes += text->size() + 8;
-  }
-  torbase::Writer packed;
-  packed.Reserve(packed_bytes);
-  packed.WriteU32(id());
-  packed.WriteU32(static_cast<uint32_t>(lists_.size()));
-  for (const auto& [author, text] : lists_) {
-    packed.WriteU32(author);
-    packed.WriteString(*text);
-  }
-  const std::string packed_text = torbase::StringOfBytes(packed.buffer());
-  const auto digest = torcrypto::Digest256::Of(packed_text);
-  packed_votes_[id()] = packed_text;
-  packed_by_digest_[digest] = id();
-
+  // Pack every list we received, tagged by author. The packer's identity is
+  // part of the document (real packed votes are signed by their author), so
+  // two authorities' packed votes never collide.
+  PackedVote& packed = packed_votes_[id()];
+  packed.packer = id();
+  packed.lists.assign(lists_.begin(), lists_.end());
+  size_t packed_size = 0;
+  EncodePacked(packed, [&packed_size](std::string_view bytes) { packed_size += bytes.size(); });
   torbase::Writer w;
-  w.Reserve(packed_text.size() + 16);
+  w.Reserve(packed_size + 16);
   w.WriteU8(kPackedVote);
   w.WriteU32(id());
-  w.WriteString(packed_text);
-  SendToAllOthers(kKindPacked, w.buffer());
+  w.WriteU32(static_cast<uint32_t>(packed_size));  // the encoding's length prefix
+  EncodePacked(packed, [&w](std::string_view bytes) { w.WriteRaw(torcrypto::AsByteSpan(bytes)); });
+  SendToAllOthers(kKindPacked, w.TakeBuffer());
+}
+
+std::optional<PackedVote> SyncAuthority::DecodePacked(std::string_view encoded) const {
+  torbase::Reader r(torcrypto::AsByteSpan(encoded));
+  auto packer = r.ReadU32();
+  auto count = r.ReadU32();
+  if (!packer.ok() || !count.ok() || *count > node_count()) {
+    return std::nullopt;
+  }
+  PackedVote packed;
+  packed.packer = *packer;
+  packed.lists.reserve(*count);
+  for (uint32_t i = 0; i < *count; ++i) {
+    auto author = r.ReadU32();
+    auto text = r.ReadStringView();
+    if (!author.ok() || !text.ok()) {
+      return std::nullopt;
+    }
+    packed.lists.emplace_back(*author, Share(*text));
+  }
+  if (!r.AtEnd()) {
+    return std::nullopt;
+  }
+  return packed;
 }
 
 void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   auto author = r.ReadU32();
-  auto text = r.ReadString();
-  if (!author.ok() || !text.ok() || *author != from) {
+  auto encoded = r.ReadStringView();
+  if (!author.ok() || !encoded.ok() || *author != from) {
     return;
   }
   if (ds_started_) {
@@ -120,9 +165,12 @@ void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   if (packed_votes_.count(from) > 0) {
     return;
   }
-  const auto digest = torcrypto::Digest256::Of(*text);
-  packed_votes_[from] = std::move(*text);
-  packed_by_digest_[digest] = from;
+  std::optional<PackedVote> packed = DecodePacked(*encoded);
+  if (!packed.has_value()) {
+    log().Warn(now(), "Malformed packed vote from " + std::to_string(from) + "; dropped.");
+    return;
+  }
+  packed_votes_.emplace(from, std::move(*packed));
   if (packed_votes_.size() == node_count() &&
       outcome_.all_packed_received_at == torbase::kTimeNever) {
     outcome_.all_packed_received_at = now();
@@ -146,7 +194,7 @@ void SyncAuthority::BeginSynchronizePhase() {
   if (it == packed_votes_.end()) {
     return;
   }
-  const auto digest = torcrypto::Digest256::Of(it->second);
+  const torcrypto::Digest256 digest = DigestOf(it->second);
   extracted_.insert(digest);
   chains_[digest] = {signer_.Sign(DsPayload(digest))};
   relayed_.insert(digest);
@@ -155,7 +203,7 @@ void SyncAuthority::BeginSynchronizePhase() {
   w.WriteRaw(digest.span());
   w.WriteU32(1);
   torcrypto::WriteSignature(w, chains_[digest][0]);
-  SendToAllOthers(kKindDs, w.buffer());
+  SendToAllOthers(kKindDs, w.TakeBuffer());
 }
 
 void SyncAuthority::HandleDsRelay(NodeId, torbase::Reader& r) {
@@ -209,7 +257,7 @@ void SyncAuthority::DsRoundBoundary(uint32_t round) {
     for (const auto& sig : chain) {
       torcrypto::WriteSignature(w, sig);
     }
-    SendToAllOthers(kKindDs, w.buffer());
+    SendToAllOthers(kKindDs, w.TakeBuffer());
   }
 }
 
@@ -221,30 +269,23 @@ void SyncAuthority::BeginSignaturePhase() {
     return;
   }
   const torcrypto::Digest256 digest = *extracted_.begin();
-  auto by_digest = packed_by_digest_.find(digest);
-  if (by_digest == packed_by_digest_.end()) {
+  // Find the agreed packed vote by digest. Map order checks the designated
+  // sender's first, which in every run is the agreed one, so each authority
+  // hashes one packed vote (the designated sender reuses the digest it
+  // relayed).
+  static_assert(kDesignatedSender == 0, "map order must reach the designated sender first");
+  auto agreed = std::find_if(packed_votes_.begin(), packed_votes_.end(),
+                             [&digest](auto& entry) { return DigestOf(entry.second) == digest; });
+  if (agreed == packed_votes_.end()) {
     log().Warn(now(), "Agreed packed vote contents never arrived.");
     return;
   }
   outcome_.decided = true;
   outcome_.decided_at = now();
 
-  // Unpack the agreed vote's lists and aggregate.
-  const std::string& packed_text = packed_votes_.at(by_digest->second);
-  const torbase::Bytes packed_bytes = torbase::BytesOfString(packed_text);
-  torbase::Reader r(packed_bytes);
-  auto packer = r.ReadU32();
-  auto count = r.ReadU32();
-  if (!packer.ok() || !count.ok() || *count > node_count()) {
-    return;
-  }
+  // Admit the agreed vote's lists and aggregate.
   std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto author = r.ReadU32();
-    auto text = r.ReadString();
-    if (!author.ok() || !text.ok()) {
-      return;
-    }
+  for (const auto& [author, text] : agreed->second.lists) {
     // Agreed lists are usually the authorities' canonical vote bytes, so the
     // workload cache spares us the ParseVote. The packed vote may still carry
     // a faulty list — the packer's *own* (everything else it packed already
@@ -253,12 +294,12 @@ void SyncAuthority::BeginSignaturePhase() {
     // attribution here: only the packer itself can smuggle its own bytes in
     // under its own tag.
     tordir::VoteAdmission admission =
-        Admit(*text, nullptr, *author, StaleBlame::kAuthor,
-              "Agreed vote carries a rejected list from " + std::to_string(*author));
+        Admit(*text, nullptr, author, StaleBlame::kAuthor,
+              "Agreed vote carries a rejected list from " + std::to_string(author));
     if (!admission.status.ok()) {
       continue;
     }
-    if (admission.document->authority == *author) {
+    if (admission.document->authority == author) {
       votes.push_back(std::move(admission.document));
     }
   }
@@ -273,7 +314,7 @@ void SyncAuthority::BeginSignaturePhase() {
   w.WriteU8(kSigPost);
   w.WriteRaw(consensus_digest()->span());
   torcrypto::WriteSignature(w, sig);
-  SendToAllOthers(kKindSig, w.buffer());
+  SendToAllOthers(kKindSig, w.TakeBuffer());
 }
 
 void SyncAuthority::HandleSigPost(NodeId, torbase::Reader& r) {

@@ -23,13 +23,22 @@
 // signature chain (contents travelled in phase 2), and chain acceptance does
 // not enforce the per-round signature count — equivocation by the designated
 // sender is still detected and nullifies the run.
+//
+// Authorities keep packed votes as lists of shared texts (a canonical list
+// shares the workload's copy), not as n·d-byte copies. A packed vote's digest,
+// the SHA-256 of its exact wire encoding, is streamed only when needed: by
+// the designated sender as the synchronize phase starts, and at phase 4 to
+// find the agreed one. One that does not decode exactly is dropped on arrival.
 #ifndef SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 #define SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -41,6 +50,14 @@
 #include "src/tordir/vote.h"
 
 namespace torproto {
+
+// A packed vote as kept: its wire encoding is the packer's id, the list
+// count, then each list as its author tag and length-prefixed text.
+struct PackedVote {
+  NodeId packer = 0;
+  std::vector<std::pair<NodeId, std::shared_ptr<const std::string>>> lists;
+  std::optional<torcrypto::Digest256> digest;  // of the encoding, once computed
+};
 
 struct SyncOutcome : ConsensusOutcome {
   bool decided = false;           // Dolev-Strong produced a unique packed vote
@@ -102,6 +119,11 @@ class SyncAuthority : public AuthorityCore {
   void HandleDsRelay(NodeId from, torbase::Reader& r);
   void HandleSigPost(NodeId from, torbase::Reader& r);
 
+  // Decodes a packed vote, sharing canonical lists with the workload; nullopt
+  // unless it decodes exactly (complete, at most n lists, nothing trailing),
+  // so that re-encoding it reproduces the received bytes.
+  std::optional<PackedVote> DecodePacked(std::string_view encoded) const;
+
   // The byte string the Dolev-Strong chain signs.
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;
 
@@ -110,9 +132,8 @@ class SyncAuthority : public AuthorityCore {
   std::map<NodeId, std::shared_ptr<const std::string>> lists_;
   bool vote_phase_started_ = false;
 
-  // Phase 2 state: packed votes by author (serialized) and their digests.
-  std::map<NodeId, std::string> packed_votes_;
-  std::map<torcrypto::Digest256, NodeId> packed_by_digest_;
+  // Phase 2 state: packed votes by sender, this authority's own included.
+  std::map<NodeId, PackedVote> packed_votes_;
   bool ds_started_ = false;
 
   // Phase 3 state: accepted digests (extracted set) and the signature chains

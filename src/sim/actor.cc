@@ -9,8 +9,8 @@ void Actor::SendTo(NodeId to, std::string kind, Bytes payload) {
   net_->Send(id_, to, std::move(kind), std::move(payload));
 }
 
-void Actor::SendToAllOthers(const std::string& kind, const Bytes& payload) {
-  net_->Broadcast(id_, kind, payload);
+void Actor::SendToAllOthers(const std::string& kind, Bytes payload) {
+  net_->Broadcast(id_, kind, std::move(payload));
 }
 
 EventId Actor::SetTimer(Duration delay, SimCallback fn) {

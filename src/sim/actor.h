@@ -37,8 +37,9 @@ class Actor {
 
   // Sends to a single peer.
   void SendTo(NodeId to, std::string kind, Bytes payload);
-  // Sends to every node except this one.
-  void SendToAllOthers(const std::string& kind, const Bytes& payload);
+  // Sends to every node except this one. The receivers share the one buffer,
+  // so pass the frame by move (Writer::TakeBuffer) to avoid copying it.
+  void SendToAllOthers(const std::string& kind, Bytes payload);
 
   // One-shot timer; returns an id usable with CancelTimer.
   EventId SetTimer(Duration delay, SimCallback fn);

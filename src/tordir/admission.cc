@@ -7,12 +7,16 @@
 
 namespace tordir {
 
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::string_view text,
                         uint64_t period_start) {
-  return AdmitVote(cache, text, torcrypto::Digest256::Of(text), period_start);
+  // A byte match names its entry's digest, which the digest form finds again
+  // without hashing.
+  const VoteCache::Entry* hit = VoteCache::FindTextIn(cache, text);
+  return AdmitVote(cache, text, hit != nullptr ? hit->first : torcrypto::Digest256::Of(text),
+                   period_start);
 }
 
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::string_view text,
                         const torcrypto::Digest256& digest, uint64_t period_start) {
   VoteAdmission admission;
   admission.digest = digest;

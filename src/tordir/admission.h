@@ -11,14 +11,17 @@
 //                     closed relative to the receiver's current period: a
 //                     replayed or expired document.
 //
-// A cache hit (digest match against the workload's canonical pre-parsed
-// votes) short-circuits both checks: byte equality against a canonical text
-// proves the document is well-formed and carries the current period's window.
+// A cache hit short-circuits both checks: byte equality with one of the
+// workload's canonical texts proves the document is well-formed and carries
+// the current period's window. The text-only form finds that hit by comparing
+// bytes (VoteCache::FindText) and hashes only on a miss; the digest form
+// looks the caller's digest up instead.
 #ifndef SRC_TORDIR_ADMISSION_H_
 #define SRC_TORDIR_ADMISSION_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/common/ids.h"
 #include "src/common/status.h"
@@ -49,15 +52,17 @@ struct VoteAdmission {
 
 // Admits or rejects `text` as seen by a receiver whose current voting period
 // started at `period_start` (unix seconds; receivers pass their own vote's
-// valid_after). `cache` may be null.
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+// valid_after). `cache` may be null. `text` is only read during the call; an
+// admitted vote's `text` is the cache's shared copy on a hit, or a private
+// copy.
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::string_view text,
                         uint64_t period_start);
 
 // Same, for callers that already hashed the text (saves re-hashing in
 // digest-first protocols like ICPS). Precondition: `digest` is
 // Digest256::Of(text). A cache hit trusts it as proof of byte equality, and an
 // admitted vote reports it as its identity; Debug builds assert it on a miss.
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::string_view text,
                         const torcrypto::Digest256& digest, uint64_t period_start);
 
 }  // namespace tordir

@@ -624,7 +624,7 @@ std::string SerializeVote(const VoteDocument& vote) {
   return out;
 }
 
-Result<VoteDocument> ParseVote(const std::string& text) {
+Result<VoteDocument> ParseVote(std::string_view text) {
   Scanner in(text);
   VoteDocument vote;
   in.Expect("network-status-version 3 vote\n");

@@ -25,6 +25,7 @@
 #define SRC_TORDIR_DIRSPEC_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 #include "src/crypto/digest.h"
@@ -38,7 +39,8 @@ namespace tordir {
 
 // --- votes ----------------------------------------------------------------
 std::string SerializeVote(const VoteDocument& vote);
-torbase::Result<VoteDocument> ParseVote(const std::string& text);
+// Only scans `text`; the document keeps no reference into it.
+torbase::Result<VoteDocument> ParseVote(std::string_view text);
 
 // Digest of the serialized vote; this is the "h_i" the dissemination
 // sub-protocol signs and agrees on.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace tordir {
 
@@ -33,6 +34,20 @@ const CachedVote* VoteCache::Find(const torcrypto::Digest256& digest) const {
     return nullptr;
   }
   return &it->second;
+}
+
+const VoteCache::Entry* VoteCache::FindText(std::string_view text) const {
+  assert(sealed_ && "VoteCache must be sealed before lookup");
+  for (const Entry& entry : entries_) {
+    const std::string& candidate = *entry.second.text;
+    // A text read back out of this entry is the entry: skip the comparison.
+    if (candidate.size() == text.size() &&
+        (candidate.data() == text.data() ||
+         std::memcmp(candidate.data(), text.data(), text.size()) == 0)) {
+      return &entry;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace tordir

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,30 +57,40 @@ struct CachedVote {
   std::shared_ptr<const std::string> text;
 };
 
-// Immutable digest-keyed lookup of pre-parsed vote documents. Honest
-// authorities only ever exchange the workload's canonical vote bytes, so a
-// receiver that hashes an incoming text and hits this cache can skip
-// ParseVote entirely: a digest match proves byte equality, and byte-equal
-// texts parse to identical documents. Misses (mutated or adversarial texts)
-// fall back to parsing.
+// Immutable lookup of the workload's pre-parsed votes, by digest or by
+// content. Honest authorities only ever exchange the workload's canonical
+// vote bytes, so a receiver that finds them here skips ParseVote — and, with
+// FindText, hashing too: a length check, then memcmp against each entry
+// (other authorities' votes differ within their first lines, so a lookup
+// costs about one full-length comparison). Byte-equal texts parse to
+// identical documents. Misses (mutated or adversarial texts) fall back to
+// hashing and parsing.
 //
-// Build with Add() then Seal(); Find() is const and safe to share across
+// Build with Add() then Seal(); lookups are const and safe to share across
 // threads once sealed.
 class VoteCache {
  public:
+  using Entry = std::pair<torcrypto::Digest256, CachedVote>;
+
   // Pre-sizes the index for `count` upcoming Add() calls.
   void Reserve(size_t count) { entries_.reserve(count); }
   void Add(const torcrypto::Digest256& digest, CachedVote vote);
-  void Seal();  // sorts the index; required before Find()
+  void Seal();  // sorts the index; required before a lookup
   const CachedVote* Find(const torcrypto::Digest256& digest) const;
-  // Find through a possibly-null cache; null on miss or without a cache.
+  // The entry whose text is exactly `text`, or null.
+  const Entry* FindText(std::string_view text) const;
+  // The same through a possibly-null cache; null on miss or without a cache.
   static const CachedVote* FindIn(const std::shared_ptr<const VoteCache>& cache,
                                   const torcrypto::Digest256& digest) {
     return cache == nullptr ? nullptr : cache->Find(digest);
   }
+  static const Entry* FindTextIn(const std::shared_ptr<const VoteCache>& cache,
+                                 std::string_view text) {
+    return cache == nullptr ? nullptr : cache->FindText(text);
+  }
 
  private:
-  std::vector<std::pair<torcrypto::Digest256, CachedVote>> entries_;
+  std::vector<Entry> entries_;
   bool sealed_ = false;
 };
 

@@ -9,16 +9,21 @@
 //     the per-mutant verdicts (admit / stale / malformed, plus the author) are
 //     pinned by one digest;
 //   * every structural mutant (the byzantine malformed-wire generator) is
-//     refused at admission — the guarantee the fault injector relies on.
+//     refused at admission — the guarantee the fault injector relies on;
+//   * the text-only admission, which finds cache hits by comparing bytes,
+//     agrees field for field with the digest form on canonical, byzantine
+//     and mutated texts.
 //
 // Everything is seed-indexed, so a failure reproduces from the seed printed
 // in the assertion message.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/crypto/digest.h"
+#include "src/protocols/byzantine.h"
 #include "src/tordir/admission.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
@@ -188,6 +193,76 @@ TEST(CodecFuzzTest, ReplayedVotesAreRefusedWithAStaleWindowStatus) {
   EXPECT_NE(admission.status.message().find("replayed vote"), std::string::npos);
   // Attribution survives rejection: the document's own author is implicated.
   EXPECT_EQ(admission.author, vote->authority);
+}
+
+TEST(CodecFuzzTest, ContentLookupAdmitsExactlyAsTheDigestPath) {
+  // The text-only AdmitVote finds a cache hit by comparing bytes and hashes
+  // only on a miss. It must return, field for field, what the digest form
+  // returns given Digest256::Of(text): on the canonical votes and on every
+  // kind of faulty text a byzantine authority puts on the wire.
+  const PopulationConfig config = SmallConfig();
+  const auto population = GeneratePopulation(config);
+  auto cache = std::make_shared<VoteCache>();
+  std::vector<torproto::AuthorityMaterials> honest;
+  for (VoteDocument& vote : MakeAllVotes(9, population, config)) {
+    torproto::AuthorityMaterials materials;
+    materials.vote = std::make_shared<const VoteDocument>(std::move(vote));
+    materials.vote_text = std::make_shared<const std::string>(SerializeVote(*materials.vote));
+    cache->Add(torcrypto::Digest256::Of(*materials.vote_text),
+               CachedVote{materials.vote, materials.vote_text});
+    honest.push_back(std::move(materials));
+  }
+  cache->Seal();
+
+  using torproto::ByzantineBehavior;
+  const torproto::ByzantineSpec spec;
+  std::vector<std::string> texts;
+  for (torbase::NodeId id = 0; id < honest.size(); ++id) {
+    const torproto::AuthorityMaterials& materials = honest[id];
+    texts.push_back(*materials.vote_text);
+    texts.push_back(*torproto::MakeFaultyMaterials(materials, ByzantineBehavior::kEquivocate,
+                                                   spec, id)
+                         .second_vote_text);
+    for (ByzantineBehavior behavior :
+         {ByzantineBehavior::kReplay, ByzantineBehavior::kInflateBandwidth}) {
+      texts.push_back(*torproto::MakeFaultyMaterials(materials, behavior, spec, id).vote_text);
+    }
+  }
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    texts.push_back(MutateWireStructural(*honest[seed % honest.size()].vote_text, seed));
+  }
+
+  const uint64_t period_start = honest[0].vote->valid_after;
+  size_t hits = 0;
+  size_t admitted = 0;
+  size_t stale = 0;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    const std::string& text = texts[i];
+    const VoteAdmission by_bytes = AdmitVote(cache, text, period_start);
+    const VoteAdmission by_digest =
+        AdmitVote(cache, text, torcrypto::Digest256::Of(text), period_start);
+    const std::string label = "text " + std::to_string(i);
+    EXPECT_EQ(by_bytes.status.code(), by_digest.status.code()) << label;
+    EXPECT_EQ(by_bytes.status.message(), by_digest.status.message()) << label;
+    EXPECT_EQ(by_bytes.reason, by_digest.reason) << label;
+    EXPECT_EQ(by_bytes.author, by_digest.author) << label;
+    EXPECT_EQ(by_bytes.digest, by_digest.digest) << label;
+    ASSERT_EQ(by_bytes.document == nullptr, by_digest.document == nullptr) << label;
+    ASSERT_EQ(by_bytes.text == nullptr, by_digest.text == nullptr) << label;
+    if (by_bytes.document != nullptr) {
+      EXPECT_EQ(*by_bytes.document, *by_digest.document) << label;
+      EXPECT_EQ(*by_bytes.text, *by_digest.text) << label;
+      EXPECT_EQ(*by_bytes.text, text) << label;
+      ++admitted;
+      hits += cache->Find(by_bytes.digest) != nullptr;
+    }
+    stale += by_bytes.reason == VoteRejectReason::kStaleWindow && !by_bytes.status.ok();
+  }
+  // Every kind was exercised: 9 canonical hits, 18 admitted misses
+  // (equivocation variants and inflated votes), 9 replays; the rest malformed.
+  EXPECT_EQ(hits, honest.size());
+  EXPECT_EQ(admitted, 3 * honest.size());
+  EXPECT_EQ(stale, honest.size());
 }
 
 TEST(CodecFuzzDeathTest, AdmitVoteAssertsTheCallersDigestOnAMiss) {

@@ -105,9 +105,44 @@ TEST(SerializeTest, StringAndBytesRoundTrip) {
   w.WriteBytes(Bytes{9, 8, 7});
 
   Reader r(w.buffer());
-  EXPECT_EQ(*r.ReadString(), "consensus");
+  EXPECT_EQ(*r.ReadStringView(), "consensus");
   EXPECT_EQ(*r.ReadBytes(), (Bytes{9, 8, 7}));
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerializeTest, StringViewPointsIntoTheBuffer) {
+  Writer w;
+  w.WriteU8(7);
+  w.WriteString("vote text");
+  w.WriteString("second");
+  const Bytes frame = w.TakeBuffer();
+
+  Reader r(frame);
+  ASSERT_TRUE(r.ReadU8().ok());
+  const auto first = r.ReadStringView();
+  const auto second = r.ReadStringView();
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, "vote text");
+  EXPECT_EQ(*second, "second");
+  EXPECT_TRUE(r.AtEnd());
+  // No copy: each view starts right after its length prefix in `frame`.
+  const auto* base = reinterpret_cast<const char*>(frame.data());
+  EXPECT_EQ(first->data(), base + 1 + 4);
+  EXPECT_EQ(second->data(), base + 1 + 4 + first->size() + 4);
+}
+
+TEST(SerializeTest, StringViewRejectsTruncatedInput) {
+  // The length prefix itself is cut short.
+  const Bytes short_prefix = {5, 0};
+  Reader prefix_reader(short_prefix);
+  EXPECT_EQ(prefix_reader.ReadStringView().status().code(), StatusCode::kOutOfRange);
+
+  // The length runs past the end of the buffer.
+  Writer w;
+  w.WriteU32(10);
+  w.WriteRaw(Bytes{'a', 'b', 'c'});
+  Reader overrun_reader(w.buffer());
+  EXPECT_EQ(overrun_reader.ReadStringView().status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(SerializeTest, TruncatedReadsFail) {
@@ -129,7 +164,7 @@ TEST(SerializeTest, EmptyString) {
   Writer w;
   w.WriteString("");
   Reader r(w.buffer());
-  EXPECT_EQ(*r.ReadString(), "");
+  EXPECT_EQ(*r.ReadStringView(), "");
 }
 
 TEST(RngTest, Deterministic) {

@@ -7,6 +7,9 @@
 #include <memory>
 
 #include "src/attack/ddos.h"
+#include "src/common/serialize.h"
+#include "src/crypto/digest.h"
+#include "src/crypto/signature.h"
 #include "src/protocols/common.h"
 #include "src/protocols/sync/sync_authority.h"
 #include "src/sim/actor.h"
@@ -25,8 +28,10 @@ struct Fixture {
   std::vector<SyncAuthority*> authorities;
   torcrypto::KeyDirectory directory{42, 9};
 
+  // `stand_in`, when given, takes the last authority's slot.
   void Build(size_t relay_count, double bandwidth_bps,
-             const std::vector<AttackWindow>& attacks = {}) {
+             const std::vector<AttackWindow>& attacks = {},
+             std::unique_ptr<torsim::Actor> stand_in = nullptr) {
     constexpr uint32_t kAuthorities = 9;
     tordir::PopulationConfig pop_config;
     pop_config.relay_count = relay_count;
@@ -44,6 +49,10 @@ struct Fixture {
     }
     authorities.clear();
     for (uint32_t a = 0; a < kAuthorities; ++a) {
+      if (stand_in != nullptr && a + 1 == kAuthorities) {
+        harness->AddActor(std::move(stand_in));
+        break;
+      }
       authorities.push_back(static_cast<SyncAuthority*>(harness->AddActor(
           std::make_unique<SyncAuthority>(
               &directory,
@@ -146,6 +155,90 @@ TEST(SyncProtocolTest, LatencyProbesOrdered) {
     EXPECT_LT(outcome.all_packed_received_at, Seconds(300));
     EXPECT_GE(outcome.finished_at, Seconds(450));
     EXPECT_LT(outcome.finished_at, Seconds(600));
+  }
+}
+
+// Stands in for the last authority: records authority 0's packed-vote frame
+// and its first Dolev-Strong relay, and sends two malformed packed votes of
+// its own at the start.
+class PackedVoteProbe : public torsim::Actor {
+ public:
+  static constexpr uint8_t kPackedVote = 2;
+  static constexpr uint8_t kDsRelay = 3;
+
+  void Start() override {
+    // Zero lists, then a trailing byte inside the packed encoding.
+    torbase::Writer trailing;
+    trailing.WriteU32(id());
+    trailing.WriteU32(0);
+    trailing.WriteU8('x');
+    SendToAllOthers("SYNC_PACKED", Frame(trailing.buffer()));
+    // More lists than there are authorities.
+    torbase::Writer too_many;
+    too_many.WriteU32(id());
+    too_many.WriteU32(node_count() + 1);
+    SendToAllOthers("SYNC_PACKED", Frame(too_many.buffer()));
+  }
+
+  void OnMessage(NodeId from, const torbase::Bytes& payload) override {
+    if (from != SyncAuthority::kDesignatedSender || payload.empty()) {
+      return;
+    }
+    if (payload[0] == kPackedVote && packed_frame.empty()) {
+      packed_frame = payload;
+    }
+    if (payload[0] == kDsRelay && ds_frame.empty()) {
+      ds_frame = payload;
+    }
+  }
+
+  torbase::Bytes packed_frame;
+  torbase::Bytes ds_frame;
+
+ private:
+  torbase::Bytes Frame(const torbase::Bytes& packed) const {
+    torbase::Writer w;
+    w.WriteU8(kPackedVote);
+    w.WriteU32(id());
+    w.WriteBytes(packed);
+    return w.TakeBuffer();
+  }
+};
+
+TEST(SyncProtocolTest, RelayedDigestIsTheHashOfThePackedVoteOnTheWire) {
+  Fixture fx;
+  auto probe_owner = std::make_unique<PackedVoteProbe>();
+  const PackedVoteProbe* probe = probe_owner.get();
+  fx.Build(120, torattack::kAuthorityLinkBps, {}, std::move(probe_owner));
+  fx.Run();
+
+  ASSERT_FALSE(probe->packed_frame.empty());
+  ASSERT_FALSE(probe->ds_frame.empty());
+  torbase::Reader packed(probe->packed_frame);
+  ASSERT_TRUE(packed.ReadU8().ok());
+  ASSERT_EQ(*packed.ReadU32(), SyncAuthority::kDesignatedSender);
+  const auto packed_bytes = packed.ReadStringView();
+  ASSERT_TRUE(packed_bytes.ok());
+  torbase::Reader relay(probe->ds_frame);
+  ASSERT_TRUE(relay.ReadU8().ok());
+  const auto relayed = torcrypto::ReadDigest(relay);
+  ASSERT_TRUE(relayed.ok());
+  EXPECT_EQ(*relayed, torcrypto::Digest256::Of(*packed_bytes));
+}
+
+TEST(SyncProtocolTest, MalformedPackedVotesAreDroppedOnArrival) {
+  Fixture fx;
+  fx.Build(120, torattack::kAuthorityLinkBps, {}, std::make_unique<PackedVoteProbe>());
+  const auto outcomes = fx.Run();
+  ASSERT_EQ(outcomes.size(), 8u);
+  for (size_t a = 0; a < outcomes.size(); ++a) {
+    size_t dropped = 0;
+    for (const auto& record : fx.authorities[a]->log().records()) {
+      dropped += record.message == "Malformed packed vote from 8; dropped.";
+    }
+    EXPECT_EQ(dropped, 2u) << "authority " << a;
+    EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
+    EXPECT_EQ(outcomes[a].lists_in_agreed_vote, 8u) << "authority " << a;
   }
 }
 

@@ -88,7 +88,7 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
       return;  // only collect honest votes
     }
     auto posted_at = r.ReadU64();
-    auto text = r.ReadString();
+    auto text = r.ReadStringView();
     if (!posted_at.ok() || !text.ok()) {
       return;
     }

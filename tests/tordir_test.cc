@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
+#include <string_view>
 
 #include "src/common/thread_pool.h"
+#include "src/crypto/digest.h"
 #include "src/crypto/sha256_tree.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
@@ -280,6 +284,42 @@ TEST(DirspecTest, EstimateTracksActualSizeAcrossTheRelayAxis) {
 }
 
 // --- Figure 2 aggregation rules --------------------------------------------
+
+TEST(VoteCacheTest, FindTextHitsOnlyTheExactBytes) {
+  PopulationConfig config;
+  config.relay_count = 60;
+  config.seed = 3;
+  const auto population = GeneratePopulation(config);
+  VoteCache cache;
+  std::vector<std::shared_ptr<const VoteDocument>> documents;
+  for (VoteDocument& vote : MakeAllVotes(9, population, config)) {
+    auto document = std::make_shared<const VoteDocument>(std::move(vote));
+    auto text = std::make_shared<const std::string>(SerializeVote(*document));
+    cache.Add(torcrypto::Digest256::Of(*text), CachedVote{document, text});
+    documents.push_back(std::move(document));
+  }
+  cache.Seal();
+
+  for (const auto& document : documents) {
+    // A separate copy of the entry's text, so a hit is a real byte comparison.
+    const std::string text = SerializeVote(*document);
+    const VoteCache::Entry* hit = cache.FindText(text);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->second.document, document);
+    EXPECT_NE(hit->second.text->data(), text.data());
+    EXPECT_EQ(hit->first, torcrypto::Digest256::Of(text));
+    EXPECT_EQ(cache.FindText(*hit->second.text), hit);
+
+    for (size_t pos : {size_t{0}, text.size() / 2, text.size() - 1}) {
+      std::string changed = text;
+      changed[pos] ^= 0x01;
+      EXPECT_EQ(cache.FindText(changed), nullptr) << "byte " << pos << " changed";
+    }
+    EXPECT_EQ(cache.FindText(std::string_view(text).substr(0, text.size() - 1)), nullptr);
+    EXPECT_EQ(cache.FindText(text + "\n"), nullptr);
+  }
+  EXPECT_EQ(cache.FindText(""), nullptr);
+}
 
 TEST(AggregateTest, MajorityInclusionThreshold) {
   // 5 votes; relay 0x11 listed by 3 (majority), relay 0x22 by 2 (excluded).
