@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
   std::printf("%llu clients (%.0f%% bootstrapping/period), %u caches x %.0f Mbit/s, "
               "%zu relays, %u sweep threads\n\n",
               static_cast<unsigned long long>(clients.client_count),
-              100.0 * clients.bootstrap_fraction, clients.cache_count,
-              clients.cache_bandwidth_bps / 1e6, relays, threads);
+              100.0 * torclients::kBootstrapFraction, torclients::kCacheCount,
+              torclients::kCacheBandwidthBps / 1e6, relays, threads);
 
   torscenario::ScenarioRunner runner;
   torscenario::SweepOptions sweep;

@@ -73,7 +73,6 @@ std::vector<AttackAxis> AttackAxes() {
   torattack::RollingAttackConfig rolling;
   rolling.victim_count = 5;
   rolling.period = torbase::Minutes(1);
-  rolling.start = 0;
   rolling.end = torbase::Minutes(4);
   axes.push_back({"rolling4m", std::make_shared<torattack::RollingAttack>(rolling)});
   return axes;

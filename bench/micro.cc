@@ -348,8 +348,8 @@ BENCHMARK(BM_CopyVoteDocument)->Arg(8000);
 // --- scenario result memo ----------------------------------------------------
 
 // A field-rich spec exercising every branch of the canonical description:
-// windowed attack with per-target overrides, churn, byzantine behaviors, a
-// full client plane, heterogeneous bandwidth.
+// windowed attack, churn, byzantine behaviors, a full client plane,
+// heterogeneous bandwidth.
 torscenario::ScenarioSpec MakeRichSpec() {
   torscenario::ScenarioSpec spec;
   spec.name = "bench";
@@ -362,7 +362,6 @@ torscenario::ScenarioSpec MakeRichSpec() {
   window.start = 0;
   window.end = torbase::Minutes(5);
   window.available_bps = 0.0;
-  window.available_bps_by_target = {{2, 1e6}};
   spec.attack = std::make_shared<torattack::WindowedAttack>(
       std::vector<torattack::AttackWindow>{window});
   spec.churn = {torscenario::ChurnEvent{7, torbase::Minutes(3),

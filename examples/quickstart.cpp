@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "src/clients/population.h"
-#include "src/core/icps_authority.h"
+#include "src/protocols/icps/icps_authority.h"
 #include "src/protocols/directory_protocol.h"
 #include "src/sim/actor.h"
 #include "src/tordir/dirspec.h"

@@ -4,7 +4,7 @@ namespace torattack {
 
 void ApplyAttack(torsim::Network& net, const AttackWindow& window) {
   for (torbase::NodeId target : window.targets) {
-    net.LimitNode(target, window.start, window.end, window.BpsFor(target));
+    net.LimitNode(target, window.start, window.end, window.available_bps);
   }
 }
 

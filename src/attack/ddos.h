@@ -8,7 +8,7 @@
 #define SRC_ATTACK_DDOS_H_
 
 #include <cstdint>
-#include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -29,16 +29,12 @@ struct AttackWindow {
   std::vector<torbase::NodeId> targets;
   torbase::TimePoint start = 0;
   torbase::TimePoint end = 0;
-  // Bandwidth left to the victim during the window (both directions).
+  // Bandwidth left to every victim during the window (both directions).
   double available_bps = kUnderAttackBps;
-  // Per-target overrides of `available_bps`: an asymmetric flood leaves
-  // different victims different residual rates (e.g. TorMult-style
-  // heterogeneous authority links).
-  std::map<torbase::NodeId, double> available_bps_by_target;
 
-  double BpsFor(torbase::NodeId target) const {
-    const auto it = available_bps_by_target.find(target);
-    return it == available_bps_by_target.end() ? available_bps : it->second;
+  auto Fields() const {
+    const auto& [targets, start, end, available_bps] = *this;
+    return std::tie(targets, start, end, available_bps);
   }
 };
 

@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
-#include "src/common/serialize.h"
+#include "src/common/fields.h"
 
 namespace torattack {
 namespace {
-
-// splitmix64: deterministic, platform-independent epoch scrambling for seeded
-// rolling attacks.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 torbase::TimePoint EffectiveEnd(torbase::TimePoint configured_end,
                                 const AttackContext& context) {
@@ -26,36 +16,29 @@ torbase::TimePoint EffectiveEnd(torbase::TimePoint configured_end,
   return configured_end;
 }
 
+// min(count, n) consecutive authorities starting at `head` (mod n).
+std::vector<torbase::NodeId> Consecutive(uint64_t head, uint32_t count, uint32_t n) {
+  std::vector<torbase::NodeId> victims(std::min(count, n));
+  for (uint32_t i = 0; i < victims.size(); ++i) {
+    victims[i] = static_cast<torbase::NodeId>((head + i) % n);
+  }
+  return victims;
+}
+
 }  // namespace
 
 void WindowedAttack::Install(torsim::Harness& harness, const AttackContext& /*context*/) {
   for (const AttackWindow& window : windows_) {
     ApplyAttack(harness.net(), window);
-    // One history sample per distinct residual rate, so per-target overrides
-    // are reported as applied, not as the window's uniform rate.
-    std::map<double, std::vector<torbase::NodeId>> by_rate;
-    for (torbase::NodeId target : window.targets) {
-      by_rate[window.BpsFor(target)].push_back(target);
-    }
-    for (auto& [rate, targets] : by_rate) {
-      Record(window.start, std::move(targets), rate);
+    if (!window.targets.empty()) {
+      Record(window.start, window.targets, window.available_bps);
     }
   }
 }
 
 std::vector<torbase::NodeId> RollingAttack::VictimsOf(uint64_t epoch,
                                                       uint32_t authority_count) const {
-  const uint32_t n = authority_count;
-  const uint32_t count = std::min(config_.victim_count, n);
-  const uint64_t offset = config_.seed != 0
-                              ? Mix(config_.seed ^ epoch) % n
-                              : (epoch * config_.stride) % n;
-  std::vector<torbase::NodeId> victims;
-  victims.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    victims.push_back(static_cast<torbase::NodeId>((offset + i) % n));
-  }
-  return victims;
+  return Consecutive(epoch % authority_count, config_.victim_count, authority_count);
 }
 
 void RollingAttack::Install(torsim::Harness& harness, const AttackContext& context) {
@@ -69,14 +52,13 @@ void RollingAttack::Install(torsim::Harness& harness, const AttackContext& conte
     return;
   }
   uint64_t epoch = 0;
-  for (torbase::TimePoint t = config_.start; t < end; t += config_.period, ++epoch) {
+  for (torbase::TimePoint t = 0; t < end; t += config_.period, ++epoch) {
     AttackWindow window;
     window.targets = VictimsOf(epoch, context.authority_count);
     window.start = t;
     window.end = std::min<torbase::TimePoint>(t + config_.period, end);
-    window.available_bps = config_.available_bps;
     ApplyAttack(harness.net(), window);
-    Record(t, std::move(window.targets), config_.available_bps);
+    Record(t, std::move(window.targets), window.available_bps);
   }
 }
 
@@ -94,16 +76,12 @@ void AdaptiveLeaderAttack::Retarget(torsim::Harness& harness, const AttackContex
   const torbase::NodeId head = leader.value_or(static_cast<torbase::NodeId>(epoch % n));
 
   AttackWindow window;
-  const uint32_t count = std::min(config_.victim_count, n);
-  for (uint32_t i = 0; i < count; ++i) {
-    window.targets.push_back(static_cast<torbase::NodeId>((head + i) % n));
-  }
+  window.targets = Consecutive(head, config_.victim_count, n);
   window.start = now;
   window.end = std::min<torbase::TimePoint>(now + config_.period, end);
-  window.available_bps = config_.available_bps;
   if (window.start < window.end) {
     ApplyAttack(harness.net(), window);
-    Record(now, std::move(window.targets), config_.available_bps);
+    Record(now, std::move(window.targets), window.available_bps);
   }
 
   const torbase::TimePoint next = now + config_.period;
@@ -116,57 +94,31 @@ void AdaptiveLeaderAttack::Retarget(torsim::Harness& harness, const AttackContex
 
 void AdaptiveLeaderAttack::Install(torsim::Harness& harness, const AttackContext& context) {
   const torbase::TimePoint end = EffectiveEnd(config_.end, context);
-  if (config_.start >= end) {
+  if (end == 0) {
     return;
   }
-  harness.sim().ScheduleAt(config_.start, [this, &harness, context, end] {
+  harness.sim().ScheduleAt(0, [this, &harness, context, end] {
     Retarget(harness, context, 0, end);
   });
 }
 
 // --- canonical descriptions --------------------------------------------------
-// Every config field that can influence Install() is written, in declaration
-// order, behind the schedule's name; history never is. Keep each description
-// in lock-step with its config struct — torscenario's
-// SpecFieldListIsCoveredByDigest mutation sweep pins the coverage.
+// The schedule's name, then its configuration through the config's Fields()
+// list; history never enters.
 
 void WindowedAttack::Describe(torbase::Writer& writer) const {
   writer.WriteString(name());
-  writer.WriteU32(static_cast<uint32_t>(windows_.size()));
-  for (const AttackWindow& window : windows_) {
-    writer.WriteU32(static_cast<uint32_t>(window.targets.size()));
-    for (const torbase::NodeId target : window.targets) {
-      writer.WriteU32(target);
-    }
-    writer.WriteU64(window.start);
-    writer.WriteU64(window.end);
-    writer.WriteF64(window.available_bps);
-    writer.WriteU32(static_cast<uint32_t>(window.available_bps_by_target.size()));
-    for (const auto& [target, bps] : window.available_bps_by_target) {
-      writer.WriteU32(target);
-      writer.WriteF64(bps);
-    }
-  }
+  torbase::Describe(writer, windows_);
 }
 
 void RollingAttack::Describe(torbase::Writer& writer) const {
   writer.WriteString(name());
-  writer.WriteU32(config_.victim_count);
-  writer.WriteU64(config_.start);
-  writer.WriteU64(config_.end);
-  writer.WriteU64(config_.period);
-  writer.WriteF64(config_.available_bps);
-  writer.WriteU32(config_.stride);
-  writer.WriteU64(config_.seed);
+  torbase::Describe(writer, config_);
 }
 
 void AdaptiveLeaderAttack::Describe(torbase::Writer& writer) const {
   writer.WriteString(name());
-  writer.WriteU32(config_.victim_count);
-  writer.WriteU64(config_.start);
-  writer.WriteU64(config_.end);
-  writer.WriteU64(config_.period);
-  writer.WriteF64(config_.available_bps);
+  torbase::Describe(writer, config_);
 }
 
 }  // namespace torattack

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/attack/ddos.h"
@@ -73,19 +74,17 @@ class AttackSchedule {
   // untouched.
   virtual std::shared_ptr<AttackSchedule> Clone() const = 0;
 
-  // Writes a canonical, field-complete description of this schedule's
-  // *configuration* — the bytes torscenario::SpecDigest hashes to decide
-  // whether two scenario specs would simulate identically. Contract: every
-  // config field that can influence Install()'s behavior must be written
-  // (tagged, in a fixed order, starting with name()); mutable per-run state
-  // (history) must not be. Two schedules with equal descriptions must run
-  // identically; a Clone() must describe identically to its original.
+  // Writes a canonical description of this schedule's *configuration* — the
+  // bytes torscenario::SpecDigest hashes to decide whether two scenario specs
+  // would simulate identically: name(), then torbase::Describe of the config,
+  // whose Fields() list is compiler-checked to name every member
+  // (src/common/fields.h). Mutable per-run state (history) is never written,
+  // so a Clone() describes identically to its original.
   virtual void Describe(torbase::Writer& writer) const = 0;
 
   // Victim history of the installs on this object (runs record it in
   // ScenarioResult::attack_history instead).
   const std::vector<AttackSample>& history() const { return history_; }
-  void ClearHistory() { history_.clear(); }
 
  protected:
   void Record(torbase::TimePoint at, std::vector<torbase::NodeId> victims, double bps) {
@@ -116,20 +115,20 @@ class WindowedAttack : public AttackSchedule {
 };
 
 // --- rolling victims ---------------------------------------------------------
+// Floods from t = 0 at kUnderAttackBps; epoch k's victims are the
+// `victim_count` authorities starting at authority k mod n.
 struct RollingAttackConfig {
   // Victims clamped simultaneously in each epoch.
   uint32_t victim_count = 5;
-  torbase::TimePoint start = 0;
   // Open-ended by default; clamped to the run horizon at install time.
   torbase::TimePoint end = torbase::kTimeNever;
   // Epoch length: how long each victim set is flooded before rotating.
   torbase::Duration period = torbase::Minutes(1);
-  double available_bps = kUnderAttackBps;
-  // Victims advance by `stride` authorities per epoch (mod n).
-  uint32_t stride = 1;
-  // seed != 0 selects a deterministic pseudo-random epoch offset instead of
-  // the linear rotation — same API, scrambled victim order.
-  uint64_t seed = 0;
+
+  auto Fields() const {
+    const auto& [victim_count, end, period] = *this;
+    return std::tie(victim_count, end, period);
+  }
 };
 
 class RollingAttack : public AttackSchedule {
@@ -152,15 +151,19 @@ class RollingAttack : public AttackSchedule {
 };
 
 // --- adaptive leader chasing -------------------------------------------------
+// Floods from t = 0 at kUnderAttackBps.
 struct AdaptiveLeaderConfig {
   // The leader plus the next (victim_count - 1) round-robin leaders are
   // clamped: flooding the pipeline of upcoming views, not just the head.
   uint32_t victim_count = 1;
-  torbase::TimePoint start = 0;
   torbase::TimePoint end = torbase::kTimeNever;
   // Re-targeting cadence: how often the attacker re-reads the leader.
   torbase::Duration period = torbase::Seconds(30);
-  double available_bps = kUnderAttackBps;
+
+  auto Fields() const {
+    const auto& [victim_count, end, period] = *this;
+    return std::tie(victim_count, end, period);
+  }
 };
 
 class AdaptiveLeaderAttack : public AttackSchedule {

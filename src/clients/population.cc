@@ -82,10 +82,10 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
   std::sort(docs.begin(), docs.end(),
             [](const ServedDoc& a, const ServedDoc& b) { return a.available < b.available; });
 
-  // Availability-state breakpoints: window edges, every instant a document
-  // becomes available or crosses a freshness boundary, and every cache-rate
-  // change point. Between consecutive breakpoints the state and all rates are
-  // constant, so each slice integrates in closed form.
+  // Availability-state breakpoints: window edges and every instant a document
+  // becomes available or crosses a freshness boundary. The cache tier's rate
+  // is fixed, so between consecutive breakpoints the state and all rates are
+  // constant, and each slice integrates in closed form.
   std::vector<double> cuts = {0.0, window_seconds};
   const auto add_cut = [&cuts, window_seconds](double t) {
     if (t > 0.0 && t < window_seconds) {
@@ -97,24 +97,16 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
     add_cut(doc.fresh_until);
     add_cut(doc.valid_until);
   }
-  torsim::BandwidthSchedule cache(spec.cache_bandwidth_bps);
-  for (torbase::TimePoint t = cache.NextChangeAfter(0); t != torbase::kTimeNever;
-       t = cache.NextChangeAfter(t)) {
-    const double seconds = static_cast<double>(t) / 1e6;
-    if (seconds >= window_seconds) {
-      break;
-    }
-    add_cut(seconds);
-  }
+  const torsim::BandwidthSchedule cache(kCacheBandwidthBps);
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
   // Cohort demand rates: the fluid limit of each cohort's Poisson fetch
   // arrivals (see the header comment).
   const double boot_rate =
-      static_cast<double>(spec.client_count) * spec.bootstrap_fraction / period;
+      static_cast<double>(spec.client_count) * kBootstrapFraction / period;
   const double steady_rate =
-      static_cast<double>(spec.client_count) * (1.0 - spec.bootstrap_fraction) / period;
+      static_cast<double>(spec.client_count) * (1.0 - kBootstrapFraction) / period;
 
   double backlog = 0.0;
   out.timeline.reserve(cuts.size() - 1);
@@ -187,7 +179,7 @@ ClientAvailability SimulateClientLoad(const ClientLoadSpec& spec,
       // backlog tracks *blocked bootstraps* only. Capacity is the cache
       // tier's aggregate schedule over the slice.
       const double capacity_bits =
-          static_cast<double>(spec.cache_count) * cache.CapacityDuring(ToMicros(t0), ToMicros(t1));
+          static_cast<double>(kCacheCount) * cache.CapacityDuring(ToMicros(t0), ToMicros(t1));
       double steady_served;
       double boot_served;
       if (spec.diff_capable_fraction <= 0.0) {

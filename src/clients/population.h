@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "src/common/time.h"
@@ -50,19 +51,21 @@
 
 namespace torclients {
 
-// What to simulate: the client population and the cache tier serving it.
+// Fraction of the population bootstrapping (first fetch) during each
+// directory period; the rest are steady-state refetchers.
+constexpr double kBootstrapFraction = 0.05;
+
+// The directory-cache tier mirroring the authorities' freshest consensus:
+// 16 caches of 1 Gbit/s each.
+constexpr uint32_t kCacheCount = 16;
+constexpr double kCacheBandwidthBps = torsim::MegabitsPerSecond(1000);
+
+// What to simulate: the client population served by the cache tier above.
 // client_count == 0 disables the plane entirely.
 struct ClientLoadSpec {
   // Total clients in the population. 5'000'000 is the paper's "millions of
   // users" order; the model's cost does not depend on this number.
   uint64_t client_count = 0;
-  // Fraction of the population bootstrapping (first fetch) during each
-  // directory period; the rest are steady-state refetchers.
-  double bootstrap_fraction = 0.05;
-
-  // Directory-cache tier mirroring the authorities' freshest consensus.
-  uint32_t cache_count = 16;
-  double cache_bandwidth_bps = torsim::MegabitsPerSecond(1000);
 
   // Authorities start their run this long before the consensus's valid-after
   // (Tor votes at :50 for the :00 consensus). This maps document validity
@@ -87,6 +90,13 @@ struct ClientLoadSpec {
   // and keeps the served-fetch arithmetic bit-identical to the pre-diff
   // model.
   double diff_capable_fraction = 0.0;
+
+  auto Fields() const {
+    const auto& [client_count, vote_lead, evaluation_window, consensus_size_hint_bytes,
+                 diff_capable_fraction] = *this;
+    return std::tie(client_count, vote_lead, evaluation_window, consensus_size_hint_bytes,
+                    diff_capable_fraction);
+  }
 };
 
 // One consensus document as the cache tier sees it, in virtual seconds
@@ -157,6 +167,17 @@ struct ClientAvailabilitySummary {
   // Total bytes the cache tier transferred over the window (the served-bytes
   // integral; divide by client-hours for the serving-cost headline).
   double served_bytes = 0.0;
+
+  auto Fields() const {
+    const auto& [total_fetches, fresh_fetches, stale_fetches, unserved_fetches, fresh_fraction,
+                 time_to_first_stale_seconds, outage_seconds, outage_start_seconds,
+                 hard_down_seconds, hard_down_start_seconds, peak_backlog_fetches,
+                 served_bytes] = *this;
+    return std::tie(total_fetches, fresh_fetches, stale_fetches, unserved_fetches,
+                    fresh_fraction, time_to_first_stale_seconds, outage_seconds,
+                    outage_start_seconds, hard_down_seconds, hard_down_start_seconds,
+                    peak_backlog_fetches, served_bytes);
+  }
 };
 
 // The summary plus the per-slice timeline it was integrated from.

@@ -1,7 +1,6 @@
 #include "src/common/logging.h"
 
 #include <cstdio>
-#include <ostream>
 
 namespace torbase {
 
@@ -58,9 +57,6 @@ void Logger::Log(TimePoint now, LogLevel level, std::string message) {
     return;
   }
   LogRecord record{now, level, component_, std::move(message)};
-  if (sink_ != nullptr) {
-    *sink_ << record.Format() << "\n";
-  }
   if (capacity_ != 0 && records_.size() >= capacity_) {
     records_.erase(records_.begin());
   }

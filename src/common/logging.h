@@ -2,14 +2,12 @@
 // lines carry the *simulated* timestamp injected by the caller, so experiment
 // output looks like Figure 1 of the paper and is reproducible byte-for-byte.
 //
-// A Logger writes to an optional stream sink and always records into an
-// in-memory ring that tests and benches can inspect.
+// A Logger records into an in-memory ring that tests and benches can inspect.
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
-#include <functional>
-#include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -42,8 +40,6 @@ class Logger {
 
   // Messages below this level are dropped entirely.
   void set_min_level(LogLevel level) { min_level_ = level; }
-  // Mirror records to this stream (e.g. &std::cout). May be nullptr.
-  void set_sink(std::ostream* sink) { sink_ = sink; }
   // Caps the in-memory record buffer; 0 means unbounded.
   void set_capacity(size_t capacity) { capacity_ = capacity; }
 
@@ -64,7 +60,6 @@ class Logger {
  private:
   std::string component_;
   LogLevel min_level_ = LogLevel::kDebug;
-  std::ostream* sink_ = nullptr;
   size_t capacity_ = 0;
   std::vector<LogRecord> records_;
 };

@@ -4,11 +4,6 @@ namespace torbase {
 
 void Writer::WriteU8(uint8_t v) { buffer_.push_back(v); }
 
-void Writer::WriteU16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v));
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
 void Writer::WriteU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -57,15 +52,6 @@ Result<uint8_t> Reader::ReadU8() {
     return s;
   }
   return data_[pos_++];
-}
-
-Result<uint16_t> Reader::ReadU16() {
-  if (Status s = Need(2); !s.ok()) {
-    return s;
-  }
-  uint16_t v = static_cast<uint16_t>(data_[pos_]) | static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
 }
 
 Result<uint32_t> Reader::ReadU32() {

@@ -21,7 +21,6 @@ class Writer {
   Writer() = default;
 
   void WriteU8(uint8_t v);
-  void WriteU16(uint16_t v);
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
   // IEEE-754 bit pattern as a little-endian u64. Canonical descriptions
@@ -203,7 +202,6 @@ class Reader {
   explicit Reader(Bytes&&) = delete;
 
   Result<uint8_t> ReadU8();
-  Result<uint16_t> ReadU16();
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<bool> ReadBool();

@@ -24,7 +24,6 @@ constexpr Duration kHour = 60 * kMinute;
 // A TimePoint that is never reached; used as "no deadline".
 constexpr TimePoint kTimeNever = ~0ull;
 
-constexpr Duration Micros(uint64_t n) { return n; }
 constexpr Duration Millis(uint64_t n) { return n * kMillisecond; }
 constexpr Duration Seconds(uint64_t n) { return n * kSecond; }
 constexpr Duration Minutes(uint64_t n) { return n * kMinute; }

@@ -108,13 +108,4 @@ std::vector<std::array<uint8_t, kSha256DigestSize>> Sha256Batch::Finish() {
   return digests;
 }
 
-std::vector<std::array<uint8_t, kSha256DigestSize>> Sha256BatchDigest(
-    std::span<const std::span<const uint8_t>> messages) {
-  Sha256Batch batch;
-  for (const auto& message : messages) {
-    batch.Add(message);
-  }
-  return batch.Finish();
-}
-
 }  // namespace torcrypto

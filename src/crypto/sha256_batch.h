@@ -43,10 +43,6 @@ class Sha256Batch {
   std::vector<std::span<const uint8_t>> messages_;
 };
 
-// One-shot form for callers that already hold a message list.
-std::vector<std::array<uint8_t, kSha256DigestSize>> Sha256BatchDigest(
-    std::span<const std::span<const uint8_t>> messages);
-
 }  // namespace torcrypto
 
 #endif  // SRC_CRYPTO_SHA256_BATCH_H_

@@ -4,12 +4,14 @@
 #include <string>
 #include <utility>
 
-#include "src/common/serialize.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/wire_mutator.h"
 
 namespace torproto {
 namespace {
+
+// kInflateBandwidth's multiplier: TorMult's inflation factor.
+constexpr double kBandwidthMultiplier = 64.0;
 
 // Saturating bandwidth scaling; inflated weights must not wrap back down.
 uint64_t Inflate(uint64_t value, double multiplier) {
@@ -52,16 +54,6 @@ const char* ByzantineBehaviorName(ByzantineBehavior behavior) {
   return "?";
 }
 
-void ByzantineSpec::Describe(torbase::Writer& writer) const {
-  writer.WriteU32(static_cast<uint32_t>(behaviors.size()));
-  for (const auto& [node, behavior] : behaviors) {
-    writer.WriteU32(node);
-    writer.WriteU8(static_cast<uint8_t>(behavior));
-  }
-  writer.WriteU64(mutation_seed);
-  writer.WriteF64(bandwidth_multiplier);
-}
-
 AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
                                        ByzantineBehavior behavior, const ByzantineSpec& spec,
                                        torbase::NodeId id) {
@@ -102,9 +94,9 @@ AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
     case ByzantineBehavior::kInflateBandwidth: {
       tordir::VoteDocument inflated = *honest.vote;
       for (tordir::RelayStatus& relay : inflated.relays) {
-        relay.bandwidth = Inflate(relay.bandwidth, spec.bandwidth_multiplier);
+        relay.bandwidth = Inflate(relay.bandwidth, kBandwidthMultiplier);
         if (relay.measured.has_value()) {
-          relay.measured = Inflate(*relay.measured, spec.bandwidth_multiplier);
+          relay.measured = Inflate(*relay.measured, kBandwidthMultiplier);
         }
       }
       return WithDocument(honest, std::move(inflated));

@@ -25,12 +25,9 @@
 #define SRC_PROTOCOLS_BYZANTINE_H_
 
 #include <map>
+#include <tuple>
 
 #include "src/protocols/directory_protocol.h"
-
-namespace torbase {
-class Writer;
-}
 
 namespace torproto {
 
@@ -44,23 +41,20 @@ enum class ByzantineBehavior {
 const char* ByzantineBehaviorName(ByzantineBehavior behavior);
 
 // Which authorities misbehave and how. Part of ScenarioSpec, so everything
-// here must stay deterministic and comparable.
+// here must stay deterministic and comparable. kInflateBandwidth multiplies
+// by a fixed 64 (TorMult's inflation factor).
 struct ByzantineSpec {
   std::map<torbase::NodeId, ByzantineBehavior> behaviors;
   // Seed for the kMalformedWire mutations (mixed with the authority id, so
   // two malformed authorities produce different bytes).
   uint64_t mutation_seed = 1;
-  // kInflateBandwidth multiplier (TorMult's inflation factor).
-  double bandwidth_multiplier = 64.0;
 
   bool empty() const { return behaviors.empty(); }
-  bool operator==(const ByzantineSpec&) const = default;
 
-  // Canonical field-complete description for torscenario::SpecDigest — every
-  // field above, in order (behaviors are a std::map, so iteration order is
-  // already canonical). Keep in lock-step with the field list; the digest
-  // mutation-sweep test pins the coverage.
-  void Describe(torbase::Writer& writer) const;
+  auto Fields() const {
+    const auto& [behaviors, mutation_seed] = *this;
+    return std::tie(behaviors, mutation_seed);
+  }
 };
 
 // Derives authority `id`'s faulty materials from its honest ones. Pure and

@@ -1,4 +1,4 @@
-#include "src/core/digest_vector.h"
+#include "src/protocols/icps/digest_vector.h"
 
 #include <set>
 

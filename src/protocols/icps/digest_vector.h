@@ -16,8 +16,8 @@
 //                   adversarial leader cannot exclude a correct sender.
 // A vector is *ready* once it has at least (n - f) non-⟂ entries; readiness is
 // part of external validity in the agreement sub-protocol.
-#ifndef SRC_CORE_DIGEST_VECTOR_H_
-#define SRC_CORE_DIGEST_VECTOR_H_
+#ifndef SRC_PROTOCOLS_ICPS_DIGEST_VECTOR_H_
+#define SRC_PROTOCOLS_ICPS_DIGEST_VECTOR_H_
 
 #include <map>
 #include <optional>
@@ -101,4 +101,4 @@ std::optional<CertifiedVector> BuildCertifiedVector(
 
 }  // namespace toricc
 
-#endif  // SRC_CORE_DIGEST_VECTOR_H_
+#endif  // SRC_PROTOCOLS_ICPS_DIGEST_VECTOR_H_

@@ -1,4 +1,4 @@
-#include "src/core/icps_authority.h"
+#include "src/protocols/icps/icps_authority.h"
 
 #include "src/tordir/dirspec.h"
 

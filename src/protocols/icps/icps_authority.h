@@ -16,8 +16,8 @@
 // take arbitrarily long (the network may be under DDoS), and the protocol
 // finishes shortly after connectivity returns — the property Figure 11
 // measures.
-#ifndef SRC_CORE_ICPS_AUTHORITY_H_
-#define SRC_CORE_ICPS_AUTHORITY_H_
+#ifndef SRC_PROTOCOLS_ICPS_ICPS_AUTHORITY_H_
+#define SRC_PROTOCOLS_ICPS_ICPS_AUTHORITY_H_
 
 #include <map>
 #include <memory>
@@ -29,7 +29,7 @@
 
 #include "src/common/time.h"
 #include "src/consensus/hotstuff.h"
-#include "src/core/digest_vector.h"
+#include "src/protocols/icps/digest_vector.h"
 #include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
 #include "src/protocols/directory_protocol.h"
@@ -142,4 +142,4 @@ class IcpsAuthority : public torproto::AuthorityCore {
 
 }  // namespace toricc
 
-#endif  // SRC_CORE_ICPS_AUTHORITY_H_
+#endif  // SRC_PROTOCOLS_ICPS_ICPS_AUTHORITY_H_

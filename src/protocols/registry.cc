@@ -5,7 +5,7 @@
 #include <map>
 #include <type_traits>
 
-#include "src/core/icps_authority.h"
+#include "src/protocols/icps/icps_authority.h"
 #include "src/protocols/authority_core.h"
 #include "src/protocols/common.h"
 #include "src/protocols/current/current_authority.h"

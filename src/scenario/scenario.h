@@ -7,16 +7,17 @@
 #ifndef SRC_SCENARIO_SCENARIO_H_
 #define SRC_SCENARIO_SCENARIO_H_
 
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
 #include "src/clients/population.h"
+#include "src/common/fields.h"
 #include "src/common/ids.h"
 #include "src/common/time.h"
 #include "src/protocols/byzantine.h"
@@ -37,6 +38,11 @@ struct ChurnEvent {
   torbase::NodeId node = 0;
   torbase::TimePoint at = 0;
   Kind kind = Kind::kCrash;
+
+  auto Fields() const {
+    const auto& [node, at, kind] = *this;
+    return std::tie(node, at, kind);
+  }
 };
 
 struct ScenarioSpec {
@@ -107,6 +113,19 @@ struct ScenarioSpec {
   // document for diff chains and rejoin accounting without paying for a
   // per-round client plane; interned relay strings make the copy cheap.
   bool retain_consensus = false;
+
+  // Every member but `name`, the memo's one documented exemption: a display
+  // label never simulated (spec_digest.h).
+  auto Fields() const {
+    const auto& [name, protocol, authority_count, relay_count, seed, bandwidth_bps,
+                 bandwidth_by_authority, latency, attack, churn, horizon, dissemination_timeout,
+                 two_phase_agreement, client_load, monitor_health, previous_consensus, byzantine,
+                 retain_consensus] = *this;
+    return std::tie(protocol, authority_count, relay_count, seed, bandwidth_bps,
+                    bandwidth_by_authority, latency, attack, churn, horizon,
+                    dissemination_timeout, two_phase_agreement, client_load, monitor_health,
+                    previous_consensus, byzantine, retain_consensus);
+  }
 };
 
 // The client-visible availability of one run (or of a timeline's whole
@@ -120,6 +139,13 @@ struct ClientAvailabilityResult : torclients::ClientAvailabilitySummary {
   // Equal when no diff cohort exists; NaN when there was no demand.
   double bytes_per_client_hour = std::numeric_limits<double>::quiet_NaN();
   double full_doc_bytes_per_client_hour = std::numeric_limits<double>::quiet_NaN();
+
+  // A structured binding cannot span a base and a derived class, so this list
+  // is the summary's followed by the three members declared here.
+  auto Fields() const {
+    return std::tuple_cat(ClientAvailabilitySummary::Fields(),
+                          std::tie(enabled, bytes_per_client_hour, full_doc_bytes_per_client_hour));
+  }
 };
 
 struct ScenarioResult {
@@ -184,59 +210,35 @@ struct ScenarioResult {
   // authorities — when the monitor had seen *every* injected fault. NaN when
   // nothing was injected or nothing was detected.
   double fault_detection_latency_seconds = std::numeric_limits<double>::quiet_NaN();
+
+  auto Fields() const {
+    const auto& [succeeded, valid_count, latency_seconds, finish_time_seconds, consensus_relays,
+                 total_bytes_sent, bytes_by_kind, undeliverable_messages, consensus_holders,
+                 attack_history, consensus_published_seconds, consensus_valid_after,
+                 consensus_fresh_until, consensus_valid_until, consensus_size_bytes,
+                 consensus_diff_size_bytes, consensus_document, client_availability,
+                 health_alerts, byzantine_count, faults_detected,
+                 fault_detection_latency_seconds] = *this;
+    return std::tie(succeeded, valid_count, latency_seconds, finish_time_seconds,
+                    consensus_relays, total_bytes_sent, bytes_by_kind, undeliverable_messages,
+                    consensus_holders, attack_history, consensus_published_seconds,
+                    consensus_valid_after, consensus_fresh_until, consensus_valid_until,
+                    consensus_size_bytes, consensus_diff_size_bytes, consensus_document,
+                    client_availability, health_alerts, byzantine_count, faults_detected,
+                    fault_detection_latency_seconds);
+  }
 };
 
-// Field-by-field equality with NaN == NaN (failed runs carry NaN latencies).
-// This is the definition of "bit-identical" that the parallel sweep guarantees
-// against serial execution; keep it in sync with ScenarioResult's fields so
-// the equivalence test and perf_report keep covering all of them.
-// scenario_test's ResultFieldListIsCoveredByBitIdentical pins the field list:
-// adding a member to ScenarioResult (or ClientAvailabilityResult) without
-// extending this comparison fails that test.
+// Field-by-field equality with NaN == NaN (failed runs carry NaN latencies),
+// derived from the Fields() lists above (src/common/fields.h). This is the
+// definition of "bit-identical" that the parallel sweep guarantees against
+// serial execution.
 inline bool BitIdentical(const ClientAvailabilityResult& a, const ClientAvailabilityResult& b) {
-  const auto same_double = [](double x, double y) {
-    return (std::isnan(x) && std::isnan(y)) || x == y;
-  };
-  return a.enabled == b.enabled && same_double(a.total_fetches, b.total_fetches) &&
-         same_double(a.fresh_fetches, b.fresh_fetches) &&
-         same_double(a.stale_fetches, b.stale_fetches) &&
-         same_double(a.unserved_fetches, b.unserved_fetches) &&
-         same_double(a.fresh_fraction, b.fresh_fraction) &&
-         same_double(a.time_to_first_stale_seconds, b.time_to_first_stale_seconds) &&
-         same_double(a.outage_seconds, b.outage_seconds) &&
-         same_double(a.outage_start_seconds, b.outage_start_seconds) &&
-         same_double(a.hard_down_seconds, b.hard_down_seconds) &&
-         same_double(a.hard_down_start_seconds, b.hard_down_start_seconds) &&
-         same_double(a.peak_backlog_fetches, b.peak_backlog_fetches) &&
-         same_double(a.served_bytes, b.served_bytes) &&
-         same_double(a.bytes_per_client_hour, b.bytes_per_client_hour) &&
-         same_double(a.full_doc_bytes_per_client_hour, b.full_doc_bytes_per_client_hour);
+  return torbase::Same(a, b);
 }
 
 inline bool BitIdentical(const ScenarioResult& a, const ScenarioResult& b) {
-  const auto same_double = [](double x, double y) {
-    return (std::isnan(x) && std::isnan(y)) || x == y;
-  };
-  return a.succeeded == b.succeeded && a.valid_count == b.valid_count &&
-         same_double(a.latency_seconds, b.latency_seconds) &&
-         same_double(a.finish_time_seconds, b.finish_time_seconds) &&
-         a.consensus_relays == b.consensus_relays && a.total_bytes_sent == b.total_bytes_sent &&
-         a.bytes_by_kind == b.bytes_by_kind &&
-         a.undeliverable_messages == b.undeliverable_messages &&
-         a.consensus_holders == b.consensus_holders && a.attack_history == b.attack_history &&
-         same_double(a.consensus_published_seconds, b.consensus_published_seconds) &&
-         a.consensus_valid_after == b.consensus_valid_after &&
-         a.consensus_fresh_until == b.consensus_fresh_until &&
-         a.consensus_valid_until == b.consensus_valid_until &&
-         a.consensus_size_bytes == b.consensus_size_bytes &&
-         a.consensus_diff_size_bytes == b.consensus_diff_size_bytes &&
-         (a.consensus_document == b.consensus_document ||
-          (a.consensus_document != nullptr && b.consensus_document != nullptr &&
-           *a.consensus_document == *b.consensus_document)) &&
-         BitIdentical(a.client_availability, b.client_availability) &&
-         a.health_alerts == b.health_alerts && a.byzantine_count == b.byzantine_count &&
-         a.faults_detected == b.faults_detected &&
-         same_double(a.fault_detection_latency_seconds, b.fault_detection_latency_seconds);
+  return torbase::Same(a, b);
 }
 
 }  // namespace torscenario

@@ -1,29 +1,24 @@
 // Canonical scenario-spec digest: the key of the ScenarioRunner's result
-// memo. SpecDigest serializes every result-influencing field of a
-// ScenarioSpec into a canonical byte string (fixed order, tagged, length-
-// prefixed collections, versioned domain prefix) and hashes it with the
-// repo's streaming SHA-256.
+// memo. SpecDigest writes the domain "scenario-spec-digest-v3", then every
+// field of ScenarioSpec::Fields() through torbase::Describe
+// (src/common/fields.h), and hashes the bytes with the repo's streaming
+// SHA-256. The encoding carries no field tags: it is prefix-free, and its
+// layout is fixed for each domain version.
 //
-// Coverage rule: two specs with equal digests MUST simulate identically —
-// Run(a) and Run(b) bit-identical — because the memo will serve one cached
-// result for both. Concretely:
+// Coverage rule: two specs with equal digests MUST simulate identically,
+// because the memo serves one cached result for both. Fields() names every
+// member in a structured binding, so a member added without being listed
+// fails to compile, and nested config (attack schedules via
+// AttackSchedule::Describe, churn events, the byzantine and client-load specs)
+// has compiler-checked lists too. Three rules on top:
 //
-//   * every ScenarioSpec field that can influence ScenarioResult is written,
-//     including nested config (attack schedules via AttackSchedule::Describe,
-//     churn events, the byzantine spec, the client-load spec);
-//   * spec.name is deliberately EXCLUDED — it is a free-form display label,
-//     echoed in reports but never read by the simulation. This is what lets
-//     a timeline's quiet rounds ("week/round3", "week/round4", ...) collapse
-//     into one simulation;
-//   * previous_consensus enters as its framing digest (the signed tree
-//     digest the diff codec pins documents with), so specs chaining from
+//   * spec.name is left out of the tuple: a display label, never simulated,
+//     which lets a timeline's quiet rounds ("week/round3", "week/round4", ...)
+//     collapse into one simulation;
+//   * previous_consensus enters as its framing digest (the signed tree digest
+//     the diff codec pins documents with), so specs chaining from
 //     byte-different baselines never collide;
 //   * mutable per-run state (attack history) never enters.
-//
-// spec_digest_test's SpecFieldListIsCoveredByDigest pins this coverage with a
-// per-field mutation sweep plus sizeof tripwires: adding a ScenarioSpec field
-// without teaching the digest about it fails CI instead of causing silent
-// false cache hits.
 #ifndef SRC_SCENARIO_SPEC_DIGEST_H_
 #define SRC_SCENARIO_SPEC_DIGEST_H_
 

@@ -1,6 +1,7 @@
 #include "src/scenario/timeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -165,8 +166,8 @@ std::vector<torbase::NodeId> CrashedAtBoundary(const TimelineSpec& spec, uint32_
 // the previous boundary, via the composed diff chain when close enough behind
 // (verified byte-identical against the full document, refused on any
 // framing-digest mismatch), else in full.
-RejoinEvent CatchUp(const TimelineSpec& spec, const std::vector<ChainLink>& chain,
-                    std::optional<size_t>& held_index, torbase::NodeId node, uint32_t round) {
+RejoinEvent CatchUp(const std::vector<ChainLink>& chain, std::optional<size_t>& held_index,
+                    torbase::NodeId node, uint32_t round) {
   RejoinEvent event;
   event.node = node;
   event.round = round;
@@ -191,7 +192,7 @@ RejoinEvent CatchUp(const TimelineSpec& spec, const std::vector<ChainLink>& chai
   event.rounds_behind = behind;
   std::vector<std::string_view> diffs;
   uint64_t diff_bytes = 0;
-  if (behind <= spec.max_diff_chain_rounds) {
+  if (behind <= kMaxDiffChainRounds) {
     diffs.reserve(behind);
     for (size_t i = *held_index + 1; i <= head; ++i) {
       diffs.push_back(*chain[i].diff);
@@ -251,7 +252,6 @@ std::vector<ScenarioSpec> BuildTimelineRoundSpecs(const TimelineSpec& spec) {
           cell.byzantine.behaviors.insert_or_assign(node, behavior);
         }
         cell.byzantine.mutation_seed = entry.spec.mutation_seed;
-        cell.byzantine.bandwidth_multiplier = entry.spec.bandwidth_multiplier;
       }
     }
     // Rounds are independent simulations, so a crash spanning rounds
@@ -277,51 +277,6 @@ std::vector<ScenarioSpec> BuildTimelineRoundSpecs(const TimelineSpec& spec) {
     rounds.push_back(std::move(cell));
   }
   return rounds;
-}
-
-bool BitIdentical(const RoundSnapshot& a, const RoundSnapshot& b) {
-  const auto same_text = [](const std::shared_ptr<const std::string>& x,
-                            const std::shared_ptr<const std::string>& y) {
-    return x == y || (x != nullptr && y != nullptr && *x == *y);
-  };
-  // The framing digest covers the full signed serialization, so digest
-  // equality subsumes document equality.
-  return a.round == b.round && a.succeeded == b.succeeded &&
-         (a.consensus == nullptr) == (b.consensus == nullptr) &&
-         a.consensus_digest == b.consensus_digest && a.consensus_round == b.consensus_round &&
-         same_text(a.consensus_text, b.consensus_text) &&
-         same_text(a.diff_from_previous, b.diff_from_previous) &&
-         a.backlog_fetches == b.backlog_fetches && a.fresh_at_boundary == b.fresh_at_boundary &&
-         a.crashed == b.crashed;
-}
-
-bool BitIdentical(const TimelineResult& a, const TimelineResult& b) {
-  const auto same_double = [](double x, double y) {
-    return (std::isnan(x) && std::isnan(y)) || x == y;
-  };
-  if (a.rounds.size() != b.rounds.size() || a.snapshots.size() != b.snapshots.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    if (!BitIdentical(a.rounds[i], b.rounds[i])) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.snapshots.size(); ++i) {
-    if (!BitIdentical(a.snapshots[i], b.snapshots[i])) {
-      return false;
-    }
-  }
-  return BitIdentical(a.client_availability, b.client_availability) &&
-         a.health_alerts == b.health_alerts && a.rejoins == b.rejoins &&
-         a.successful_rounds == b.successful_rounds &&
-         a.undeliverable_messages == b.undeliverable_messages &&
-         a.byzantine_injected == b.byzantine_injected &&
-         a.byzantine_detected == b.byzantine_detected &&
-         same_double(a.last_fault_cleared_seconds, b.last_fault_cleared_seconds) &&
-         same_double(a.time_to_fresh_seconds, b.time_to_fresh_seconds) &&
-         same_double(a.peak_retry_backlog, b.peak_retry_backlog) &&
-         a.rejoin_bytes == b.rejoin_bytes;
 }
 
 TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline) {
@@ -381,7 +336,7 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
     while (next_recovery < recoveries.size() &&
            recoveries[next_recovery].recover_round == r) {
       const CrashCalendarEntry& entry = recoveries[next_recovery++];
-      RejoinEvent event = CatchUp(timeline, chain, held[entry.node], entry.node, r);
+      RejoinEvent event = CatchUp(chain, held[entry.node], entry.node, r);
       out.rejoin_bytes += event.bytes;
       out.rejoins.push_back(std::move(event));
     }

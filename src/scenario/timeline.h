@@ -20,7 +20,7 @@
 //     wire sizes and the chain a straggler composes to catch up;
 //   * rejoin accounting — a recovering authority fetches the current
 //     consensus, via the composed diff chain when it is at most
-//     max_diff_chain_rounds behind (chain-applied and verified byte-identical
+//     kMaxDiffChainRounds behind (chain-applied and verified byte-identical
 //     here, refused on any digest mismatch), else the full document;
 //   * one whole-horizon client plane call — the bootstrap retry backlog and
 //     serving ladder (fresh → stale-but-valid → down) evolve continuously
@@ -35,10 +35,10 @@
 #ifndef SRC_SCENARIO_TIMELINE_H_
 #define SRC_SCENARIO_TIMELINE_H_
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/scenario/scenario.h"
@@ -66,11 +66,10 @@ struct CrashCalendarEntry {
   torbase::TimePoint recover_offset = 0;
 };
 
-// Byzantine behaviors active during rounds [first_round, last_round] — the
-// mid-horizon flip ROADMAP item 2 left open: behaviors switch on and off at
-// round boundaries. Overlapping entries merge; for an authority named twice,
-// the later entry wins. Scalar knobs (mutation_seed, bandwidth_multiplier)
-// come from the last entry covering the round.
+// Byzantine behaviors active during rounds [first_round, last_round]:
+// behaviors switch on and off at round boundaries. Overlapping entries merge;
+// for an authority named twice, the later entry wins. The mutation_seed comes
+// from the last entry covering the round.
 struct ByzantineCalendarEntry {
   uint32_t first_round = 0;
   uint32_t last_round = 0;
@@ -100,13 +99,12 @@ struct TimelineSpec {
   std::vector<CrashCalendarEntry> crashes;
   std::vector<ByzantineCalendarEntry> byzantine;
   std::vector<ChurnCalendarEntry> churn;
-
-  // A straggler at most this many published documents behind is served the
-  // composed diff chain; older (or colder) stragglers refetch the full
-  // document — real Tor's policy of serving diffs only from recent
-  // consensuses.
-  uint32_t max_diff_chain_rounds = 12;
 };
+
+// A straggler at most this many published documents behind is served the
+// composed diff chain; older (or colder) stragglers refetch the full
+// document — real Tor's policy of serving diffs only from recent consensuses.
+constexpr uint32_t kMaxDiffChainRounds = 12;
 
 // The immutable state the timeline carries across one round boundary. Rounds
 // simulate on private harnesses; the serial stitch pass derives one snapshot
@@ -133,6 +131,15 @@ struct RoundSnapshot {
   bool fresh_at_boundary = false;
   // Authorities down at the boundary, ascending.
   std::vector<torbase::NodeId> crashed;
+
+  auto Fields() const {
+    const auto& [round, succeeded, consensus, consensus_text, consensus_digest,
+                 consensus_round, diff_from_previous, backlog_fetches, fresh_at_boundary,
+                 crashed] = *this;
+    return std::tie(round, succeeded, consensus, consensus_text, consensus_digest,
+                    consensus_round, diff_from_previous, backlog_fetches, fresh_at_boundary,
+                    crashed);
+  }
 };
 
 // One authority rejoining after a crash: what catching up cost.
@@ -146,7 +153,7 @@ struct RejoinEvent {
   bool cold = false;
   // Caught up by composing consecutive per-round diffs (verified
   // byte-identical to the full document before counting). Only taken when the
-  // chain is within max_diff_chain_rounds AND cheaper than one full fetch.
+  // chain is within kMaxDiffChainRounds AND cheaper than one full fetch.
   bool via_diff_chain = false;
   // A candidate chain failed framing-digest verification and was refused;
   // the authority fell back to the full document.
@@ -193,6 +200,17 @@ struct TimelineResult {
   double peak_retry_backlog = 0.0;
   // Total catch-up bytes rejoining authorities transferred.
   uint64_t rejoin_bytes = 0;
+
+  auto Fields() const {
+    const auto& [rounds, snapshots, client_availability, health_alerts, rejoins,
+                 successful_rounds, undeliverable_messages, byzantine_injected,
+                 byzantine_detected, last_fault_cleared_seconds, time_to_fresh_seconds,
+                 peak_retry_backlog, rejoin_bytes] = *this;
+    return std::tie(rounds, snapshots, client_availability, health_alerts, rejoins,
+                    successful_rounds, undeliverable_messages, byzantine_injected,
+                    byzantine_detected, last_fault_cleared_seconds, time_to_fresh_seconds,
+                    peak_retry_backlog, rejoin_bytes);
+  }
 };
 
 // Derives the per-round ScenarioSpecs RunTimeline fans onto the sweep pool:
@@ -204,10 +222,15 @@ struct TimelineResult {
 // crash or churn entries naming a non-authority node).
 std::vector<ScenarioSpec> BuildTimelineRoundSpecs(const TimelineSpec& spec);
 
-// Field-by-field equality with NaN == NaN, the timeline engine's parallel ==
-// serial guarantee (documents compared by framing digest, diffs by bytes).
-bool BitIdentical(const RoundSnapshot& a, const RoundSnapshot& b);
-bool BitIdentical(const TimelineResult& a, const TimelineResult& b);
+// Field-by-field equality with NaN == NaN over the Fields() lists above, the
+// timeline engine's parallel == serial guarantee (documents and diffs compared
+// by value).
+inline bool BitIdentical(const RoundSnapshot& a, const RoundSnapshot& b) {
+  return torbase::Same(a, b);
+}
+inline bool BitIdentical(const TimelineResult& a, const TimelineResult& b) {
+  return torbase::Same(a, b);
+}
 
 }  // namespace torscenario
 

@@ -65,7 +65,6 @@ class Harness {
   // Installs `actor` at node index == current actor count. Returns a non-owning
   // pointer. All actors must be added before StartAll().
   Actor* AddActor(std::unique_ptr<Actor> actor);
-  size_t actor_count() const { return actors_.size(); }
 
   // Calls Start() on every actor (each via the event queue at time now()).
   void StartAll();

@@ -18,7 +18,6 @@ using torbase::TimePoint;
 
 // Convenience constructors for rates.
 constexpr double BitsPerSecond(double v) { return v; }
-constexpr double KilobitsPerSecond(double v) { return v * 1e3; }
 constexpr double MegabitsPerSecond(double v) { return v * 1e6; }
 
 class BandwidthSchedule {

@@ -66,7 +66,7 @@ void Network::Broadcast(NodeId from, const std::string& kind, Bytes payload) {
 void Network::SendShared(NodeId from, NodeId to, const std::string& kind,
                          std::shared_ptr<const Bytes> payload) {
   assert(from < node_count() && to < node_count());
-  const uint64_t wire_bytes = payload->size() + config_.per_message_overhead_bytes;
+  const uint64_t wire_bytes = payload->size() + kPerMessageOverheadBytes;
 
   NodeState& sender = *nodes_[from];
   sender.counters.messages_sent += 1;

@@ -41,10 +41,11 @@ struct NetworkConfig {
   double default_bandwidth_bps = MegabitsPerSecond(250);
   // Default one-way propagation latency between distinct nodes.
   Duration default_latency = torbase::Millis(50);
-  // Fixed framing overhead added to every message's wire size (models
-  // TLS/TCP/HTTP framing of the directory connections).
-  uint32_t per_message_overhead_bytes = 64;
 };
+
+// Fixed framing overhead added to every message's wire size (models
+// TLS/TCP/HTTP framing of the directory connections).
+constexpr uint32_t kPerMessageOverheadBytes = 64;
 
 // Byte/message counters, kept per node and per message kind.
 struct TrafficCounters {

@@ -44,7 +44,6 @@ class SharedNic {
   // with no future schedule change) are dropped and counted.
   void StartTransfer(double bits, CompleteFn on_complete);
 
-  size_t active_count() const { return flows_.size(); }
   uint64_t dropped_count() const { return dropped_; }
 
  private:

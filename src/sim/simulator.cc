@@ -92,7 +92,6 @@ bool Simulator::RunOne() {
   --live_;
   assert(entry.time >= now_ && "event queue went backwards");
   now_ = entry.time;
-  ++executed_;
   fn();
   return true;
 }

@@ -68,7 +68,6 @@ class Simulator {
   // decrements it at cancel time, so no drain-time reconciliation (and no
   // underflow guard) is needed.
   size_t pending_count() const { return live_; }
-  uint64_t executed_count() const { return executed_; }
 
  private:
   // Heap entry: 24 bytes, ordered by (time, seq) so same-instant events fire
@@ -117,7 +116,6 @@ class Simulator {
 
   TimePoint now_ = 0;
   uint64_t next_seq_ = 1;
-  uint64_t executed_ = 0;
   size_t live_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;

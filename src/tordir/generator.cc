@@ -14,6 +14,17 @@
 namespace tordir {
 namespace {
 
+// Flag probabilities, matching live-network frequencies.
+constexpr double kFastProbability = 0.80;
+constexpr double kStableProbability = 0.55;
+constexpr double kGuardProbability = 0.35;
+constexpr double kExitProbability = 0.20;
+constexpr double kHSDirProbability = 0.40;
+constexpr double kV2DirProbability = 0.60;
+constexpr double kBadExitProbability = 0.01;
+// Base unix time for published timestamps and vote validity windows.
+constexpr uint64_t kBaseTime = 1735689600;  // 2025-01-01 00:00:00 UTC
+
 const char* const kVersionPool[] = {
     "Tor 0.4.8.10",
     "Tor 0.4.8.9",
@@ -141,18 +152,18 @@ std::vector<RelayStatus> GeneratePopulation(const PopulationConfig& config) {
     relay.address = addr;
     relay.or_port = rng.Bernoulli(0.7) ? 9001 : static_cast<uint16_t>(rng.UniformRange(443, 9999));
     relay.dir_port = rng.Bernoulli(0.4) ? 9030 : 0;
-    relay.published = config.base_time - rng.UniformRange(0, 18 * 3600);
+    relay.published = kBaseTime - rng.UniformRange(0, 18 * 3600);
 
     relay.SetFlag(RelayFlag::kRunning, true);
     relay.SetFlag(RelayFlag::kValid, true);
-    relay.SetFlag(RelayFlag::kFast, rng.Bernoulli(config.p_fast));
-    relay.SetFlag(RelayFlag::kStable, rng.Bernoulli(config.p_stable));
-    relay.SetFlag(RelayFlag::kGuard, rng.Bernoulli(config.p_guard));
-    const bool is_exit = rng.Bernoulli(config.p_exit);
+    relay.SetFlag(RelayFlag::kFast, rng.Bernoulli(kFastProbability));
+    relay.SetFlag(RelayFlag::kStable, rng.Bernoulli(kStableProbability));
+    relay.SetFlag(RelayFlag::kGuard, rng.Bernoulli(kGuardProbability));
+    const bool is_exit = rng.Bernoulli(kExitProbability);
     relay.SetFlag(RelayFlag::kExit, is_exit);
-    relay.SetFlag(RelayFlag::kHSDir, rng.Bernoulli(config.p_hsdir));
-    relay.SetFlag(RelayFlag::kV2Dir, rng.Bernoulli(config.p_v2dir));
-    relay.SetFlag(RelayFlag::kBadExit, is_exit && rng.Bernoulli(config.p_bad_exit));
+    relay.SetFlag(RelayFlag::kHSDir, rng.Bernoulli(kHSDirProbability));
+    relay.SetFlag(RelayFlag::kV2Dir, rng.Bernoulli(kV2DirProbability));
+    relay.SetFlag(RelayFlag::kBadExit, is_exit && rng.Bernoulli(kBadExitProbability));
 
     relay.version = versions[rng.UniformU64(std::size(kVersionPool))];
     relay.protocols = protocols[rng.UniformU64(std::size(kProtocolPool))];
@@ -178,9 +189,9 @@ VoteDocument MakeVote(torbase::NodeId authority, uint32_t authority_count,
   VoteDocument vote;
   vote.authority = authority;
   vote.authority_nickname = "auth" + std::to_string(authority);
-  vote.valid_after = population_config.base_time;
-  vote.fresh_until = population_config.base_time + 3600;       // stale after 1 h
-  vote.valid_until = population_config.base_time + 3 * 3600;   // invalid after 3 h
+  vote.valid_after = kBaseTime;
+  vote.fresh_until = kBaseTime + 3600;       // stale after 1 h
+  vote.valid_until = kBaseTime + 3 * 3600;   // invalid after 3 h
 
   const uint32_t measuring_count = static_cast<uint32_t>(
       std::ceil(view_config.measuring_fraction * authority_count));

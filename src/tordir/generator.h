@@ -17,19 +17,11 @@
 
 namespace tordir {
 
+// Flag frequencies match the live network's; timestamps are anchored at
+// 2025-01-01 00:00:00 UTC (generator.cc).
 struct PopulationConfig {
   size_t relay_count = 7000;
   uint64_t seed = 1;
-  // Probabilities for flag assignment, matching live-network frequencies.
-  double p_fast = 0.80;
-  double p_stable = 0.55;
-  double p_guard = 0.35;
-  double p_exit = 0.20;
-  double p_hsdir = 0.40;
-  double p_v2dir = 0.60;
-  double p_bad_exit = 0.01;
-  // Base unix time for published timestamps.
-  uint64_t base_time = 1735689600;  // 2025-01-01 00:00:00 UTC
 };
 
 // The ground-truth relay population all authorities observe (with noise).

@@ -224,7 +224,7 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
   // multi-round analyses, so single-round monitors never reach this).
   if (!timeline_rounds_.empty()) {
     // Slow recovery: after the *last* faulted round, clients should be back
-    // on fresh serving within slow_recovery_rounds_ full rounds.
+    // on fresh serving within kSlowRecoveryRounds full rounds.
     uint64_t last_faulted = 0;
     bool any_fault = false;
     for (const TimelineRoundObservation& round : timeline_rounds_) {
@@ -247,7 +247,7 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
         ++degraded_rounds;
       }
       const bool tail_rounds_exist = timeline_rounds_.back().round > last_faulted;
-      if (tail_rounds_exist && (!recovered || degraded_rounds > slow_recovery_rounds_)) {
+      if (tail_rounds_exist && (!recovered || degraded_rounds > kSlowRecoveryRounds)) {
         alerts.push_back(HealthAlert{
             HealthAlertKind::kSlowRecovery,
             {},
@@ -269,7 +269,7 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
         peak_round = round.round;
       }
     }
-    if (peak_fraction > herd_overload_fraction_) {
+    if (peak_fraction > kHerdOverloadFraction) {
       alerts.push_back(
           HealthAlert{HealthAlertKind::kHerdOverload,
                       {},
@@ -279,15 +279,6 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
     }
   }
   return alerts;
-}
-
-void HealthMonitor::Reset() {
-  senders_.clear();
-  received_from_.clear();
-  rejects_.clear();
-  consensus_.clear();
-  undeliverable_ = 0;
-  timeline_rounds_.clear();
 }
 
 }  // namespace tordir

@@ -141,17 +141,20 @@ class HealthMonitor {
 
   // Timeline feed: one observation per round of a multi-round horizon, in
   // round order. Analyze() raises kSlowRecovery when serving stays degraded
-  // more than slow_recovery_rounds past the last faulted round, and
+  // more than kSlowRecoveryRounds past the last faulted round, and
   // kHerdOverload when any round's backlog fraction exceeds
-  // herd_overload_fraction.
+  // kHerdOverloadFraction.
   void RecordTimelineRound(const TimelineRoundObservation& observation);
-  void set_slow_recovery_rounds(uint32_t rounds) { slow_recovery_rounds_ = rounds; }
-  void set_herd_overload_fraction(double fraction) { herd_overload_fraction_ = fraction; }
+
+  // A recovery is "slow" when clients are still not served fresh this many
+  // full rounds after the calendar's last faulted round.
+  static constexpr uint32_t kSlowRecoveryRounds = 1;
+  // A retry herd is an overload when blocked bootstraps exceed this fraction
+  // of the whole population.
+  static constexpr double kHerdOverloadFraction = 0.25;
 
   // Evaluates the period and returns all alerts (empty = healthy).
   std::vector<HealthAlert> Analyze() const;
-
-  void Reset();
 
  private:
   struct SenderStat {
@@ -182,12 +185,6 @@ class HealthMonitor {
 
   // Timeline feed, in record order; empty outside multi-round analyses.
   std::vector<TimelineRoundObservation> timeline_rounds_;
-  // A recovery is "slow" when clients are still not served fresh this many
-  // full rounds after the calendar's last faulted round.
-  uint32_t slow_recovery_rounds_ = 1;
-  // A retry herd is an overload when blocked bootstraps exceed this fraction
-  // of the whole population.
-  double herd_overload_fraction_ = 0.25;
 };
 
 }  // namespace tordir

@@ -17,9 +17,6 @@ constexpr double kLead = 600.0;
 ClientLoadSpec MillionClients() {
   ClientLoadSpec spec;
   spec.client_count = 1'000'000;
-  spec.bootstrap_fraction = 0.05;
-  spec.cache_count = 16;
-  spec.cache_bandwidth_bps = torsim::MegabitsPerSecond(1000);
   return spec;
 }
 
@@ -106,7 +103,7 @@ TEST(ClientPopulationTest, RecoveryDrainsTheBootstrapBacklog) {
   // Every queued bootstrap is eventually served (ample cache capacity), so
   // unserved demand is exactly the steady fetches that failed while down.
   const double down = result.hard_down_seconds;
-  const double steady_rate = 1e6 * (1.0 - spec.bootstrap_fraction) / kPeriod;
+  const double steady_rate = 1e6 * (1.0 - kBootstrapFraction) / kPeriod;
   EXPECT_NEAR(result.unserved_fetches, steady_rate * down, 1.0);
   // Demand is conserved.
   EXPECT_NEAR(result.fresh_fetches + result.stale_fetches + result.unserved_fetches,
@@ -114,15 +111,15 @@ TEST(ClientPopulationTest, RecoveryDrainsTheBootstrapBacklog) {
 }
 
 TEST(ClientPopulationTest, CacheCapacityLimitsServedDemand) {
-  // Starve the cache tier: 2 caches x 10 Mbit/s serving a million clients
-  // fetching 800 KB documents cannot keep up; the backlog never drains.
-  ClientLoadSpec spec = MillionClients();
-  spec.cache_count = 2;
-  spec.cache_bandwidth_bps = torsim::MegabitsPerSecond(10);
-  const auto result = SimulateClientLoad(spec, {HealthyDocument()}, kPeriod);
+  // Starve the cache tier: 16 caches x 1 Gbit/s serving a million clients
+  // fetching 800 MB documents cannot keep up; the backlog never drains.
+  PublishedDocument huge = HealthyDocument();
+  huge.size_bytes = 800e6;
+  const auto result = SimulateClientLoad(MillionClients(), {huge}, kPeriod);
 
-  // 2 x 10 Mbit/s x 3600 s / 6.4 Mbit per fetch = 11,250 servable fetches.
-  const double servable = 2 * 10e6 * kPeriod / (800e3 * 8.0);
+  // 16 x 1 Gbit/s x 3600 s / 6.4 Gbit per fetch = 9,000 servable fetches.
+  const double servable = kCacheCount * kCacheBandwidthBps * kPeriod / (800e6 * 8.0);
+  EXPECT_DOUBLE_EQ(servable, 9000.0);
   EXPECT_NEAR(result.fresh_fetches, servable, 1.0);
   EXPECT_LT(result.fresh_fraction, 0.02);
   EXPECT_GT(result.unserved_fetches, 9.5e5);

@@ -1,11 +1,17 @@
-// Unit tests for src/common: bytes/hex, serialization, rng, stats, logging,
-// table rendering and time formatting.
+// Unit tests for src/common: bytes/hex, serialization, field lists, rng,
+// stats, logging, table rendering and time formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/fields.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/serialize.h"
@@ -83,7 +89,6 @@ TEST(ResultTest, HoldsError) {
 TEST(SerializeTest, IntegerRoundTrip) {
   Writer w;
   w.WriteU8(0xab);
-  w.WriteU16(0xbeef);
   w.WriteU32(0xdeadbeef);
   w.WriteU64(0x0123456789abcdefull);
   w.WriteBool(true);
@@ -91,7 +96,6 @@ TEST(SerializeTest, IntegerRoundTrip) {
 
   Reader r(w.buffer());
   EXPECT_EQ(*r.ReadU8(), 0xab);
-  EXPECT_EQ(*r.ReadU16(), 0xbeef);
   EXPECT_EQ(*r.ReadU32(), 0xdeadbeefu);
   EXPECT_EQ(*r.ReadU64(), 0x0123456789abcdefull);
   EXPECT_TRUE(*r.ReadBool());
@@ -355,6 +359,88 @@ TEST(TableTest, NumFormatsAndNan) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Num(std::nan(""), 2), "-");
   EXPECT_EQ(Table::Int(-7), "-7");
+}
+
+// --- field lists (fields.h) ----------------------------------------------------
+
+struct Inner {
+  double value = 0.0;
+  std::shared_ptr<const std::string> text;
+
+  auto Fields() const {
+    const auto& [value, text] = *this;
+    return std::tie(value, text);
+  }
+};
+
+struct Outer {
+  std::vector<Inner> inners;
+  int count = 0;
+
+  auto Fields() const {
+    const auto& [inners, count] = *this;
+    return std::tie(inners, count);
+  }
+};
+
+TEST(FieldsTest, SameTreatsNanAsEqual) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(Same(nan, nan));
+  EXPECT_FALSE(Same(nan, 1.0));
+  EXPECT_TRUE(Same(Inner{nan, nullptr}, Inner{nan, nullptr}));
+}
+
+TEST(FieldsTest, SameComparesPointeesNotPointers) {
+  const auto a = std::make_shared<const std::string>("doc");
+  const auto b = std::make_shared<const std::string>("doc");
+  EXPECT_TRUE(Same(a, b));  // distinct pointers, equal pointees
+  EXPECT_FALSE(Same(a, std::make_shared<const std::string>("other")));
+  EXPECT_FALSE(Same(a, std::shared_ptr<const std::string>()));
+  EXPECT_FALSE(Same(std::shared_ptr<const std::string>(), a));
+  EXPECT_TRUE(Same(std::shared_ptr<const std::string>(), std::shared_ptr<const std::string>()));
+}
+
+TEST(FieldsTest, SameWalksNestedFieldsAndVectors) {
+  const Outer base{{Inner{1.0, std::make_shared<const std::string>("x")}}, 2};
+  EXPECT_TRUE(Same(base, base));
+  Outer longer = base;
+  longer.inners.push_back(Inner{});
+  EXPECT_FALSE(Same(base, longer));
+  EXPECT_FALSE(Same(longer, base));
+  Outer nested = base;
+  nested.inners[0].text = std::make_shared<const std::string>("y");
+  EXPECT_FALSE(Same(base, nested));
+  Outer counted = base;
+  counted.count = 3;
+  EXPECT_FALSE(Same(base, counted));
+}
+
+template <typename T>
+Bytes DescribeBytes(const T& value) {
+  Writer writer;
+  Describe(writer, value);
+  return writer.TakeBuffer();
+}
+
+TEST(FieldsTest, DescribeIsPrefixFree) {
+  // Without length prefixes both pairs would concatenate to the same bytes.
+  EXPECT_NE(DescribeBytes(std::vector<std::string>{"ab", "c"}),
+            DescribeBytes(std::vector<std::string>{"a", "bc"}));
+  EXPECT_NE(DescribeBytes(std::vector<std::vector<int>>{{1}, {2}}),
+            DescribeBytes(std::vector<std::vector<int>>{{1, 2}}));
+  // A null pointer and a pointer to an empty value differ too.
+  EXPECT_NE(DescribeBytes(std::shared_ptr<const std::string>()),
+            DescribeBytes(std::make_shared<const std::string>()));
+}
+
+TEST(FieldsTest, DescribeWalksFieldsInOrder) {
+  const Outer outer{{Inner{1.5, nullptr}}, 7};
+  Writer expected;
+  expected.WriteU64(1);  // inners.size()
+  expected.WriteF64(1.5);
+  expected.WriteBool(false);  // inners[0].text is null
+  expected.WriteU64(7);
+  EXPECT_EQ(DescribeBytes(outer), expected.buffer());
 }
 
 }  // namespace

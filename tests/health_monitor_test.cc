@@ -94,15 +94,6 @@ TEST(HealthMonitorTest, MinorityMissingVotesIsNotAnAlert) {
   EXPECT_TRUE(partial.Analyze().empty());
 }
 
-TEST(HealthMonitorTest, ResetClearsState) {
-  HealthMonitor monitor(9);
-  monitor.RecordVote(0, 1, VoteDigestOf(1));
-  monitor.RecordVote(0, 1, VoteDigestOf(1, 1));
-  EXPECT_FALSE(monitor.Analyze().empty());
-  monitor.Reset();
-  EXPECT_TRUE(monitor.Analyze().empty());
-}
-
 TEST(HealthMonitorTest, AlertNamesAreStable) {
   EXPECT_STREQ(HealthAlertName(HealthAlertKind::kMissingVotes), "missing-votes");
   EXPECT_STREQ(HealthAlertName(HealthAlertKind::kVoteEquivocation), "vote-equivocation");
@@ -263,9 +254,6 @@ TEST(HealthMonitorTimelineTest, UndeliverableDropsRaiseDroppedMessages) {
   EXPECT_TRUE(alerts[0].authorities.empty());
   EXPECT_NE(alerts[0].detail.find("7 directory messages"), std::string::npos);
   EXPECT_DOUBLE_EQ(alerts[0].first_evidence_seconds, -1.0);
-
-  monitor.Reset();
-  EXPECT_TRUE(monitor.Analyze().empty());
 }
 
 // Feeds a horizon where rounds [0, faulted_through] are faulted and freshness
@@ -299,12 +287,6 @@ TEST(HealthMonitorTimelineTest, LingeringDegradationIsSlowRecovery) {
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, HealthAlertKind::kSlowRecovery);
   EXPECT_NE(alerts[0].detail.find("3 rounds"), std::string::npos);
-
-  // A laxer allowance clears it.
-  HealthMonitor lax(9);
-  lax.set_slow_recovery_rounds(3);
-  FillTimeline(lax, 12, 3, 7);
-  EXPECT_TRUE(lax.Analyze().empty());
 }
 
 TEST(HealthMonitorTimelineTest, NeverRecoveringIsSlowRecovery) {
@@ -337,12 +319,6 @@ TEST(HealthMonitorTimelineTest, OversizedRetryHerdIsHerdOverload) {
   HealthMonitor calm(9);
   FillTimeline(calm, 12, 3, 4, /*backlog_fraction=*/0.2);
   EXPECT_TRUE(calm.Analyze().empty());
-
-  // The threshold is a knob.
-  HealthMonitor strict(9);
-  strict.set_herd_overload_fraction(0.1);
-  FillTimeline(strict, 12, 3, 4, /*backlog_fraction=*/0.2);
-  ASSERT_EQ(strict.Analyze().size(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the ICPS core protocol (src/core): the Definition 5.1 properties
+// Tests for the ICPS core protocol (src/protocols/icps): the Definition 5.1 properties
 // (termination, agreement, value validity, common-set validity), the
 // dissemination proof machinery, Byzantine disseminators, and recovery after a
 // DDoS window (the Figure 11 scenario).
@@ -8,8 +8,8 @@
 #include <set>
 
 #include "src/attack/ddos.h"
-#include "src/core/digest_vector.h"
-#include "src/core/icps_authority.h"
+#include "src/protocols/icps/digest_vector.h"
+#include "src/protocols/icps/icps_authority.h"
 #include "src/sim/actor.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"

@@ -119,7 +119,6 @@ TEST_P(NicProperty, ConservationAndFairShareBounds) {
   config.node_count = 2;
   config.default_bandwidth_bps = bandwidth_mbps * 1e6;
   config.default_latency = torbase::Millis(10);
-  config.per_message_overhead_bytes = 0;
   torsim::Network net(&sim, config);
 
   int delivered = 0;

@@ -16,8 +16,8 @@
 #include <memory>
 #include <set>
 
-#include "src/core/digest_vector.h"
-#include "src/core/icps_authority.h"
+#include "src/protocols/icps/digest_vector.h"
+#include "src/protocols/icps/icps_authority.h"
 #include "src/protocols/common.h"
 #include "src/protocols/current/current_authority.h"
 #include "src/protocols/sync/sync_authority.h"

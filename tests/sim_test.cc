@@ -313,7 +313,6 @@ NetworkConfig SmallNetConfig(uint32_t n, double bw_bps, Duration latency) {
   config.node_count = n;
   config.default_bandwidth_bps = bw_bps;
   config.default_latency = latency;
-  config.per_message_overhead_bytes = 64;
   return config;
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -150,6 +151,27 @@ TEST(TimelineTest, TimelineIsBitIdenticalAcrossThreadCounts) {
   }
   // And rerunning serially on the warm runner changes nothing either.
   EXPECT_TRUE(BitIdentical(serial, runner.RunTimeline(timeline)));
+}
+
+// A snapshot's backlog is NaN-aware like every other double in the field
+// list: a NaN backlog leaves the snapshot BitIdentical to itself. Consensus
+// documents compare by value, so a snapshot holding a different document is
+// not BitIdentical even when its digest field matches.
+TEST(TimelineTest, SnapshotEqualityIsNanAwareAndComparesDocuments) {
+  RoundSnapshot snapshot;
+  snapshot.round = 3;
+  snapshot.backlog_fetches = std::numeric_limits<double>::quiet_NaN();
+  auto doc = std::make_shared<tordir::ConsensusDocument>();
+  doc->valid_after = 100;
+  snapshot.consensus = doc;
+  EXPECT_TRUE(BitIdentical(snapshot, snapshot));
+
+  RoundSnapshot other = snapshot;
+  auto other_doc = std::make_shared<tordir::ConsensusDocument>(*doc);
+  other.consensus = other_doc;
+  EXPECT_TRUE(BitIdentical(snapshot, other));  // equal pointees
+  other_doc->valid_after += 1;
+  EXPECT_FALSE(BitIdentical(snapshot, other));
 }
 
 // The golden 48-round recovery trace: a two-day horizon with an early crash
