@@ -19,6 +19,11 @@
 // rejoin must actually transfer bytes), and the whole stitched horizon must be
 // bit-identical between a serial and an 8-thread run.
 //
+// `--reference` adds the reference-runner differential: the grid and every
+// timeline case rerun on a ScenarioRunner with every shortcut off (no vote
+// cache, no shared document store, no memo, serial cells), and each result
+// must be bit-identical to the fast runner's.
+//
 // Everything is seeded: the same invocation always runs the same cells with
 // the same wire mutations, so a failure reproduces by cell name. `--quick`
 // runs a fixed two-seed block (a few hundred cells) as the CI gate; the full
@@ -219,10 +224,11 @@ struct Violations {
   uint64_t divergent_cells = 0;
   uint64_t timeline_violations = 0;
   uint64_t memo_divergences = 0;
+  uint64_t reference_divergences = 0;
 
   uint64_t Total() const {
     return undetected_faults + icps_liveness + unclean_clean_cells + missing_signature_alerts +
-           divergent_cells + timeline_violations + memo_divergences;
+           divergent_cells + timeline_violations + memo_divergences + reference_divergences;
   }
 };
 
@@ -392,13 +398,16 @@ void CheckTimeline(const TimelineCase& tc, const torscenario::TimelineResult& se
 int main(int argc, char** argv) {
   bool quick = false;
   bool memoize = true;
+  bool reference = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--no-memo") == 0) {
       memoize = false;  // run the whole grid with the result memo disabled
+    } else if (std::strcmp(argv[i], "--reference") == 0) {
+      reference = true;  // diff every result against the reference runner
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--no-memo]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--no-memo] [--reference]\n", argv[0]);
       return 2;
     }
   }
@@ -471,8 +480,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Reference leg: the same grid with every shortcut off must reproduce the
+  // fast runner's results bit for bit.
+  torscenario::ScenarioRunner reference_runner;
+  reference_runner.set_reference(true);
+  if (reference) {
+    const std::vector<ScenarioResult> unshortcut = reference_runner.Sweep(specs);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (!BitIdentical(serial[i], unshortcut[i])) {
+        ++violations.reference_divergences;
+        std::printf("FAIL %-40s reference runner diverged from the fast runner\n",
+                    cells[i].spec.name.c_str());
+      }
+    }
+  }
+
   // The timeline leg: multi-round calendars, serial vs 8 threads vs a
-  // memo-disabled recomputation.
+  // memo-disabled recomputation (and, with --reference, the reference runner).
   const std::vector<TimelineCase> timeline_cases = TimelineCases(seeds);
   torscenario::ScenarioRunner nomemo_runner;
   nomemo_runner.set_memoize(false);
@@ -484,6 +508,11 @@ int main(int argc, char** argv) {
         parallel_runner.RunTimeline(tc.timeline, torscenario::SweepOptions{8});
     const torscenario::TimelineResult timeline_nomemo = nomemo_runner.RunTimeline(tc.timeline);
     CheckTimeline(tc, timeline_serial, timeline_parallel, timeline_nomemo, violations);
+    if (reference && !BitIdentical(timeline_serial, reference_runner.RunTimeline(tc.timeline))) {
+      ++violations.reference_divergences;
+      std::printf("FAIL %-40s reference timeline diverged from the fast runner\n",
+                  tc.name.c_str());
+    }
     timeline_injected += timeline_serial.byzantine_injected;
     timeline_rejoins += timeline_serial.rejoins.size();
   }
@@ -506,6 +535,10 @@ int main(int argc, char** argv) {
   table.AddRow({"Timeline calendar injections", torbase::Table::Int(timeline_injected)});
   table.AddRow({"Timeline rejoins", torbase::Table::Int(timeline_rejoins)});
   table.AddRow({"Timeline violations", torbase::Table::Int(violations.timeline_violations)});
+  if (reference) {
+    table.AddRow(
+        {"Reference divergences", torbase::Table::Int(violations.reference_divergences)});
+  }
   table.Print(std::cout);
 
   if (violations.Total() > 0) {
@@ -513,6 +546,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nAll cells clean: every fault detected, ICPS live below 1/3 faulty, "
-              "parallel == serial, memo invisible.\n");
+              "parallel == serial, memo invisible%s.\n",
+              reference ? ", reference == fast" : "");
   return 0;
 }

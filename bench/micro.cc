@@ -8,6 +8,7 @@
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
 #include "src/common/thread_pool.h"
+#include "src/protocols/document_store.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec_digest.h"
 #include "src/crypto/hmac.h"
@@ -331,6 +332,28 @@ void BM_ComputeConsensus(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_ComputeConsensus)->Arg(1000)->Arg(4000)->Arg(8000);
+
+// A consensus holder served by its cell's DocumentStore: the lookup plus the
+// copy of the shared body it goes on to sign. This is what every holder after
+// the first pays instead of BM_ComputeConsensus and a ConsensusDigest.
+void BM_DocumentStoreHit(benchmark::State& state) {
+  tordir::PopulationConfig config;
+  config.relay_count = static_cast<size_t>(state.range(0));
+  config.seed = 3;
+  const auto population = tordir::GeneratePopulation(config);
+  torproto::DocumentStore::Votes votes;
+  for (tordir::VoteDocument& vote : tordir::MakeAllVotes(9, population, config)) {
+    votes.push_back(std::make_shared<const tordir::VoteDocument>(std::move(vote)));
+  }
+  torproto::DocumentStore store;
+  store.Derive(votes);
+  for (auto _ : state) {
+    tordir::ConsensusDocument consensus = *store.Derive(votes).body;
+    benchmark::DoNotOptimize(consensus);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_DocumentStoreHit)->Arg(8000);
 
 // Cost of handing a vote document to an actor: with interned relay strings
 // this is a flat vector copy, the property the scenario runner's per-cell

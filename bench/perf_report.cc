@@ -25,6 +25,7 @@
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
 #include "src/common/counting_allocator.h"
+#include "src/common/stats.h"
 #include "src/common/thread_pool.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha256_batch.h"
@@ -49,6 +50,10 @@ double SecondsSince(Clock::time_point start) {
 
 // Keeps timed digest loops observable without benchmark::DoNotOptimize.
 volatile uint64_t benchmark_sink = 0;
+
+// Folds `value` into the sink (a plain store: compound assignment to a
+// volatile is deprecated).
+void Sink(uint64_t value) { benchmark_sink = benchmark_sink + value; }
 
 // The fig7 shape: the current protocol with 5 of 9 authorities clamped to a
 // fixed per-victim bandwidth for the whole run, across relay counts — each
@@ -255,7 +260,7 @@ CodecMicro MeasureCodec(bool quick) {
 
     const auto digest_start = Clock::now();
     for (int i = 0; i < rounds; ++i) {
-      benchmark_sink += tordir::VoteDigest(vote).bytes()[0];
+      Sink(tordir::VoteDigest(vote).bytes()[0]);
     }
     const double digest_seconds = SecondsSince(digest_start);
 
@@ -418,12 +423,15 @@ struct HashingMicro {
   std::vector<HashingPoint> points;
 };
 
-// The ISSUE-6 acceptance floor: vote-digest throughput at 8k relays must be
-// >= 4x the scalar baseline measured in the same process. Only meaningful
-// when a hardware single-stream core is live (SHA-NI); on scalar-only or
-// AVX2-only machines — and under TSan/ASan via kThroughputFloorsApply — the
-// ratio is reported but not enforced.
+// The vote-digest floor: at 8k relays the best tree digest must be >= 4x the
+// scalar baseline measured in the same process, as the median ratio over
+// interleaved (scalar, fast) pairs. Only meaningful when a hardware
+// single-stream core is live (SHA-NI); on scalar-only or AVX2-only machines —
+// and under TSan/ASan via kThroughputFloorsApply — the ratio is reported but
+// not enforced.
 constexpr double kMinVoteDigestSpeedupOverScalar = 4.0;
+constexpr int kVoteDigestRatioPairs = 7;
+constexpr int kVoteDigestRoundsPerPair = 6;
 
 HashingMicro MeasureHashing(bool quick, unsigned threads) {
   HashingMicro micro;
@@ -443,12 +451,12 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
   const int flat_rounds = quick ? 40 : 200;
   micro.scalar_mb_per_second = time_flat(
       [&buffer] {
-        benchmark_sink += torcrypto::Sha256DigestForBackend(
-            torcrypto::Sha256Backend::kScalar, std::span<const uint8_t>(buffer))[0];
+        Sink(torcrypto::Sha256DigestForBackend(torcrypto::Sha256Backend::kScalar,
+                                               std::span<const uint8_t>(buffer))[0]);
       },
       flat_rounds);
   micro.dispatched_mb_per_second = time_flat(
-      [&buffer] { benchmark_sink += torcrypto::Sha256Digest(std::span<const uint8_t>(buffer))[0]; },
+      [&buffer] { Sink(torcrypto::Sha256Digest(std::span<const uint8_t>(buffer))[0]); },
       flat_rounds);
   micro.batch_mb_per_second = 8.0 * time_flat(
       [&buffer] {
@@ -456,7 +464,7 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
         for (int lane = 0; lane < 8; ++lane) {
           batch.Add(std::span<const uint8_t>(buffer));
         }
-        benchmark_sink += batch.Finish()[0][0];
+        Sink(batch.Finish()[0][0]);
       },
       flat_rounds / 8 + 1);
 
@@ -473,9 +481,7 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
     const auto vote = tordir::MakeVote(0, 9, population, config);
     const std::string text = tordir::SerializeVote(vote);
     const double megabytes = static_cast<double>(text.size()) / 1e6;
-    const int rounds = relays >= 64000 ? 8 : (relays >= 8000 ? 40 : 120);
-
-    const auto time_digest = [&](auto&& digest_once) {
+    const auto time_digest = [megabytes](auto&& digest_once, int rounds) {
       digest_once();  // warm-up
       const auto start = Clock::now();
       for (int i = 0; i < rounds; ++i) {
@@ -483,24 +489,37 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
       }
       return megabytes * rounds / SecondsSince(start);
     };
+    const auto tree_serial = [&vote] { Sink(tordir::TreeVoteDigest(vote).bytes()[0]); };
+    const auto tree_parallel = [&vote, &pool] {
+      Sink(tordir::TreeVoteDigest(vote, &pool).bytes()[0]);
+    };
 
     HashingPoint point;
     point.relays = relays;
-    point.tree_serial_mb_per_second =
-        time_digest([&vote] { benchmark_sink += tordir::TreeVoteDigest(vote).bytes()[0]; });
-    point.tree_parallel_mb_per_second = time_digest(
-        [&vote, &pool] { benchmark_sink += tordir::TreeVoteDigest(vote, &pool).bytes()[0]; });
-    if (relays == 8000) {
-      micro.scalar_vote_digest_mb_per_second = time_digest([&text] {
-        benchmark_sink += torcrypto::Sha256DigestForBackend(torcrypto::Sha256Backend::kScalar,
-                                                            std::string_view(text))[0];
-      });
-      const double fast = std::max(point.tree_serial_mb_per_second,
-                                   point.tree_parallel_mb_per_second);
-      micro.vote_digest_speedup_over_scalar =
-          micro.scalar_vote_digest_mb_per_second > 0.0
-              ? fast / micro.scalar_vote_digest_mb_per_second
-              : 0.0;
+    if (relays != 8000) {
+      const int rounds = relays >= 64000 ? 8 : 120;
+      point.tree_serial_mb_per_second = time_digest(tree_serial, rounds);
+      point.tree_parallel_mb_per_second = time_digest(tree_parallel, rounds);
+    } else {
+      // The floor's ratio, from interleaved pairs: scalar, then both fast
+      // paths, then scalar again, so host drift lands on both sides of each
+      // ratio. Every row at 8k is the median over the pairs.
+      const auto scalar = [&text] {
+        Sink(torcrypto::Sha256DigestForBackend(torcrypto::Sha256Backend::kScalar,
+                                               std::string_view(text))[0]);
+      };
+      std::vector<double> scalar_rates, serial_rates, parallel_rates, ratios;
+      for (int pair = 0; pair < kVoteDigestRatioPairs; ++pair) {
+        scalar_rates.push_back(time_digest(scalar, kVoteDigestRoundsPerPair));
+        serial_rates.push_back(time_digest(tree_serial, kVoteDigestRoundsPerPair));
+        parallel_rates.push_back(time_digest(tree_parallel, kVoteDigestRoundsPerPair));
+        ratios.push_back(std::max(serial_rates.back(), parallel_rates.back()) /
+                         scalar_rates.back());
+      }
+      point.tree_serial_mb_per_second = torbase::Percentile(serial_rates, 50.0);
+      point.tree_parallel_mb_per_second = torbase::Percentile(parallel_rates, 50.0);
+      micro.scalar_vote_digest_mb_per_second = torbase::Percentile(scalar_rates, 50.0);
+      micro.vote_digest_speedup_over_scalar = torbase::Percentile(ratios, 50.0);
     }
     micro.points.push_back(point);
   }

@@ -1,6 +1,5 @@
 #include "src/protocols/authority_core.h"
 
-#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
@@ -13,7 +12,10 @@ AuthorityCore::AuthorityCore(const torcrypto::KeyDirectory* directory,
       own_vote_text_(std::move(materials.vote_text)),
       second_vote_text_(std::move(materials.second_vote_text)),
       vote_cache_(std::move(materials.vote_cache)),
-      round_state_(std::move(materials.round_state)) {
+      round_state_(std::move(materials.round_state)),
+      document_store_(materials.document_store != nullptr
+                          ? std::move(materials.document_store)
+                          : std::make_shared<DocumentStore>()) {
   if (own_vote_text_ == nullptr) {
     own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
   }
@@ -62,14 +64,13 @@ void AuthorityCore::Observe(NodeId sender, const tordir::VoteAdmission& admissio
 torcrypto::Signature AuthorityCore::ComputeConsensus(
     const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
     ConsensusOutcome& outcome) {
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes.size());
-  for (const auto& vote : votes) {
-    vote_ptrs.push_back(vote.get());
-  }
-  outcome.consensus = tordir::ComputeConsensus(vote_ptrs);
+  // The store aggregates and digests each distinct vote list once per cell;
+  // this authority copies the shared body, since Publish appends its
+  // signatures to the copy.
+  const DocumentStore::Derived& derived = document_store_->Derive(votes);
+  outcome.consensus = *derived.body;
   outcome.computed_consensus = true;
-  consensus_digest_ = tordir::ConsensusDigest(outcome.consensus);
+  consensus_digest_ = derived.digest;
   const torcrypto::Signature own = signer_.Sign(consensus_digest_->span());
   AcceptSignature(own, outcome);
   return own;

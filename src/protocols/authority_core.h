@@ -4,7 +4,10 @@
 // evidence the consensus-health monitor reads, the initial vote broadcast and
 // the consensus phase — aggregating the agreed votes with Tor's algorithm
 // (Figure 2), signing the result, counting peers' signatures over it and
-// publishing it with a majority of them (§3.1, §5.2). CurrentAuthority,
+// publishing it with a majority of them (§3.1, §5.2). Aggregation and the
+// body's digest come from the cell's DocumentStore (materials.document_store,
+// or a private store when none is given), so the holders of one vote list
+// share that work and each keeps only its own signed copy. CurrentAuthority,
 // SyncAuthority and IcpsAuthority add only their phase logic (how they agree
 // on a vote set and when they publish), their attribution rule for refused
 // votes, the senders they hold votes from and their §6.2 network-time
@@ -28,6 +31,7 @@
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
 #include "src/protocols/directory_protocol.h"
+#include "src/protocols/document_store.h"
 #include "src/sim/actor.h"
 #include "src/tordir/admission.h"
 #include "src/tordir/vote.h"
@@ -119,9 +123,10 @@ class AuthorityCore : public torsim::Actor {
     }
   }
 
-  // Aggregates `votes` (from distinct authorities) into outcome.consensus,
-  // records the digest of its unsigned body, and counts and returns this
-  // authority's own signature over it.
+  // Aggregates `votes` (from distinct authorities) into outcome.consensus —
+  // a copy of the document store's body for this vote list — records the
+  // digest of that unsigned body, and counts and returns this authority's own
+  // signature over it.
   torcrypto::Signature ComputeConsensus(
       const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
       ConsensusOutcome& outcome);
@@ -169,6 +174,7 @@ class AuthorityCore : public torsim::Actor {
  private:
   const std::shared_ptr<const tordir::VoteCache> vote_cache_;
   const std::shared_ptr<const AuthorityRoundState> round_state_;
+  const std::shared_ptr<DocumentStore> document_store_;
   std::vector<ObservedVote> observed_votes_;
   std::vector<RejectedVote> rejected_votes_;
   std::optional<torcrypto::Digest256> consensus_digest_;

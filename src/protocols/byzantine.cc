@@ -29,12 +29,13 @@ std::string HonestText(const AuthorityMaterials& honest) {
   return tordir::SerializeVote(*honest.vote);
 }
 
+// The honest materials with `document` (and its bytes) as the authority's
+// vote; everything else — the vote cache, the restore seam, the cell's
+// document store — carries over.
 AuthorityMaterials WithDocument(const AuthorityMaterials& honest, tordir::VoteDocument document) {
-  AuthorityMaterials faulty;
+  AuthorityMaterials faulty = honest;
   faulty.vote_text = std::make_shared<const std::string>(tordir::SerializeVote(document));
   faulty.vote = std::make_shared<const tordir::VoteDocument>(std::move(document));
-  faulty.vote_cache = honest.vote_cache;
-  faulty.round_state = honest.round_state;
   return faulty;
 }
 

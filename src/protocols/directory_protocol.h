@@ -2,7 +2,9 @@
 // this interface instead of switching over an enum: a protocol knows how to
 // build its per-authority actor and how to read the paper's metrics back out
 // of one, so adding a fourth protocol is one registration instead of three
-// switch statements.
+// switch statements. An actor is built from AuthorityMaterials: the shared,
+// immutable workload documents plus the cell's DocumentStore, the one shared
+// member an authority writes to.
 #ifndef SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 #define SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 
@@ -18,6 +20,7 @@
 #include "src/common/time.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
+#include "src/protocols/document_store.h"
 #include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
@@ -66,13 +69,14 @@ struct PublishedConsensus {
   const torcrypto::Digest256* digest = nullptr;
 };
 
-// The immutable inputs an authority actor shares with its workload instead of
-// copying: its own vote document and serialized bytes, plus the workload's
-// digest-keyed cache of every authority's pre-parsed vote. All three are
-// read-only after construction, which is what lets sweep cells on different
-// threads share them (see the threading contract in ROADMAP.md). `vote_text`
-// may be null (serialize on demand); `vote_cache` may be null (parse received
-// votes from scratch, the pre-cache behaviour).
+// The inputs an authority actor shares with its workload instead of copying:
+// its own vote document and serialized bytes, plus the workload's digest-keyed
+// cache of every authority's pre-parsed vote. These are read-only after
+// construction, which is what lets sweep cells on different threads share them
+// (see the threading contract in ROADMAP.md). `vote_text` may be null
+// (serialize on demand); `vote_cache` may be null (parse received votes from
+// scratch, the pre-cache behaviour). The one mutable, per-cell exception is
+// the last member, `document_store`.
 struct AuthorityMaterials {
   std::shared_ptr<const tordir::VoteDocument> vote;
   std::shared_ptr<const std::string> vote_text = nullptr;
@@ -88,6 +92,12 @@ struct AuthorityMaterials {
   // perturbs the protocol exchange — and SnapshotAuthority echoes it back
   // when the authority does not assemble a fresh consensus this round.
   std::shared_ptr<const AuthorityRoundState> round_state = nullptr;
+  // The cell's store of derived consensus documents, shared by every
+  // authority of one cell so each distinct vote list is aggregated and
+  // digested once. Mutable, and reached only from its own cell's thread:
+  // the runner creates one per cell and never hands it to another. Null
+  // gives the authority a private store, so it aggregates on its own.
+  std::shared_ptr<DocumentStore> document_store = nullptr;
 };
 
 class DirectoryProtocol {
@@ -102,7 +112,8 @@ class DirectoryProtocol {
   // Builds authority `id`'s actor. `directory` outlives the actor;
   // `materials` carries the authority's own (shared, immutable) vote document
   // and text plus the workload vote cache, so sweep cells never re-serialize,
-  // re-parse or deep-copy multi-megabyte votes per authority per run.
+  // re-parse or deep-copy multi-megabyte votes per authority per run, and the
+  // cell's document store, so its holders aggregate each vote list once.
   virtual std::unique_ptr<torsim::Actor> MakeAuthority(
       const ProtocolRunConfig& config, const torcrypto::KeyDirectory* directory,
       torbase::NodeId id, AuthorityMaterials materials) const = 0;

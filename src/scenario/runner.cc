@@ -272,6 +272,15 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   run_config.dissemination_timeout = spec.dissemination_timeout;
   run_config.two_phase_agreement = spec.two_phase_agreement;
 
+  // One document store per cell, shared by its authorities: each distinct
+  // vote list is aggregated and digested once. It dies with the cell, so no
+  // later cell (or warm benchmark pass) can reuse its aggregations. The
+  // reference runner withholds it and the vote cache, so every authority
+  // parses what it receives and aggregates on its own.
+  const std::shared_ptr<const tordir::VoteCache> vote_cache =
+      reference_ ? nullptr : workload.vote_cache;
+  const auto document_store =
+      reference_ ? nullptr : std::make_shared<torproto::DocumentStore>();
   std::vector<torsim::Actor*> actors;
   actors.reserve(spec.authority_count);
   for (uint32_t a = 0; a < spec.authority_count; ++a) {
@@ -280,8 +289,10 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     // the same documents without copying megabytes per authority per run.
     actors.push_back(harness.AddActor(protocol.MakeAuthority(
         run_config, &directory, a,
-        torproto::AuthorityMaterials{workload.votes[a], workload.vote_texts[a],
-                                     workload.vote_cache})));
+        torproto::AuthorityMaterials{.vote = workload.votes[a],
+                                     .vote_text = workload.vote_texts[a],
+                                     .vote_cache = vote_cache,
+                                     .document_store = document_store})));
   }
 
   // A private clone per cell: specs may share one schedule object, but
@@ -392,9 +403,11 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
 std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpec> specs,
                                                      unsigned threads, const InspectFn& inspect) {
   // No point spinning up more workers than cells; a single cell (every Run)
-  // never starts a pool.
-  threads = std::min<unsigned>(threads == 0 ? torbase::ThreadPool::DefaultThreads() : threads,
-                               static_cast<unsigned>(specs.size()));
+  // never starts a pool, and neither does the reference runner.
+  threads = reference_ ? 1
+                       : std::min<unsigned>(
+                             threads == 0 ? torbase::ThreadPool::DefaultThreads() : threads,
+                             static_cast<unsigned>(specs.size()));
   std::optional<torbase::ThreadPool> pool;
   if (threads > 1) {
     pool.emplace(threads);
@@ -446,8 +459,9 @@ std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpe
   // published is a hit, the first occurrence of a new digest is the miss that
   // runs, and repeats within this call are hits served by that one run.
   // Inspected runs bypass the memo entirely: the hook needs a live harness,
-  // and whatever it observes is invisible to the digest.
-  const bool memoize = memoize_ && !inspect;
+  // and whatever it observes is invisible to the digest. The reference
+  // runner never memoizes.
+  const bool memoize = memoize_ && !reference_ && !inspect;
   enum : char { kRun = 0, kMemoized = 1, kDuplicate = 2 };
   std::vector<ScenarioResult> results(specs.size());
   std::vector<char> cell_state(specs.size(), kRun);

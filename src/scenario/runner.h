@@ -9,8 +9,9 @@
 // (SweepOptions::threads): the workload cache is probed serially in spec
 // order (so telemetry stays exact), cache-missing workloads are built
 // concurrently on the sweep's thread pool, then each cell runs on a private
-// Simulator/Harness with a per-cell clone of the attack schedule. Parallel
-// results are bit-identical to a serial sweep.
+// Simulator/Harness with a per-cell clone of the attack schedule and a
+// per-cell DocumentStore, through which the cell's consensus holders share
+// each aggregation. Parallel results are bit-identical to a serial sweep.
 //
 // On top of the workload cache sits a *result memo*: every run is a pure
 // function of its spec (ROADMAP threading contract), so the runner keys
@@ -99,6 +100,15 @@ class ScenarioRunner {
   size_t result_memo_size() const;
   void ClearResultMemo();
 
+  // The reference runner: every shortcut off at once, the differential
+  // baseline fuzz_sweep's --reference leg and protocol_pin_test compare the
+  // fast runner against. Authorities get no vote cache (every delivery is
+  // hashed, parsed and window-checked) and no shared document store (each
+  // holder aggregates and digests its own consensus); the memo is off and
+  // cells run serially whatever SweepOptions asks. Results are bit-identical
+  // to the fast runner's. Not safe to flip while runs are in flight.
+  void set_reference(bool on) { reference_ = on; }
+
  private:
   // A generated population plus all authorities' votes over it, with their
   // serialized bytes (actors need both, and serialization of a multi-megabyte
@@ -160,6 +170,7 @@ class ScenarioRunner {
   size_t memo_hits_ = 0;
   size_t memo_misses_ = 0;
   bool memoize_ = true;
+  bool reference_ = false;
 };
 
 // The consumption plane's one path from published documents to a

@@ -11,8 +11,10 @@
 #include "src/protocols/icps/digest_vector.h"
 #include "src/protocols/icps/icps_authority.h"
 #include "src/sim/actor.h"
+#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+#include "tests/cell_materials.h"
 
 namespace toricc {
 namespace {
@@ -71,6 +73,9 @@ struct Fleet {
   std::unique_ptr<torsim::Harness> harness;
   std::vector<torsim::Actor*> actors;
   std::vector<tordir::VoteDocument> votes;
+  // When set before Build, the authorities are wired like one runner cell
+  // (tests/cell_materials.h) and share this store.
+  std::shared_ptr<torproto::DocumentStore> store;
 
   torproto::ProtocolRunConfig Config(torbase::Duration dissemination_timeout = Seconds(150)) const {
     torproto::ProtocolRunConfig config;
@@ -86,6 +91,9 @@ struct Fleet {
     pop_config.seed = 11;
     const auto population = tordir::GeneratePopulation(pop_config);
     votes = tordir::MakeAllVotes(kN, population, pop_config);
+    const std::vector<torproto::AuthorityMaterials> cell =
+        store != nullptr ? torproto::CellMaterials(votes, store)
+                         : std::vector<torproto::AuthorityMaterials>{};
 
     torsim::NetworkConfig net_config;
     net_config.node_count = kN;
@@ -106,8 +114,10 @@ struct Fleet {
         actors.push_back(harness->AddActor(
             std::make_unique<IcpsAuthority>(
                 config, &directory,
-                torproto::AuthorityMaterials{
-                    .vote = std::make_shared<const tordir::VoteDocument>(votes[i])})));
+                store != nullptr ? cell[i]
+                                 : torproto::AuthorityMaterials{
+                                       .vote = std::make_shared<const tordir::VoteDocument>(
+                                           votes[i])})));
       }
     }
   }
@@ -142,6 +152,26 @@ TEST(IcpsTest, AgreementPropertyConsensusIdentical) {
   for (NodeId i = 1; i < kN; ++i) {
     EXPECT_EQ(tordir::ConsensusDigest(fleet.Authority(i)->outcome().consensus), digest0)
         << "authority " << i;
+  }
+}
+
+// Wired like a runner cell, every holder resolves the agreed digests to the
+// same vote pointers: the store builds one consensus, and every holder's
+// digest is that of a direct aggregation of the nine votes.
+TEST(IcpsTest, SharedStoreBuildsOneConsensusPerHonestRound) {
+  Fleet fleet;
+  fleet.store = std::make_shared<torproto::DocumentStore>();
+  fleet.Build(200, torattack::kAuthorityLinkBps, fleet.Config());
+  fleet.Run();
+  EXPECT_EQ(fleet.store->builds(), 1u);
+  const torcrypto::Digest256 direct =
+      tordir::ConsensusDigest(tordir::ComputeConsensus(fleet.votes));
+  for (NodeId i = 0; i < kN; ++i) {
+    const IcpsAuthority* authority = fleet.Authority(i);
+    EXPECT_TRUE(authority->outcome().valid_consensus) << "authority " << i;
+    ASSERT_TRUE(authority->consensus_digest().has_value());
+    EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << i;
+    EXPECT_EQ(tordir::ConsensusDigest(authority->outcome().consensus), direct);
   }
 }
 

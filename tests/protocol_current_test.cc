@@ -9,8 +9,10 @@
 #include "src/protocols/common.h"
 #include "src/protocols/current/current_authority.h"
 #include "src/sim/actor.h"
+#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+#include "tests/cell_materials.h"
 
 namespace torproto {
 namespace {
@@ -40,6 +42,10 @@ struct Fixture {
   std::unique_ptr<torsim::Harness> harness;
   std::vector<CurrentAuthority*> authorities;
   torcrypto::KeyDirectory directory{42, 9};
+  // When set before Build, the authorities are wired like one runner cell
+  // (tests/cell_materials.h) and share this store.
+  std::shared_ptr<DocumentStore> store;
+  std::vector<tordir::VoteDocument> votes;  // by authority
 
   // Builds a 9-authority network with `relay_count` relays and the given
   // uniform authority bandwidth.
@@ -50,7 +56,9 @@ struct Fixture {
     pop_config.relay_count = relay_count;
     pop_config.seed = 7;
     const auto population = tordir::GeneratePopulation(pop_config);
-    auto votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
+    votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
+    const std::vector<AuthorityMaterials> cell =
+        store != nullptr ? CellMaterials(votes, store) : std::vector<AuthorityMaterials>{};
 
     torsim::NetworkConfig net_config;
     net_config.node_count = kAuthorities;
@@ -65,8 +73,9 @@ struct Fixture {
       authorities.push_back(static_cast<CurrentAuthority*>(harness->AddActor(
           std::make_unique<CurrentAuthority>(
               &directory,
-              AuthorityMaterials{.vote = std::make_shared<const tordir::VoteDocument>(
-                  std::move(votes[a]))}))));
+              store != nullptr ? cell[a]
+                               : AuthorityMaterials{.vote = std::make_shared<
+                                                        const tordir::VoteDocument>(votes[a])}))));
     }
   }
 
@@ -105,6 +114,25 @@ TEST(CurrentProtocolTest, HealthyRunConsensusIdenticalEverywhere) {
     EXPECT_EQ(tordir::ConsensusDigest(outcome.consensus), digest0);
   }
   EXPECT_GT(result.outcomes[0].consensus.relays.size(), 190u);
+}
+
+// Wired like a runner cell, an honest round's nine holders aggregate the same
+// vote pointers: the store builds one consensus, and every holder's digest is
+// that of a direct aggregation of the nine votes.
+TEST(CurrentProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
+  Fixture fx;
+  fx.store = std::make_shared<DocumentStore>();
+  fx.Build(200, torattack::kAuthorityLinkBps);
+  const RunResult result = fx.Run();
+  ASSERT_EQ(result.ValidCount(), 9u);
+  EXPECT_EQ(fx.store->builds(), 1u);
+  const torcrypto::Digest256 direct =
+      tordir::ConsensusDigest(tordir::ComputeConsensus(fx.votes));
+  for (const CurrentAuthority* authority : fx.authorities) {
+    ASSERT_TRUE(authority->consensus_digest().has_value());
+    EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << authority->id();
+    EXPECT_EQ(tordir::ConsensusDigest(authority->outcome().consensus), direct);
+  }
 }
 
 TEST(CurrentProtocolTest, SignaturesVerifyAgainstDigest) {

@@ -7,7 +7,8 @@
 // hex floats, bytes by kind, attack history, health-alert details and
 // evidence times, fault metrics, the client plane and the published
 // document), so any refactor of the protocol seam that moves a single bit of
-// any result fails here, in ctest, without the benchmark.
+// any result fails here, in ctest, without the benchmark. The reference runner
+// (every shortcut off) is held to the same pins.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -175,15 +176,21 @@ const std::map<std::string, std::string>& PinnedDigests() {
   return *digests;
 }
 
+// The fast runner (memo off) and the reference runner — no vote cache, no
+// shared document store, serial — must both reproduce every pin.
 TEST(ProtocolPinTest, ResultsMatchRecordedDigests) {
-  ScenarioRunner runner;
-  runner.set_memoize(false);
-  for (const char* protocol : {"current", "synchronous", "icps"}) {
-    for (const auto& [shape, spec] : PinnedShapes(protocol)) {
-      const std::string key = std::string(protocol) + "/" + shape;
-      const std::string dump = Dump(runner.Run(spec));
-      const std::string digest = torcrypto::Digest256::Of(dump).ToHex();
-      EXPECT_EQ(digest, PinnedDigests().at(key)) << key << ":\n" << dump;
+  for (const bool reference : {false, true}) {
+    ScenarioRunner runner;
+    runner.set_memoize(false);
+    runner.set_reference(reference);
+    for (const char* protocol : {"current", "synchronous", "icps"}) {
+      for (const auto& [shape, spec] : PinnedShapes(protocol)) {
+        const std::string key = std::string(protocol) + "/" + shape;
+        const std::string dump = Dump(runner.Run(spec));
+        const std::string digest = torcrypto::Digest256::Of(dump).ToHex();
+        EXPECT_EQ(digest, PinnedDigests().at(key))
+            << key << (reference ? " (reference)" : "") << ":\n" << dump;
+      }
     }
   }
 }

@@ -13,8 +13,10 @@
 #include "src/protocols/common.h"
 #include "src/protocols/sync/sync_authority.h"
 #include "src/sim/actor.h"
+#include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+#include "tests/cell_materials.h"
 
 namespace torproto {
 namespace {
@@ -27,6 +29,10 @@ struct Fixture {
   std::unique_ptr<torsim::Harness> harness;
   std::vector<SyncAuthority*> authorities;
   torcrypto::KeyDirectory directory{42, 9};
+  // When set before Build, the authorities are wired like one runner cell
+  // (tests/cell_materials.h) and share this store.
+  std::shared_ptr<DocumentStore> store;
+  std::vector<tordir::VoteDocument> votes;  // by authority
 
   // `stand_in`, when given, takes the last authority's slot.
   void Build(size_t relay_count, double bandwidth_bps,
@@ -37,7 +43,9 @@ struct Fixture {
     pop_config.relay_count = relay_count;
     pop_config.seed = 5;
     const auto population = tordir::GeneratePopulation(pop_config);
-    auto votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
+    votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
+    const std::vector<AuthorityMaterials> cell =
+        store != nullptr ? CellMaterials(votes, store) : std::vector<AuthorityMaterials>{};
 
     torsim::NetworkConfig net_config;
     net_config.node_count = kAuthorities;
@@ -56,8 +64,9 @@ struct Fixture {
       authorities.push_back(static_cast<SyncAuthority*>(harness->AddActor(
           std::make_unique<SyncAuthority>(
               &directory,
-              AuthorityMaterials{.vote = std::make_shared<const tordir::VoteDocument>(
-                  std::move(votes[a]))}))));
+              store != nullptr ? cell[a]
+                               : AuthorityMaterials{.vote = std::make_shared<
+                                                        const tordir::VoteDocument>(votes[a])}))));
     }
   }
 
@@ -92,6 +101,25 @@ TEST(SyncProtocolTest, ConsensusIdenticalEverywhere) {
   const auto digest0 = tordir::ConsensusDigest(outcomes[0].consensus);
   for (const auto& outcome : outcomes) {
     EXPECT_EQ(tordir::ConsensusDigest(outcome.consensus), digest0);
+  }
+}
+
+// Wired like a runner cell, every holder unpacks the agreed packed vote to
+// the same vote pointers: the store builds one consensus, and every holder's
+// digest is that of a direct aggregation of the nine votes.
+TEST(SyncProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
+  Fixture fx;
+  fx.store = std::make_shared<DocumentStore>();
+  fx.Build(200, torattack::kAuthorityLinkBps);
+  const auto outcomes = fx.Run();
+  EXPECT_EQ(fx.store->builds(), 1u);
+  const torcrypto::Digest256 direct =
+      tordir::ConsensusDigest(tordir::ComputeConsensus(fx.votes));
+  for (size_t a = 0; a < outcomes.size(); ++a) {
+    EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
+    ASSERT_TRUE(fx.authorities[a]->consensus_digest().has_value());
+    EXPECT_EQ(*fx.authorities[a]->consensus_digest(), direct) << "authority " << a;
+    EXPECT_EQ(tordir::ConsensusDigest(outcomes[a].consensus), direct);
   }
 }
 
