@@ -7,6 +7,7 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
+#include "src/common/serialize.h"
 #include "src/common/thread_pool.h"
 #include "src/protocols/document_store.h"
 #include "src/scenario/runner.h"
@@ -158,12 +159,12 @@ void BM_VoteDigestStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_VoteDigestStreaming)->Arg(8000);
 
-// What a receiver pays instead of hashing a canonical vote: VoteCache's
-// content lookup over the nine authorities' votes, given a separate copy of
-// one of them, so the hit is a real full-length byte comparison.
-void BM_VoteCacheFindText(benchmark::State& state) {
+// The nine authorities' votes over one population, sealed in a vote cache;
+// `texts` receives the cached texts, by authority.
+tordir::VoteCache NineVoteCache(size_t relays,
+                                std::vector<std::shared_ptr<const std::string>>& texts) {
   tordir::PopulationConfig config;
-  config.relay_count = static_cast<size_t>(state.range(0));
+  config.relay_count = relays;
   config.seed = 3;
   const auto population = tordir::GeneratePopulation(config);
   tordir::VoteCache cache;
@@ -171,9 +172,20 @@ void BM_VoteCacheFindText(benchmark::State& state) {
     auto document = std::make_shared<const tordir::VoteDocument>(std::move(vote));
     auto text = std::make_shared<const std::string>(tordir::SerializeVote(*document));
     cache.Add(torcrypto::Digest256::Of(*text), tordir::CachedVote{document, text});
+    texts.push_back(std::move(text));
   }
   cache.Seal();
-  const std::string text = tordir::SerializeVote(MakeBenchVote(config.relay_count));
+  return cache;
+}
+
+// What a receiver pays instead of hashing a canonical vote: VoteCache's
+// content lookup over the nine authorities' votes, given a separate copy of
+// one of them, so the hit is a real full-length byte comparison.
+void BM_VoteCacheFindText(benchmark::State& state) {
+  const size_t relays = static_cast<size_t>(state.range(0));
+  std::vector<std::shared_ptr<const std::string>> texts;
+  const tordir::VoteCache cache = NineVoteCache(relays, texts);
+  const std::string text = tordir::SerializeVote(MakeBenchVote(relays));
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.FindText(text));
   }
@@ -354,6 +366,55 @@ void BM_DocumentStoreHit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_DocumentStoreHit)->Arg(8000);
+
+// A packed vote's nine lists framed as the synchronous protocol sends them —
+// packer, count, then each author tag and shared list (Writer::WriteShared) —
+// and read back as a receiver does: each list is a view of the sender's text,
+// which the vote cache finds by pointer. Bytes/s is over the packed vote's
+// wire size (~28 MB at 8k relays), none of which is copied.
+torbase::Frame PackedVoteFrame(const std::vector<std::shared_ptr<const std::string>>& texts) {
+  torbase::Writer w;
+  w.WriteU32(0);
+  w.WriteU32(static_cast<uint32_t>(texts.size()));
+  for (uint32_t author = 0; author < texts.size(); ++author) {
+    w.WriteU32(author);
+    w.WriteShared(texts[author]);
+  }
+  return w.TakeFrame();
+}
+
+void BM_PackedVoteFrame(benchmark::State& state) {
+  std::vector<std::shared_ptr<const std::string>> texts;
+  const tordir::VoteCache cache = NineVoteCache(static_cast<size_t>(state.range(0)), texts);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const torbase::Frame frame = PackedVoteFrame(texts);
+    bytes = frame.size();
+    torbase::Reader r(frame);
+    benchmark::DoNotOptimize(r.ReadU32());
+    const uint32_t count = *r.ReadU32();
+    for (uint32_t i = 0; i < count; ++i) {
+      benchmark::DoNotOptimize(r.ReadU32());
+      benchmark::DoNotOptimize(cache.FindText(*r.ReadStringView()));
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_PackedVoteFrame)->Arg(8000);
+
+// The reference runner's price for the same frame: the network flattens it
+// into one contiguous buffer before delivery.
+void BM_FrameFlatten(benchmark::State& state) {
+  std::vector<std::shared_ptr<const std::string>> texts;
+  NineVoteCache(static_cast<size_t>(state.range(0)), texts);
+  const torbase::Frame frame = PackedVoteFrame(texts);
+  for (auto _ : state) {
+    torbase::Bytes flat = frame.Flatten();
+    benchmark::DoNotOptimize(flat);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * frame.size()));
+}
+BENCHMARK(BM_FrameFlatten)->Arg(8000);
 
 // Cost of handing a vote document to an actor: with interned relay strings
 // this is a flat vector copy, the property the scenario runner's per-cell

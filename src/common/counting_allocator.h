@@ -40,6 +40,19 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must come
+// from the same malloc the replaced deletes free, or a sanitizer's allocator
+// sees a new/free mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  torbase::counting_allocator::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 // Over-aligned forms count too: InlineFunction routes over-aligned captures to
 // the heap via aligned new, which must not be invisible to the guard.
 void* operator new(std::size_t size, std::align_val_t align) {

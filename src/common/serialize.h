@@ -1,11 +1,20 @@
 // Binary serialization used for protocol wire messages. Fixed-width little-endian
-// integers plus length-prefixed byte strings; a Writer builds a buffer and a
+// integers plus length-prefixed byte strings; a Writer builds a Frame and a
 // Reader consumes one with explicit bounds checking (no exceptions, no UB on
 // truncated input).
+//
+// A Frame is scatter-gather: the writer's inline bytes plus shared, immutable
+// texts spliced in at known offsets. Writer::WriteShared puts a text's length
+// prefix inline and references the text instead of copying it, so a
+// multi-megabyte vote is held once however many frames carry it, and a
+// Reader hands a receiver a view of the sender's own text. The wire bytes
+// are Frame::Flatten(); every size, read and error is defined over them. A
+// text given to WriteShared must stay immutable while any frame holds it.
 #ifndef SRC_COMMON_SERIALIZE_H_
 #define SRC_COMMON_SERIALIZE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,6 +24,28 @@
 #include "src/common/status.h"
 
 namespace torbase {
+
+// One wire message: `head`, with each segment's text spliced in before
+// head[at]. Segments are in non-decreasing `at` order, each at most
+// head.size(). A frame without segments is just its bytes, and converts
+// implicitly from them.
+struct Frame {
+  struct Segment {
+    size_t at = 0;
+    std::shared_ptr<const std::string> text;
+  };
+
+  Frame() = default;
+  Frame(Bytes bytes) : head(std::move(bytes)) {}  // NOLINT(google-explicit-constructor)
+
+  // Serialized size: the inline bytes plus every segment's text.
+  size_t size() const;
+  // The wire bytes, contiguous.
+  Bytes Flatten() const;
+
+  Bytes head;
+  std::vector<Segment> segments;
+};
 
 class Writer {
  public:
@@ -32,6 +63,10 @@ class Writer {
   void WriteBytes(std::span<const uint8_t> data);
   // Length-prefixed (u32) character string.
   void WriteString(std::string_view s);
+  // The same wire bytes as WriteString(*text), but only the length prefix is
+  // written inline: the frame references `text` as a segment. `text` must
+  // stay immutable while any frame holds it.
+  void WriteShared(std::shared_ptr<const std::string> text);
   // Raw bytes with no length prefix (caller knows the framing).
   void WriteRaw(std::span<const uint8_t> data);
 
@@ -40,12 +75,15 @@ class Writer {
   // once instead of paying repeated geometric regrowth copies.
   void Reserve(size_t additional) { buffer_.reserve(buffer_.size() + additional); }
 
+  // The inline bytes. A writer that holds segments (WriteShared) is read out
+  // with TakeFrame() only: its buffer alone is not the message.
   const Bytes& buffer() const { return buffer_; }
-  Bytes TakeBuffer() { return std::move(buffer_); }
-  size_t size() const { return buffer_.size(); }
+  Bytes TakeBuffer();
+  Frame TakeFrame();
 
  private:
   Bytes buffer_;
+  std::vector<Frame::Segment> segments_;
 };
 
 // --- text sinks --------------------------------------------------------------
@@ -194,33 +232,53 @@ class StringCursorSink {
   char* cursor_ = nullptr;
 };
 
+// Reads a buffer or a Frame. Over a frame every read returns what the same
+// read over Flatten() returns — values, views' bytes, AtEnd and truncation
+// errors — but a read of exactly the next segment (a WriteShared body) is a
+// view of that segment's text, with no copy. A read that straddles a splice
+// point, which no writer of ours produces, flattens the frame into the
+// reader first.
 class Reader {
  public:
   explicit Reader(std::span<const uint8_t> data) : data_(data) {}
+  explicit Reader(const Bytes& data) : data_(data) {}
+  explicit Reader(const Frame& frame);
   // A Reader only views the buffer; constructing one over a temporary would
   // leave the span dangling.
   explicit Reader(Bytes&&) = delete;
+  explicit Reader(Frame&&) = delete;
 
   Result<uint8_t> ReadU8();
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<bool> ReadBool();
   Result<Bytes> ReadBytes();
-  // Length-prefixed (u32) character string, as a view into the buffer: no
-  // copy. The view is valid only as long as the buffer is — for a received
-  // frame, until the message handler returns.
+  // Length-prefixed (u32) character string, as a view into the buffer or the
+  // segment: no copy. The view is valid only as long as the frame and this
+  // reader are — for a received frame, until the message handler returns.
   Result<std::string_view> ReadStringView();
   // Reads exactly n raw bytes.
   Result<Bytes> ReadRaw(size_t n);
 
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
+  // Unread bytes, segments included.
+  size_t remaining() const { return data_.size() - pos_ + segment_bytes_; }
+  bool AtEnd() const { return remaining() == 0; }
 
  private:
   Status Need(size_t n);
+  // The next n bytes as one contiguous view, consumed.
+  Result<std::span<const uint8_t>> Take(size_t n);
+  // Continues over frame_->Flatten() from the same logical position.
+  void Spill();
 
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
+  // Set when reading a frame: its unread segments from `next_` on, and their
+  // total size. Spill() clears them.
+  const Frame* frame_ = nullptr;
+  size_t next_ = 0;
+  size_t segment_bytes_ = 0;
+  Bytes spilled_;
 };
 
 }  // namespace torbase

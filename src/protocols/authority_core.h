@@ -98,18 +98,19 @@ class AuthorityCore : public torsim::Actor {
   // Records an admitted peer vote from `sender` as health-monitor evidence.
   void Observe(NodeId sender, const tordir::VoteAdmission& admission);
 
-  // Sends this authority's vote to every peer; `frame(writer, text,
-  // alternate)` writes one message carrying `text`. Honest authorities build
-  // a single frame for everyone. Equivocating ones (second_vote_text set by
-  // the byzantine layer) give odd peers the second variant: each peer still
-  // sees one self-consistent vote, and only cross-observer digest comparison
-  // (the health monitor) exposes the split.
-  template <typename Frame>
-  void BroadcastVote(const std::string& kind, Frame&& frame) {
+  // Sends this authority's vote to every peer; `write(writer, text,
+  // alternate)` writes one message carrying the shared `text`
+  // (Writer::WriteShared, so every frame references the one copy). Honest
+  // authorities build a single frame for everyone. Equivocating ones
+  // (second_vote_text set by the byzantine layer) give odd peers the second
+  // variant: each peer still sees one self-consistent vote, and only
+  // cross-observer digest comparison (the health monitor) exposes the split.
+  template <typename Write>
+  void BroadcastVote(const std::string& kind, Write&& write) {
     if (second_vote_text_ == nullptr) {
       torbase::Writer w;
-      frame(w, *own_vote_text_, false);
-      SendToAllOthers(kind, w.TakeBuffer());
+      write(w, own_vote_text_, false);
+      SendToAllOthers(kind, w.TakeFrame());
       return;
     }
     for (NodeId peer = 0; peer < node_count(); ++peer) {
@@ -118,8 +119,8 @@ class AuthorityCore : public torsim::Actor {
       }
       const bool alternate = peer % 2 == 1;
       torbase::Writer w;
-      frame(w, alternate ? *second_vote_text_ : *own_vote_text_, alternate);
-      SendTo(peer, kind, w.TakeBuffer());
+      write(w, alternate ? second_vote_text_ : own_vote_text_, alternate);
+      SendTo(peer, kind, w.TakeFrame());
     }
   }
 
@@ -143,6 +144,8 @@ class AuthorityCore : public torsim::Actor {
   void Publish(ConsensusOutcome& outcome);
   // Signatures counted so far, by signer.
   const std::map<NodeId, torcrypto::Signature>& signatures() const { return signatures_; }
+  // The cell's document store (a private one when none was given).
+  DocumentStore& document_store() { return *document_store_; }
 
   // Published() over this protocol's outcome.
   PublishedConsensus PublishedFrom(const ConsensusOutcome& outcome) const {

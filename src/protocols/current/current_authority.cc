@@ -30,11 +30,11 @@ void CurrentAuthority::Start() {
 
 void CurrentAuthority::BeginVoteRound() {
   log().Notice(now(), "Time to vote.");
-  BroadcastVote(kKindVote, [this](torbase::Writer& w, const std::string& text, bool) {
-    w.Reserve(text.size() + 32);
+  BroadcastVote(kKindVote, [this](torbase::Writer& w,
+                                  const std::shared_ptr<const std::string>& text, bool) {
     w.WriteU8(kVotePost);
     w.WriteU64(now());  // posted_at
-    w.WriteString(text);
+    w.WriteShared(text);
   });
 }
 
@@ -143,7 +143,7 @@ void CurrentAuthority::Finish() {
   }
 }
 
-void CurrentAuthority::OnMessage(NodeId from, const torbase::Bytes& payload) {
+void CurrentAuthority::OnMessage(NodeId from, const torbase::Frame& payload) {
   torbase::Reader reader(payload);
   auto type = reader.ReadU8();
   if (!type.ok()) {

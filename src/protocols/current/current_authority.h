@@ -40,7 +40,7 @@ class CurrentAuthority : public AuthorityCore {
   CurrentAuthority(const torcrypto::KeyDirectory* directory, AuthorityMaterials materials);
 
   void Start() override;
-  void OnMessage(NodeId from, const torbase::Bytes& payload) override;
+  void OnMessage(NodeId from, const torbase::Frame& payload) override;
 
   const AuthorityOutcome& outcome() const { return outcome_; }
   bool finished() const { return finished_; }

@@ -15,6 +15,13 @@
 // digest of their wire bytes does not: a malformed-wire authority aggregates
 // its own document while sending other bytes.
 //
+// The store also memoises the SHA-256 of each distinct packed vote (the
+// synchronous protocol's vote of all n relay lists, tens of megabytes at 8k
+// relays), under the same identity rule: the packer plus its ordered
+// (author, text pointer) lists. Receivers that recognised the lists as the
+// workload's texts hold the same pointers, so the agreed packed vote is
+// streamed once per cell instead of once per holder.
+//
 // Not thread-safe: a store belongs to one cell and is only reached from that
 // cell's thread (the threading contract in ROADMAP.md).
 #ifndef SRC_PROTOCOLS_DOCUMENT_STORE_H_
@@ -23,8 +30,11 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/crypto/digest.h"
 #include "src/tordir/vote.h"
 
@@ -49,14 +59,44 @@ class DocumentStore {
   // Distinct vote lists aggregated so far.
   size_t builds() const { return entries_.size(); }
 
+  // A packed vote's relay lists as kept: (author tag, shared text), in packed
+  // order.
+  using PackedLists =
+      std::vector<std::pair<torbase::NodeId, std::shared_ptr<const std::string>>>;
+
+  // The digest of the packed vote `packer` built from `lists`: `stream()`
+  // computes it on the first call for that packer and those text pointers in
+  // that order, and later calls return that entry. The reference stays valid
+  // as long as the store.
+  template <typename Stream>
+  const torcrypto::Digest256& PackedDigest(torbase::NodeId packer, const PackedLists& lists,
+                                           Stream&& stream) {
+    for (const PackedEntry& entry : packed_) {
+      if (entry.packer == packer && entry.lists == lists) {
+        return entry.digest;
+      }
+    }
+    return packed_.emplace_back(PackedEntry{packer, lists, stream()}).digest;
+  }
+
+  // Distinct packed votes digested so far.
+  size_t packed_digests() const { return packed_.size(); }
+
  private:
   struct Entry {
     Votes votes;
     Derived derived;
   };
-  // A cell has one to three distinct vote lists, so a linear scan finds them;
-  // a deque keeps returned references stable as entries are added.
+  struct PackedEntry {
+    torbase::NodeId packer;
+    PackedLists lists;
+    torcrypto::Digest256 digest;
+  };
+  // A cell has one to three distinct vote lists and at most n packed votes,
+  // so a linear scan finds them; a deque keeps returned references stable as
+  // entries are added.
   std::deque<Entry> entries_;
+  std::deque<PackedEntry> packed_;
 };
 
 }  // namespace torproto

@@ -73,26 +73,30 @@ void IcpsAuthority::BroadcastDocument() {
     second_sig = signer_.Sign(EntryPayload(id(), second_digest));
   }
   const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
-  BroadcastVote(kKindDocument, [&](torbase::Writer& w, const std::string& text, bool alternate) {
-    w.Reserve(text.size() + 128);
+  BroadcastVote(kKindDocument, [&](torbase::Writer& w,
+                                   const std::shared_ptr<const std::string>& text, bool alternate) {
     w.WriteU8(kDocument);
-    w.WriteString(text);
+    w.WriteShared(text);
     w.WriteRaw((alternate ? second_digest : own_digest_).span());
     torcrypto::WriteSignature(w, alternate ? second_sig : own_sig);
   });
 }
 
-void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payload) {
+void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Frame& payload) {
   torbase::Reader r(payload);
   auto type = r.ReadU8();
   if (!type.ok()) {
     return;
   }
   if (*type >= 1 && *type <= 8) {
-    // HotStuff engine message; re-feed without the tag (the engine reads its
-    // own tag byte).
+    // HotStuff engine message; re-feed it whole (the engine reads its own tag
+    // byte). The engine writes no shared texts, so its frames are their head.
     if (agreement_.has_value()) {
-      agreement_->OnMessage(from, payload);
+      if (payload.segments.empty()) {
+        agreement_->OnMessage(from, payload.head);
+      } else {
+        agreement_->OnMessage(from, payload.Flatten());
+      }
     }
     return;
   }

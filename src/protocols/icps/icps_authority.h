@@ -56,7 +56,7 @@ class IcpsAuthority : public torproto::AuthorityCore {
                 const torcrypto::KeyDirectory* directory, torproto::AuthorityMaterials materials);
 
   void Start() override;
-  void OnMessage(torbase::NodeId from, const torbase::Bytes& payload) override;
+  void OnMessage(torbase::NodeId from, const torbase::Frame& payload) override;
 
   const IcpsOutcome& outcome() const { return outcome_; }
   bool finished() const { return outcome_.valid_consensus; }

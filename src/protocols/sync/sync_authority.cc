@@ -12,34 +12,38 @@ constexpr const char* kKindPacked = "SYNC_PACKED";
 constexpr const char* kKindDs = "SYNC_DS";
 constexpr const char* kKindSig = "SYNC_SIG";
 
-// Emits `packed`'s wire encoding piece by piece to `emit(std::string_view)`,
-// integers little-endian as torbase::Writer writes them. The frame, its
-// length prefix and the digest all come from here, so they cover the same
-// bytes.
-template <typename Emit>
-void EncodePacked(const PackedVote& packed, Emit&& emit) {
-  const auto u32 = [&emit](size_t v) {
-    const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                           static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-    emit(std::string_view(bytes, sizeof(bytes)));
-  };
+using SharedText = std::shared_ptr<const std::string>;
+
+// Emits `packed`'s wire encoding in order: `u32(value)` for each integer and
+// `text(shared)` for each list's length-prefixed text, both as
+// torbase::Writer writes them. The frame, its length prefix and the digest
+// all come from here, so they cover the same bytes.
+template <typename U32, typename Text>
+void EncodePacked(const PackedVote& packed, U32&& u32, Text&& text) {
   u32(packed.packer);
-  u32(packed.lists.size());
-  for (const auto& [author, text] : packed.lists) {
+  u32(static_cast<uint32_t>(packed.lists.size()));
+  for (const auto& [author, list] : packed.lists) {
     u32(author);
-    u32(text->size());
-    emit(std::string_view(*text));
+    text(list);
   }
 }
 
-// The SHA-256 of `packed`'s wire encoding, streamed and computed once.
-const torcrypto::Digest256& DigestOf(PackedVote& packed) {
-  if (!packed.digest.has_value()) {
+// The SHA-256 of `packed`'s wire encoding, streamed once per distinct packed
+// vote in `store`: the cell's, shared by every holder, or an authority's own.
+const torcrypto::Digest256& DigestOf(DocumentStore& store, const PackedVote& packed) {
+  return store.PackedDigest(packed.packer, packed.lists, [&packed] {
     torcrypto::Sha256 hash;
-    EncodePacked(packed, [&hash](std::string_view bytes) { hash.Update(bytes); });
-    packed.digest = torcrypto::Digest256(hash.Finish());
-  }
-  return *packed.digest;
+    const auto u32 = [&hash](uint32_t v) {
+      const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                             static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+      hash.Update(std::string_view(bytes, sizeof(bytes)));
+    };
+    EncodePacked(packed, u32, [&](const SharedText& text) {
+      u32(static_cast<uint32_t>(text->size()));
+      hash.Update(*text);
+    });
+    return torcrypto::Digest256(hash.Finish());
+  });
 }
 
 }  // namespace
@@ -63,10 +67,9 @@ void SyncAuthority::Start() {
 
 void SyncAuthority::BeginProposePhase() {
   log().Notice(now(), "Propose round: sending relay list.");
-  BroadcastVote(kKindPropose, [](torbase::Writer& w, const std::string& text, bool) {
-    w.Reserve(text.size() + 16);
+  BroadcastVote(kKindPropose, [](torbase::Writer& w, const SharedText& text, bool) {
     w.WriteU8(kProposePost);
-    w.WriteString(text);
+    w.WriteShared(text);
   });
 }
 
@@ -117,35 +120,44 @@ void SyncAuthority::BeginVotePhase() {
   packed.packer = id();
   packed.lists.assign(lists_.begin(), lists_.end());
   size_t packed_size = 0;
-  EncodePacked(packed, [&packed_size](std::string_view bytes) { packed_size += bytes.size(); });
+  EncodePacked(
+      packed, [&packed_size](uint32_t) { packed_size += 4; },
+      [&packed_size](const SharedText& text) { packed_size += 4 + text->size(); });
+  // Each list is a segment of the frame: every receiver reads the packer's
+  // shared texts, which are the workload's own for canonical lists.
   torbase::Writer w;
-  w.Reserve(packed_size + 16);
   w.WriteU8(kPackedVote);
   w.WriteU32(id());
   w.WriteU32(static_cast<uint32_t>(packed_size));  // the encoding's length prefix
-  EncodePacked(packed, [&w](std::string_view bytes) { w.WriteRaw(torcrypto::AsByteSpan(bytes)); });
-  SendToAllOthers(kKindPacked, w.TakeBuffer());
+  EncodePacked(
+      packed, [&w](uint32_t v) { w.WriteU32(v); },
+      [&w](const SharedText& text) { w.WriteShared(text); });
+  SendToAllOthers(kKindPacked, w.TakeFrame());
 }
 
-std::optional<PackedVote> SyncAuthority::DecodePacked(std::string_view encoded) const {
-  torbase::Reader r(torcrypto::AsByteSpan(encoded));
+std::optional<PackedVote> SyncAuthority::DecodePacked(NodeId from, uint32_t length,
+                                                      torbase::Reader& r) const {
+  const size_t rest = r.remaining() - length;
   auto packer = r.ReadU32();
   auto count = r.ReadU32();
-  if (!packer.ok() || !count.ok() || *count > node_count()) {
+  if (!packer.ok() || !count.ok() || *packer != from || *count > node_count()) {
     return std::nullopt;
   }
   PackedVote packed;
   packed.packer = *packer;
   packed.lists.reserve(*count);
+  std::vector<bool> seen(node_count());
   for (uint32_t i = 0; i < *count; ++i) {
     auto author = r.ReadU32();
     auto text = r.ReadStringView();
-    if (!author.ok() || !text.ok()) {
+    if (!author.ok() || !text.ok() || r.remaining() < rest || *author >= node_count() ||
+        seen[*author]) {
       return std::nullopt;
     }
+    seen[*author] = true;
     packed.lists.emplace_back(*author, Share(*text));
   }
-  if (!r.AtEnd()) {
+  if (r.remaining() != rest) {
     return std::nullopt;
   }
   return packed;
@@ -153,8 +165,8 @@ std::optional<PackedVote> SyncAuthority::DecodePacked(std::string_view encoded) 
 
 void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   auto author = r.ReadU32();
-  auto encoded = r.ReadStringView();
-  if (!author.ok() || !encoded.ok() || *author != from) {
+  auto length = r.ReadU32();  // of the packed encoding that follows
+  if (!author.ok() || !length.ok() || *length > r.remaining() || *author != from) {
     return;
   }
   if (ds_started_) {
@@ -165,7 +177,7 @@ void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   if (packed_votes_.count(from) > 0) {
     return;
   }
-  std::optional<PackedVote> packed = DecodePacked(*encoded);
+  std::optional<PackedVote> packed = DecodePacked(from, *length, r);
   if (!packed.has_value()) {
     log().Warn(now(), "Malformed packed vote from " + std::to_string(from) + "; dropped.");
     return;
@@ -194,7 +206,7 @@ void SyncAuthority::BeginSynchronizePhase() {
   if (it == packed_votes_.end()) {
     return;
   }
-  const torcrypto::Digest256 digest = DigestOf(it->second);
+  const torcrypto::Digest256 digest = DigestOf(document_store(), it->second);
   extracted_.insert(digest);
   chains_[digest] = {signer_.Sign(DsPayload(digest))};
   relayed_.insert(digest);
@@ -271,11 +283,12 @@ void SyncAuthority::BeginSignaturePhase() {
   const torcrypto::Digest256 digest = *extracted_.begin();
   // Find the agreed packed vote by digest. Map order checks the designated
   // sender's first, which in every run is the agreed one, so each authority
-  // hashes one packed vote (the designated sender reuses the digest it
-  // relayed).
+  // needs one packed vote's digest: the one the designated sender relayed,
+  // which the cell's store already holds when the lists are the same texts.
   static_assert(kDesignatedSender == 0, "map order must reach the designated sender first");
-  auto agreed = std::find_if(packed_votes_.begin(), packed_votes_.end(),
-                             [&digest](auto& entry) { return DigestOf(entry.second) == digest; });
+  auto agreed = std::find_if(packed_votes_.begin(), packed_votes_.end(), [&](const auto& entry) {
+    return DigestOf(document_store(), entry.second) == digest;
+  });
   if (agreed == packed_votes_.end()) {
     log().Warn(now(), "Agreed packed vote contents never arrived.");
     return;
@@ -335,7 +348,7 @@ void SyncAuthority::Finish() {
   }
 }
 
-void SyncAuthority::OnMessage(NodeId from, const torbase::Bytes& payload) {
+void SyncAuthority::OnMessage(NodeId from, const torbase::Frame& payload) {
   torbase::Reader r(payload);
   auto type = r.ReadU8();
   if (!type.ok()) {

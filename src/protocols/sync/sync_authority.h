@@ -25,10 +25,16 @@
 // sender is still detected and nullifies the run.
 //
 // Authorities keep packed votes as lists of shared texts (a canonical list
-// shares the workload's copy), not as n·d-byte copies. A packed vote's digest,
-// the SHA-256 of its exact wire encoding, is streamed only when needed: by
-// the designated sender as the synchronize phase starts, and at phase 4 to
-// find the agreed one. One that does not decode exactly is dropped on arrival.
+// shares the workload's copy), not as n·d-byte copies, and send each list as
+// a shared segment of the packed-vote frame, so a receiver reads the packer's
+// own texts and recognises the workload's by pointer. A packed vote's digest,
+// the SHA-256 of its exact wire encoding, comes from the cell's DocumentStore
+// (an authority without one keeps a private store): it is streamed once per
+// distinct packed vote, in practice the designated sender's, as the
+// synchronize phase starts, and every holder reuses it at phase 4 to find the
+// agreed one. A packed vote that does not decode exactly, repeats or
+// overruns an author tag, or names a packer other than its sender is dropped
+// on arrival.
 #ifndef SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 #define SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 
@@ -55,8 +61,7 @@ namespace torproto {
 // count, then each list as its author tag and length-prefixed text.
 struct PackedVote {
   NodeId packer = 0;
-  std::vector<std::pair<NodeId, std::shared_ptr<const std::string>>> lists;
-  std::optional<torcrypto::Digest256> digest;  // of the encoding, once computed
+  DocumentStore::PackedLists lists;
 };
 
 struct SyncOutcome : ConsensusOutcome {
@@ -75,7 +80,7 @@ class SyncAuthority : public AuthorityCore {
   SyncAuthority(const torcrypto::KeyDirectory* directory, AuthorityMaterials materials);
 
   void Start() override;
-  void OnMessage(NodeId from, const torbase::Bytes& payload) override;
+  void OnMessage(NodeId from, const torbase::Frame& payload) override;
 
   const SyncOutcome& outcome() const { return outcome_; }
   bool finished() const { return finished_; }
@@ -119,10 +124,13 @@ class SyncAuthority : public AuthorityCore {
   void HandleDsRelay(NodeId from, torbase::Reader& r);
   void HandleSigPost(NodeId from, torbase::Reader& r);
 
-  // Decodes a packed vote, sharing canonical lists with the workload; nullopt
-  // unless it decodes exactly (complete, at most n lists, nothing trailing),
-  // so that re-encoding it reproduces the received bytes.
-  std::optional<PackedVote> DecodePacked(std::string_view encoded) const;
+  // Decodes the `length`-byte packed vote `from` sent, straight from the
+  // frame's reader, sharing canonical lists with the workload. nullopt unless
+  // it decodes exactly (packed by `from`, at most n lists under distinct
+  // in-range author tags, consuming exactly `length` bytes), so that
+  // re-encoding it reproduces the received bytes and no author counts twice.
+  // Requires length <= r.remaining().
+  std::optional<PackedVote> DecodePacked(NodeId from, uint32_t length, torbase::Reader& r) const;
 
   // The byte string the Dolev-Strong chain signs.
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;

@@ -104,9 +104,11 @@ class ScenarioRunner {
   // baseline fuzz_sweep's --reference leg and protocol_pin_test compare the
   // fast runner against. Authorities get no vote cache (every delivery is
   // hashed, parsed and window-checked) and no shared document store (each
-  // holder aggregates and digests its own consensus); the memo is off and
-  // cells run serially whatever SweepOptions asks. Results are bit-identical
-  // to the fast runner's. Not safe to flip while runs are in flight.
+  // holder aggregates and digests its own consensus and packed votes); the
+  // network flattens every frame, so receivers read contiguous bytes rather
+  // than the senders' shared texts; the memo is off and cells run serially
+  // whatever SweepOptions asks. Results are bit-identical to the fast
+  // runner's. Not safe to flip while runs are in flight.
   void set_reference(bool on) { reference_ = on; }
 
  private:

@@ -5,11 +5,11 @@
 
 namespace torsim {
 
-void Actor::SendTo(NodeId to, std::string kind, Bytes payload) {
+void Actor::SendTo(NodeId to, std::string kind, Frame payload) {
   net_->Send(id_, to, std::move(kind), std::move(payload));
 }
 
-void Actor::SendToAllOthers(const std::string& kind, Bytes payload) {
+void Actor::SendToAllOthers(const std::string& kind, Frame payload) {
   net_->Broadcast(id_, kind, std::move(payload));
 }
 
@@ -28,7 +28,7 @@ Actor* Harness::AddActor(std::unique_ptr<Actor> actor) {
   actor->net_ = &net_;
   actor->id_ = id;
   Actor* raw = actor.get();
-  net_.SetHandler(id, [raw](NodeId from, const Bytes& payload) { raw->OnMessage(from, payload); });
+  net_.SetHandler(id, [raw](NodeId from, const Frame& payload) { raw->OnMessage(from, payload); });
   actors_.push_back(std::move(actor));
   return raw;
 }

@@ -1,6 +1,9 @@
 // Actor framework: a protocol node bound to a slot in the Network. Concrete
 // protocols subclass Actor and implement Start()/OnMessage(); the Harness wires
-// a vector of actors to the simulator and network.
+// a vector of actors to the simulator and network. Messages are
+// torbase::Frames (src/common/serialize.h): a sender that writes a shared
+// text with Writer::WriteShared and sends TakeFrame() hands every receiver a
+// view of that text instead of a copy. A Bytes payload converts to a frame.
 #ifndef SRC_SIM_ACTOR_H_
 #define SRC_SIM_ACTOR_H_
 
@@ -22,8 +25,9 @@ class Actor {
 
   // Called once when the simulation starts.
   virtual void Start() {}
-  // Called for every inbound message.
-  virtual void OnMessage(NodeId from, const Bytes& payload) = 0;
+  // Called for every inbound message. The frame, and views read from it, are
+  // valid until the handler returns.
+  virtual void OnMessage(NodeId from, const Frame& payload) = 0;
 
   NodeId id() const { return id_; }
   torbase::Logger& log() { return log_; }
@@ -36,10 +40,10 @@ class Actor {
   uint32_t node_count() const { return net_->node_count(); }
 
   // Sends to a single peer.
-  void SendTo(NodeId to, std::string kind, Bytes payload);
-  // Sends to every node except this one. The receivers share the one buffer,
-  // so pass the frame by move (Writer::TakeBuffer) to avoid copying it.
-  void SendToAllOthers(const std::string& kind, Bytes payload);
+  void SendTo(NodeId to, std::string kind, Frame payload);
+  // Sends to every node except this one. The receivers share the one frame,
+  // so pass it by move (Writer::TakeFrame or TakeBuffer) to avoid copying it.
+  void SendToAllOthers(const std::string& kind, Frame payload);
 
   // One-shot timer; returns an id usable with CancelTimer.
   EventId SetTimer(Duration delay, SimCallback fn);

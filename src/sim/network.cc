@@ -50,12 +50,19 @@ void Network::SetHandler(NodeId node, DeliverFn handler) {
   nodes_[node]->handler = std::move(handler);
 }
 
-void Network::Send(NodeId from, NodeId to, std::string kind, Bytes payload) {
-  SendShared(from, to, kind, std::make_shared<const Bytes>(std::move(payload)));
+std::shared_ptr<const Frame> Network::Queue(Frame payload) const {
+  if (flatten_frames_) {
+    payload = Frame(payload.Flatten());
+  }
+  return std::make_shared<const Frame>(std::move(payload));
 }
 
-void Network::Broadcast(NodeId from, const std::string& kind, Bytes payload) {
-  auto shared = std::make_shared<const Bytes>(std::move(payload));
+void Network::Send(NodeId from, NodeId to, std::string kind, Frame payload) {
+  SendShared(from, to, kind, Queue(std::move(payload)));
+}
+
+void Network::Broadcast(NodeId from, const std::string& kind, Frame payload) {
+  auto shared = Queue(std::move(payload));
   for (NodeId peer = 0; peer < node_count(); ++peer) {
     if (peer != from) {
       SendShared(from, peer, kind, shared);
@@ -64,7 +71,7 @@ void Network::Broadcast(NodeId from, const std::string& kind, Bytes payload) {
 }
 
 void Network::SendShared(NodeId from, NodeId to, const std::string& kind,
-                         std::shared_ptr<const Bytes> payload) {
+                         std::shared_ptr<const Frame> payload) {
   assert(from < node_count() && to < node_count());
   const uint64_t wire_bytes = payload->size() + kPerMessageOverheadBytes;
 

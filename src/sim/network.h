@@ -14,6 +14,11 @@
 //
 // Attack windows must be installed on the NIC schedules before simulated time
 // reaches them; the benches configure attacks up front.
+//
+// Messages are torbase::Frames: a sender's shared texts ride along by
+// reference, and every receiver of a broadcast reads the one frame. Wire
+// accounting, NIC bits included, is on the serialized size, so whether a
+// frame carries segments changes no count and no simulated instant.
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
@@ -26,6 +31,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/ids.h"
+#include "src/common/serialize.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/shared_nic.h"
 #include "src/sim/simulator.h"
@@ -33,6 +39,7 @@
 namespace torsim {
 
 using torbase::Bytes;
+using torbase::Frame;
 using torbase::NodeId;
 
 struct NetworkConfig {
@@ -58,7 +65,7 @@ struct TrafficCounters {
 class Network {
  public:
   // Delivery callback: (sender, payload). Runs at the receiver's delivery time.
-  using DeliverFn = std::function<void(NodeId, const Bytes&)>;
+  using DeliverFn = std::function<void(NodeId, const Frame&)>;
 
   Network(Simulator* sim, const NetworkConfig& config);
 
@@ -91,12 +98,16 @@ class Network {
   // Queues `payload` from `from` to `to`. `kind` labels the message class for
   // accounting (e.g. "VOTE", "DOCUMENT"). Self-sends deliver after a minimal
   // scheduling hop with no bandwidth cost.
-  void Send(NodeId from, NodeId to, std::string kind, Bytes payload);
+  void Send(NodeId from, NodeId to, std::string kind, Frame payload);
 
-  // Sends `payload` to every node except `from`, sharing one underlying buffer
-  // across all copies (bandwidth/accounting behave exactly like n-1 Send
-  // calls; only the memory copies are elided — votes are multi-megabyte).
-  void Broadcast(NodeId from, const std::string& kind, Bytes payload);
+  // Sends `payload` to every node except `from`, sharing one frame across all
+  // copies (bandwidth/accounting behave exactly like n-1 Send calls; only the
+  // memory copies are elided — votes are multi-megabyte).
+  void Broadcast(NodeId from, const std::string& kind, Frame payload);
+
+  // The reference runner's switch: every frame is flattened before it is
+  // queued, so receivers read contiguous bytes and never a sender's segments.
+  void set_flatten_frames(bool on) { flatten_frames_ = on; }
 
   // --- accounting ---------------------------------------------------------
   const TrafficCounters& counters(NodeId node) const { return nodes_[node]->counters; }
@@ -107,9 +118,12 @@ class Network {
   uint64_t undeliverable_count() const;
 
  private:
-  // Shared-buffer transfer path used by both Send and Broadcast.
+  // The frame as queued: flattened under set_flatten_frames, shared by every
+  // receiver.
+  std::shared_ptr<const Frame> Queue(Frame payload) const;
+  // Shared-frame transfer path used by both Send and Broadcast.
   void SendShared(NodeId from, NodeId to, const std::string& kind,
-                  std::shared_ptr<const Bytes> payload);
+                  std::shared_ptr<const Frame> payload);
 
   struct NodeState {
     SharedNic egress;
@@ -127,6 +141,7 @@ class Network {
   // latencies_[a * n + b]
   std::vector<Duration> latencies_;
   std::map<std::string, uint64_t> bytes_by_kind_;
+  bool flatten_frames_ = false;
 };
 
 }  // namespace torsim

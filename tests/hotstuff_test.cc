@@ -58,8 +58,8 @@ class BftActor : public torsim::Actor {
     node_->Start();
   }
 
-  void OnMessage(torbase::NodeId from, const Bytes& payload) override {
-    node_->OnMessage(from, payload);
+  void OnMessage(torbase::NodeId from, const torbase::Frame& payload) override {
+    node_->OnMessage(from, payload.head);
   }
 
   const std::optional<Bytes>& decided_value() const { return decided_value_; }
@@ -77,7 +77,7 @@ class BftActor : public torsim::Actor {
 // A crashed node: never sends anything.
 class SilentActor : public torsim::Actor {
  public:
-  void OnMessage(torbase::NodeId, const Bytes&) override {}
+  void OnMessage(torbase::NodeId, const torbase::Frame&) override {}
 };
 
 // A Byzantine leader for view 1 (node id 1): sends proposal A to half the
@@ -95,7 +95,7 @@ class EquivocatingLeader : public torsim::Actor {
       SendTo(peer, "BFT", w.TakeBuffer());
     }
   }
-  void OnMessage(torbase::NodeId, const Bytes&) override {}
+  void OnMessage(torbase::NodeId, const torbase::Frame&) override {}
 };
 
 struct Fleet {

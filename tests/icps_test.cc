@@ -29,7 +29,7 @@ constexpr uint32_t kN = 9;
 // A crashed authority.
 class SilentActor : public torsim::Actor {
  public:
-  void OnMessage(NodeId, const torbase::Bytes&) override {}
+  void OnMessage(NodeId, const torbase::Frame&) override {}
 };
 
 // A Byzantine disseminator: signs and sends two different vote documents to
@@ -61,7 +61,7 @@ class EquivocatingDisseminator : public torsim::Actor {
       SendTo(peer, "DOCUMENT", w.TakeBuffer());
     }
   }
-  void OnMessage(NodeId, const torbase::Bytes&) override {}
+  void OnMessage(NodeId, const torbase::Frame&) override {}
 
  private:
   const torcrypto::KeyDirectory* directory_;

@@ -123,7 +123,7 @@ TEST_P(NicProperty, ConservationAndFairShareBounds) {
 
   int delivered = 0;
   torbase::TimePoint last_delivery = 0;
-  net.SetHandler(1, [&](NodeId, const torbase::Bytes&) {
+  net.SetHandler(1, [&](NodeId, const torbase::Frame&) {
     ++delivered;
     last_delivery = sim.now();
   });
@@ -161,7 +161,7 @@ TEST(NicMonotonicityTest, MoreBandwidthNeverDeliversLater) {
     config.default_latency = torbase::Millis(10);
     torsim::Network net(&sim, config);
     torbase::TimePoint delivered_at = 0;
-    net.SetHandler(1, [&](NodeId, const torbase::Bytes&) { delivered_at = sim.now(); });
+    net.SetHandler(1, [&](NodeId, const torbase::Frame&) { delivered_at = sim.now(); });
     for (int i = 0; i < 6; ++i) {
       net.Send(0, 1, "DATA", torbase::Bytes(200000, 1));
     }

@@ -4,7 +4,9 @@
 // phase.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string_view>
 
 #include "src/attack/ddos.h"
 #include "src/common/serialize.h"
@@ -113,6 +115,7 @@ TEST(SyncProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
   fx.Build(200, torattack::kAuthorityLinkBps);
   const auto outcomes = fx.Run();
   EXPECT_EQ(fx.store->builds(), 1u);
+  EXPECT_EQ(fx.store->packed_digests(), 1u);
   const torcrypto::Digest256 direct =
       tordir::ConsensusDigest(tordir::ComputeConsensus(fx.votes));
   for (size_t a = 0; a < outcomes.size(); ++a) {
@@ -187,41 +190,71 @@ TEST(SyncProtocolTest, LatencyProbesOrdered) {
 }
 
 // Stands in for the last authority: records authority 0's packed-vote frame
-// and its first Dolev-Strong relay, and sends two malformed packed votes of
-// its own at the start.
+// and every authority's first Dolev-Strong relay, as wire bytes, and sends
+// malformed packed votes of its own at the start.
 class PackedVoteProbe : public torsim::Actor {
  public:
   static constexpr uint8_t kPackedVote = 2;
   static constexpr uint8_t kDsRelay = 3;
 
+  enum class Sends { kMalformedFraming, kForgedAuthorTags, kNothing };
+  explicit PackedVoteProbe(Sends sends = Sends::kMalformedFraming) : sends_(sends) {}
+
   void Start() override {
-    // Zero lists, then a trailing byte inside the packed encoding.
-    torbase::Writer trailing;
-    trailing.WriteU32(id());
-    trailing.WriteU32(0);
-    trailing.WriteU8('x');
-    SendToAllOthers("SYNC_PACKED", Frame(trailing.buffer()));
-    // More lists than there are authorities.
-    torbase::Writer too_many;
-    too_many.WriteU32(id());
-    too_many.WriteU32(node_count() + 1);
-    SendToAllOthers("SYNC_PACKED", Frame(too_many.buffer()));
+    if (sends_ == Sends::kMalformedFraming) {
+      // Zero lists, then a trailing byte inside the packed encoding.
+      torbase::Writer trailing;
+      trailing.WriteU32(id());
+      trailing.WriteU32(0);
+      trailing.WriteU8('x');
+      SendToAllOthers("SYNC_PACKED", Frame(trailing.buffer()));
+      // More lists than there are authorities.
+      torbase::Writer too_many;
+      too_many.WriteU32(id());
+      too_many.WriteU32(node_count() + 1);
+      SendToAllOthers("SYNC_PACKED", Frame(too_many.buffer()));
+    }
+    if (sends_ == Sends::kForgedAuthorTags) {
+      // One author's list twice: aggregation would count that vote twice.
+      torbase::Writer repeated;
+      repeated.WriteU32(id());
+      repeated.WriteU32(2);
+      for (int i = 0; i < 2; ++i) {
+        repeated.WriteU32(SyncAuthority::kDesignatedSender);
+        repeated.WriteString("relay list");
+      }
+      SendToAllOthers("SYNC_PACKED", Frame(repeated.buffer()));
+      // An author tag outside the authority set.
+      torbase::Writer out_of_range;
+      out_of_range.WriteU32(id());
+      out_of_range.WriteU32(1);
+      out_of_range.WriteU32(node_count());
+      out_of_range.WriteString("relay list");
+      SendToAllOthers("SYNC_PACKED", Frame(out_of_range.buffer()));
+      // Packed by another authority than the sender.
+      torbase::Writer other_packer;
+      other_packer.WriteU32(SyncAuthority::kDesignatedSender);
+      other_packer.WriteU32(0);
+      SendToAllOthers("SYNC_PACKED", Frame(other_packer.buffer()));
+    }
   }
 
-  void OnMessage(NodeId from, const torbase::Bytes& payload) override {
-    if (from != SyncAuthority::kDesignatedSender || payload.empty()) {
+  void OnMessage(NodeId from, const torbase::Frame& payload) override {
+    const torbase::Bytes wire = payload.Flatten();
+    if (wire.empty()) {
       return;
     }
-    if (payload[0] == kPackedVote && packed_frame.empty()) {
-      packed_frame = payload;
+    if (wire[0] == kDsRelay && !ds_frames.contains(from)) {
+      ds_frames.emplace(from, wire);
     }
-    if (payload[0] == kDsRelay && ds_frame.empty()) {
-      ds_frame = payload;
+    if (from == SyncAuthority::kDesignatedSender && wire[0] == kPackedVote &&
+        packed_frame.empty()) {
+      packed_frame = wire;
     }
   }
 
   torbase::Bytes packed_frame;
-  torbase::Bytes ds_frame;
+  std::map<NodeId, torbase::Bytes> ds_frames;  // first relay, by sender
 
  private:
   torbase::Bytes Frame(const torbase::Bytes& packed) const {
@@ -231,7 +264,28 @@ class PackedVoteProbe : public torsim::Actor {
     w.WriteBytes(packed);
     return w.TakeBuffer();
   }
+
+  const Sends sends_;
 };
+
+// The packed encoding carried by a flattened packed-vote frame.
+std::string_view PackedBytes(const torbase::Bytes& packed_frame) {
+  torbase::Reader r(packed_frame);
+  EXPECT_TRUE(r.ReadU8().ok());
+  EXPECT_EQ(*r.ReadU32(), SyncAuthority::kDesignatedSender);
+  const auto packed = r.ReadStringView();
+  EXPECT_TRUE(packed.ok());
+  return packed.ok() ? *packed : std::string_view();
+}
+
+// The digest a flattened Dolev-Strong relay frame carries.
+torcrypto::Digest256 RelayedDigest(const torbase::Bytes& ds_frame) {
+  torbase::Reader r(ds_frame);
+  EXPECT_TRUE(r.ReadU8().ok());
+  const auto relayed = torcrypto::ReadDigest(r);
+  EXPECT_TRUE(relayed.ok());
+  return relayed.ok() ? *relayed : torcrypto::Digest256();
+}
 
 TEST(SyncProtocolTest, RelayedDigestIsTheHashOfThePackedVoteOnTheWire) {
   Fixture fx;
@@ -241,17 +295,35 @@ TEST(SyncProtocolTest, RelayedDigestIsTheHashOfThePackedVoteOnTheWire) {
   fx.Run();
 
   ASSERT_FALSE(probe->packed_frame.empty());
-  ASSERT_FALSE(probe->ds_frame.empty());
-  torbase::Reader packed(probe->packed_frame);
-  ASSERT_TRUE(packed.ReadU8().ok());
-  ASSERT_EQ(*packed.ReadU32(), SyncAuthority::kDesignatedSender);
-  const auto packed_bytes = packed.ReadStringView();
-  ASSERT_TRUE(packed_bytes.ok());
-  torbase::Reader relay(probe->ds_frame);
-  ASSERT_TRUE(relay.ReadU8().ok());
-  const auto relayed = torcrypto::ReadDigest(relay);
-  ASSERT_TRUE(relayed.ok());
-  EXPECT_EQ(*relayed, torcrypto::Digest256::Of(*packed_bytes));
+  ASSERT_TRUE(probe->ds_frames.contains(SyncAuthority::kDesignatedSender));
+  EXPECT_EQ(RelayedDigest(probe->ds_frames.at(SyncAuthority::kDesignatedSender)),
+            torcrypto::Digest256::Of(PackedBytes(probe->packed_frame)));
+}
+
+// Wired like a runner cell, the packed lists every holder decodes are the
+// workload's texts, so the cell's store streams the designated sender's packed
+// vote once, and every authority relays the SHA-256 of that vote's bytes as
+// the wire carries them.
+TEST(SyncProtocolTest, SharedStoreStreamsThePackedVoteDigestOnce) {
+  Fixture fx;
+  fx.store = std::make_shared<DocumentStore>();
+  auto probe_owner = std::make_unique<PackedVoteProbe>(PackedVoteProbe::Sends::kNothing);
+  const PackedVoteProbe* probe = probe_owner.get();
+  fx.Build(200, torattack::kAuthorityLinkBps, {}, std::move(probe_owner));
+  const auto outcomes = fx.Run();
+
+  EXPECT_EQ(fx.store->packed_digests(), 1u);
+  ASSERT_FALSE(probe->packed_frame.empty());
+  const torcrypto::Digest256 on_the_wire =
+      torcrypto::Digest256::Of(PackedBytes(probe->packed_frame));
+  EXPECT_EQ(probe->ds_frames.size(), outcomes.size());
+  for (const auto& [sender, ds_frame] : probe->ds_frames) {
+    EXPECT_EQ(RelayedDigest(ds_frame), on_the_wire) << "authority " << sender;
+  }
+  for (size_t a = 0; a < outcomes.size(); ++a) {
+    EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
+    EXPECT_EQ(outcomes[a].lists_in_agreed_vote, 8u) << "authority " << a;
+  }
 }
 
 TEST(SyncProtocolTest, MalformedPackedVotesAreDroppedOnArrival) {
@@ -265,6 +337,26 @@ TEST(SyncProtocolTest, MalformedPackedVotesAreDroppedOnArrival) {
       dropped += record.message == "Malformed packed vote from 8; dropped.";
     }
     EXPECT_EQ(dropped, 2u) << "authority " << a;
+    EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
+    EXPECT_EQ(outcomes[a].lists_in_agreed_vote, 8u) << "authority " << a;
+  }
+}
+
+// A packed vote whose author tags repeat or leave the authority set, or whose
+// packer is not its sender, is dropped like an undecodable one: a repeated
+// tag would hand aggregation one authority's vote twice.
+TEST(SyncProtocolTest, PackedVotesWithForgedAuthorTagsAreDroppedOnArrival) {
+  Fixture fx;
+  fx.Build(120, torattack::kAuthorityLinkBps, {},
+           std::make_unique<PackedVoteProbe>(PackedVoteProbe::Sends::kForgedAuthorTags));
+  const auto outcomes = fx.Run();
+  ASSERT_EQ(outcomes.size(), 8u);
+  for (size_t a = 0; a < outcomes.size(); ++a) {
+    size_t dropped = 0;
+    for (const auto& record : fx.authorities[a]->log().records()) {
+      dropped += record.message == "Malformed packed vote from 8; dropped.";
+    }
+    EXPECT_EQ(dropped, 3u) << "authority " << a;
     EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
     EXPECT_EQ(outcomes[a].lists_in_agreed_vote, 8u) << "authority " << a;
   }

@@ -81,7 +81,7 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
     SetTimer(2 * torproto::kRoundLength + torbase::Millis(100), [this] { SignBothForks(); });
   }
 
-  void OnMessage(NodeId from, const torbase::Bytes& payload) override {
+  void OnMessage(NodeId from, const torbase::Frame& payload) override {
     torbase::Reader r(payload);
     auto type = r.ReadU8();
     if (!type.ok() || *type != 1) {
@@ -198,7 +198,7 @@ class EquivocatingSyncProposer : public torsim::Actor {
       SendTo(peer, "SYNC_PROPOSE", w.TakeBuffer());
     }
   }
-  void OnMessage(NodeId, const torbase::Bytes&) override {}
+  void OnMessage(NodeId, const torbase::Frame&) override {}
 
  private:
   tordir::VoteDocument vote_a_;
@@ -261,7 +261,7 @@ class SelectiveDisseminator : public torsim::Actor {
       SendTo(peer, "DOCUMENT", w.TakeBuffer());
     }
   }
-  void OnMessage(NodeId, const torbase::Bytes&) override {}
+  void OnMessage(NodeId, const torbase::Frame&) override {}
 
  private:
   const torcrypto::KeyDirectory* directory_;

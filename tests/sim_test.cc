@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -321,9 +322,9 @@ TEST(NetworkTest, DeliveryTimeMatchesNicModel) {
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e6), Millis(10)));
   TimePoint delivered_at = 0;
   Bytes got;
-  net.SetHandler(1, [&](NodeId from, const Bytes& payload) {
+  net.SetHandler(1, [&](NodeId from, const Frame& payload) {
     EXPECT_EQ(from, 0u);
-    got = payload;
+    got = payload.Flatten();
     delivered_at = sim.now();
   });
   // 936-byte payload + 64 overhead = 1000 bytes = 8000 bits.
@@ -339,7 +340,7 @@ TEST(NetworkTest, EgressFairSharesConcurrentSends) {
   Network net(&sim, SmallNetConfig(3, BitsPerSecond(1e6), Millis(0)));
   std::vector<TimePoint> deliveries;
   for (NodeId r : {1u, 2u}) {
-    net.SetHandler(r, [&](NodeId, const Bytes&) { deliveries.push_back(sim.now()); });
+    net.SetHandler(r, [&](NodeId, const Frame&) { deliveries.push_back(sim.now()); });
   }
   // Two concurrent messages from node 0: each gets half the egress rate, so
   // both finish egress at 16000 us, then each crosses its receiver's idle
@@ -356,7 +357,7 @@ TEST(NetworkTest, IngressFairSharesConcurrentSenders) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(3, BitsPerSecond(1e6), Millis(0)));
   std::vector<TimePoint> deliveries;
-  net.SetHandler(2, [&](NodeId, const Bytes&) { deliveries.push_back(sim.now()); });
+  net.SetHandler(2, [&](NodeId, const Frame&) { deliveries.push_back(sim.now()); });
   net.Send(0, 2, "TEST", Bytes(936, 1));
   net.Send(1, 2, "TEST", Bytes(936, 2));
   sim.Run();
@@ -372,7 +373,7 @@ TEST(NetworkTest, LateFlowSharesRemainingCapacity) {
   Network net(&sim, SmallNetConfig(3, BitsPerSecond(1e6), Millis(0)));
   std::vector<std::pair<NodeId, TimePoint>> deliveries;
   for (NodeId r : {1u, 2u}) {
-    net.SetHandler(r, [&, r](NodeId, const Bytes&) { deliveries.emplace_back(r, sim.now()); });
+    net.SetHandler(r, [&, r](NodeId, const Frame&) { deliveries.emplace_back(r, sim.now()); });
   }
   // Flow A: 16000 bits at t=0. Flow B: 4000 bits at t=8000 us.
   // [0,8000): A alone drains 8000 bits (8000 left).
@@ -394,7 +395,7 @@ TEST(NetworkTest, SelfSendDeliversWithoutBandwidthCost) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(8.0), Millis(500)));
   bool delivered = false;
-  net.SetHandler(0, [&](NodeId from, const Bytes&) {
+  net.SetHandler(0, [&](NodeId from, const Frame&) {
     EXPECT_EQ(from, 0u);
     delivered = true;
   });
@@ -407,7 +408,7 @@ TEST(NetworkTest, SelfSendDeliversWithoutBandwidthCost) {
 TEST(NetworkTest, CountsTrafficPerNodeAndKind) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e9), Millis(1)));
-  net.SetHandler(1, [](NodeId, const Bytes&) {});
+  net.SetHandler(1, [](NodeId, const Frame&) {});
   net.Send(0, 1, "VOTE", Bytes(100, 0));
   net.Send(0, 1, "VOTE", Bytes(100, 0));
   net.Send(0, 1, "SIG", Bytes(10, 0));
@@ -419,6 +420,77 @@ TEST(NetworkTest, CountsTrafficPerNodeAndKind) {
   EXPECT_EQ(net.bytes_by_kind().at("SIG"), 10u + 64);
 }
 
+// What one network run of a frame shows: per delivery the receiver, instant,
+// wire bytes and where the shared body's view points; and the accounting.
+struct FrameRun {
+  struct Delivery {
+    NodeId to;
+    TimePoint at;
+    Bytes wire;
+    const char* body;
+  };
+  std::vector<Delivery> deliveries;
+  uint64_t bytes_sent = 0;
+  std::map<std::string, uint64_t> bytes_by_kind;
+};
+
+// Broadcasts `payload` from node 0 and sends it from 1 to 2 as well.
+FrameRun RunFrame(const Frame& payload, bool flatten) {
+  Simulator sim;
+  Network net(&sim, SmallNetConfig(4, BitsPerSecond(1e6), Millis(10)));
+  net.set_flatten_frames(flatten);
+  FrameRun run;
+  for (NodeId r = 1; r < 4; ++r) {
+    net.SetHandler(r, [&, r](NodeId, const Frame& frame) {
+      torbase::Reader reader(frame);
+      EXPECT_TRUE(reader.ReadU8().ok());
+      const auto body = reader.ReadStringView();
+      ASSERT_TRUE(body.ok());
+      run.deliveries.push_back({r, sim.now(), frame.Flatten(), body->data()});
+    });
+  }
+  net.Broadcast(0, "VOTE", payload);
+  net.Send(1, 2, "VOTE", payload);
+  sim.Run();
+  run.bytes_sent = net.total_bytes_sent();
+  run.bytes_by_kind = net.bytes_by_kind();
+  return run;
+}
+
+// A frame's shared text rides by reference but is accounted and timed by its
+// bytes: a segmented broadcast counts and delivers exactly like its flat
+// twin, and each receiver reads the sender's own text — unless the network
+// flattens frames, as the reference runner's does.
+TEST(NetworkTest, SegmentedFrameIsAccountedLikeItsFlatTwin) {
+  const auto text = std::make_shared<const std::string>(3000, 'v');
+  torbase::Writer w;
+  w.WriteU8(1);
+  w.WriteShared(text);
+  w.WriteU64(99);
+  const Frame segmented = w.TakeFrame();
+  const Frame flat(segmented.Flatten());
+
+  const FrameRun shared = RunFrame(segmented, false);
+  const FrameRun twin = RunFrame(flat, false);
+  const FrameRun flattened = RunFrame(segmented, true);
+  EXPECT_EQ(shared.bytes_sent, 4 * (1 + 4 + 3000 + 8 + kPerMessageOverheadBytes));
+  for (const FrameRun* run : {&twin, &flattened}) {
+    EXPECT_EQ(run->bytes_sent, shared.bytes_sent);
+    EXPECT_EQ(run->bytes_by_kind, shared.bytes_by_kind);
+    ASSERT_EQ(run->deliveries.size(), shared.deliveries.size());
+    for (size_t i = 0; i < shared.deliveries.size(); ++i) {
+      EXPECT_EQ(run->deliveries[i].to, shared.deliveries[i].to);
+      EXPECT_EQ(run->deliveries[i].at, shared.deliveries[i].at);
+      EXPECT_EQ(run->deliveries[i].wire, shared.deliveries[i].wire);
+      EXPECT_NE(run->deliveries[i].body, text->data());
+    }
+  }
+  ASSERT_EQ(shared.deliveries.size(), 4u);
+  for (const FrameRun::Delivery& delivery : shared.deliveries) {
+    EXPECT_EQ(delivery.body, text->data());
+  }
+}
+
 TEST(NetworkTest, AsymmetricLatency) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, std::numeric_limits<double>::infinity(), Millis(10)));
@@ -426,8 +498,8 @@ TEST(NetworkTest, AsymmetricLatency) {
   net.SetLatency(1, 0, Millis(50));
   TimePoint t01 = 0;
   TimePoint t10 = 0;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { t01 = sim.now(); });
-  net.SetHandler(0, [&](NodeId, const Bytes&) { t10 = sim.now(); });
+  net.SetHandler(1, [&](NodeId, const Frame&) { t01 = sim.now(); });
+  net.SetHandler(0, [&](NodeId, const Frame&) { t10 = sim.now(); });
   net.Send(0, 1, "A", Bytes{1});
   net.Send(1, 0, "B", Bytes{1});
   sim.Run();
@@ -441,7 +513,7 @@ TEST(NetworkTest, UndeliverableWhenRateZeroForever) {
   Network net(&sim, config);
   net.egress(0).SetRateFrom(0, 0.0);  // node 0 permanently offline outbound
   bool delivered = false;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { delivered = true; });
+  net.SetHandler(1, [&](NodeId, const Frame&) { delivered = true; });
   net.Send(0, 1, "X", Bytes{1});
   sim.Run();
   EXPECT_FALSE(delivered);
@@ -455,7 +527,7 @@ TEST(NetworkTest, TransferStalledByAttackWindowResumesAfterIt) {
   // Node 0 offline (DDoS) during [0, 5 s); back to 1 Mbit/s afterwards.
   net.egress(0).LimitDuring(0, Seconds(5), 0.0);
   TimePoint delivered_at = 0;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { delivered_at = sim.now(); });
+  net.SetHandler(1, [&](NodeId, const Frame&) { delivered_at = sim.now(); });
   net.Send(0, 1, "X", Bytes(936, 0));  // 8000 bits
   sim.Run();
   // Egress starts moving at t=5 s, takes 8000 us; ingress another 8000 us.
@@ -468,7 +540,7 @@ TEST(NetworkTest, MidRunLimitNodeSlowsInFlightTransfer) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e6), Millis(0)));
   TimePoint delivered_at = 0;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { delivered_at = sim.now(); });
+  net.SetHandler(1, [&](NodeId, const Frame&) { delivered_at = sim.now(); });
   net.Send(0, 1, "X", Bytes(1936, 0));  // 16000 bits: egress alone takes 16 ms
 
   // At t=8 ms (half drained), clamp node 0 to a tenth of the rate for 1 s.
@@ -483,7 +555,7 @@ TEST(NetworkTest, MidRunLimitLiftsWhenWindowEnds) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e6), Millis(0)));
   TimePoint delivered_at = 0;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { delivered_at = sim.now(); });
+  net.SetHandler(1, [&](NodeId, const Frame&) { delivered_at = sim.now(); });
   net.Send(0, 1, "X", Bytes(1936, 0));  // 16000 bits
   // Clamp to zero for [8 ms, 1 s): the transfer stalls, then resumes.
   sim.ScheduleAt(8000, [&] { net.LimitNode(0, 8000, Seconds(1), 0.0); });
@@ -496,7 +568,7 @@ TEST(NetworkTest, SetNodeRateFromCrashesAndRecovers) {
   Simulator sim;
   Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e6), Millis(0)));
   TimePoint delivered_at = 0;
-  net.SetHandler(1, [&](NodeId, const Bytes&) { delivered_at = sim.now(); });
+  net.SetHandler(1, [&](NodeId, const Frame&) { delivered_at = sim.now(); });
   // Crash node 0 from t=0; recover at t=2 s (installed before the run).
   net.SetNodeRateFrom(0, 0, 0.0);
   net.SetNodeRateFrom(0, Seconds(2), BitsPerSecond(1e6));
@@ -513,10 +585,11 @@ class PingActor : public Actor {
       SendTo(1, "PING", Bytes{0});
     }
   }
-  void OnMessage(NodeId from, const Bytes& payload) override {
+  void OnMessage(NodeId from, const Frame& payload) override {
     ++received;
-    if (payload[0] < 3) {
-      SendTo(from, "PING", Bytes{static_cast<uint8_t>(payload[0] + 1)});
+    const Bytes bytes = payload.Flatten();
+    if (bytes[0] < 3) {
+      SendTo(from, "PING", Bytes{static_cast<uint8_t>(bytes[0] + 1)});
     }
   }
   int received = 0;
@@ -541,7 +614,7 @@ class BroadcastActor : public Actor {
       SendToAllOthers("HELLO", Bytes{42});
     }
   }
-  void OnMessage(NodeId, const Bytes&) override { ++received; }
+  void OnMessage(NodeId, const Frame&) override { ++received; }
   int received = 0;
 };
 
@@ -568,7 +641,7 @@ TEST(ActorTest, TimersFireAndCancel) {
       EventId id = SetTimer(Seconds(2), [this] { cancelled_fired = true; });
       CancelTimer(id);
     }
-    void OnMessage(NodeId, const Bytes&) override {}
+    void OnMessage(NodeId, const Frame&) override {}
     bool fired = false;
     bool cancelled_fired = false;
   };
