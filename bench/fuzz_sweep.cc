@@ -141,6 +141,15 @@ std::vector<ByzantineAxis> ByzantineAxes() {
     axes.push_back(std::move(axis));
   }
   {
+    // The attack grid's replay+inflate shape: two faulty texts in one cell.
+    // Every other authority refuses the stale one, and every holder admits
+    // and aggregates the inflated one.
+    ByzantineAxis axis{"replay+inflate", {}};
+    axis.spec.behaviors[2] = ByzantineBehavior::kReplay;
+    axis.spec.behaviors[5] = ByzantineBehavior::kInflateBandwidth;
+    axes.push_back(std::move(axis));
+  }
+  {
     ByzantineAxis axis{"3-faulty", {}};
     axis.spec.behaviors[1] = ByzantineBehavior::kEquivocate;
     axis.spec.behaviors[4] = ByzantineBehavior::kReplay;

@@ -9,6 +9,7 @@
 #include "src/attack/schedule.h"
 #include "src/common/serialize.h"
 #include "src/common/thread_pool.h"
+#include "src/protocols/byzantine.h"
 #include "src/protocols/document_store.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec_digest.h"
@@ -18,6 +19,7 @@
 #include "src/crypto/signature.h"
 #include "src/sim/event_probe.h"
 #include "src/sim/simulator.h"
+#include "src/tordir/admission.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/consensus_diff.h"
 #include "src/tordir/dirspec.h"
@@ -192,6 +194,58 @@ void BM_VoteCacheFindText(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
 }
 BENCHMARK(BM_VoteCacheFindText)->Arg(8000);
+
+// Authority 7's TorMult-inflated vote over NineVoteCache's population: a
+// faulty text the vote cache misses. `period_start` receives the period its
+// honest receivers check it against.
+std::string InflatedVote(size_t relays, std::shared_ptr<const tordir::VoteCache>& cache,
+                         uint64_t& period_start) {
+  std::vector<std::shared_ptr<const std::string>> texts;
+  cache = std::make_shared<const tordir::VoteCache>(NineVoteCache(relays, texts));
+  const tordir::CachedVote& honest = cache->FindText(*texts[7])->second;
+  period_start = honest.document->valid_after;
+  return *torproto::MakeFaultyMaterials(
+              torproto::AuthorityMaterials{.vote = honest.document, .vote_text = honest.text},
+              torproto::ByzantineBehavior::kInflateBandwidth, torproto::ByzantineSpec{}, 7)
+              .vote_text;
+}
+
+// A receiver's admission of a faulty vote on its own: the cache miss, then
+// SHA-256, ParseVote, the window check and a private copy. Without the cell's
+// text table (the reference runner) every receiver pays this.
+void BM_AdmitMiss(benchmark::State& state) {
+  std::shared_ptr<const tordir::VoteCache> cache;
+  uint64_t period_start = 0;
+  const std::string text = InflatedVote(static_cast<size_t>(state.range(0)), cache, period_start);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tordir::AdmitVote(cache, text, period_start));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_AdmitMiss)->Arg(2000);
+
+// A later receiver of the same faulty vote, through the cell's text table:
+// the cache miss, the table lookup (a full-length comparison with the first
+// receiver's copy), the memoised parse and digest, and its own window check.
+void BM_AdmitInterned(benchmark::State& state) {
+  std::shared_ptr<const tordir::VoteCache> cache;
+  uint64_t period_start = 0;
+  const std::string text = InflatedVote(static_cast<size_t>(state.range(0)), cache, period_start);
+  torproto::DocumentStore store;
+  torproto::DocumentStore::Received& first = store.Intern(text);
+  store.Parse(first);
+  store.Digest(first);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache->FindText(text));
+    torproto::DocumentStore::Received& received = store.Intern(text);
+    tordir::VoteAdmission admission = tordir::AdmitParsed(store.Parse(received), period_start);
+    admission.digest = store.Digest(received);
+    admission.text = received.text;
+    benchmark::DoNotOptimize(admission);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_AdmitInterned)->Arg(2000);
 
 // Multi-lane batch hashing: lanes x message-size grid. With 1 lane this is
 // the plain dispatched core; 4/8 lanes show what lock-step batching adds on

@@ -1,5 +1,7 @@
 #include "src/protocols/authority_core.h"
 
+#include <cassert>
+
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
@@ -13,6 +15,7 @@ AuthorityCore::AuthorityCore(const torcrypto::KeyDirectory* directory,
       second_vote_text_(std::move(materials.second_vote_text)),
       vote_cache_(std::move(materials.vote_cache)),
       round_state_(std::move(materials.round_state)),
+      intern_texts_(materials.document_store != nullptr),
       document_store_(materials.document_store != nullptr
                           ? std::move(materials.document_store)
                           : std::make_shared<DocumentStore>()) {
@@ -24,13 +27,7 @@ AuthorityCore::AuthorityCore(const torcrypto::KeyDirectory* directory,
 tordir::VoteAdmission AuthorityCore::Admit(std::string_view text,
                                            const torcrypto::Digest256* digest, NodeId culprit,
                                            StaleBlame stale_blame, std::string_view context) {
-  // A cache hit — the workload's own bytes, found by comparing them or by the
-  // caller's digest — is a canonical vote already held parsed, so ParseVote
-  // (and a private copy of the multi-megabyte text) is skipped; misses are
-  // hashed, parsed, canonicality-checked and validity-window-checked.
-  tordir::VoteAdmission admission =
-      digest == nullptr ? tordir::AdmitVote(vote_cache_, text, own_vote_->valid_after)
-                        : tordir::AdmitVote(vote_cache_, text, *digest, own_vote_->valid_after);
+  tordir::VoteAdmission admission = AdmitText(text, digest);
   if (admission.status.ok()) {
     return admission;
   }
@@ -45,16 +42,54 @@ tordir::VoteAdmission AuthorityCore::Admit(std::string_view text,
   return admission;
 }
 
-AuthorityCore::HeldText AuthorityCore::Hold(std::string_view text) const {
+tordir::VoteAdmission AuthorityCore::AdmitText(std::string_view text,
+                                               const torcrypto::Digest256* digest) {
+  const uint64_t period_start = own_vote_->valid_after;
+  if (!intern_texts_) {
+    return digest == nullptr ? tordir::AdmitVote(vote_cache_, text, period_start)
+                             : tordir::AdmitVote(vote_cache_, text, *digest, period_start);
+  }
+  // A cache hit — the workload's own bytes, found by comparing them or by the
+  // caller's digest — is a canonical vote already held parsed, so ParseVote
+  // (and a private copy of the multi-megabyte text) is skipped.
+  if (digest == nullptr) {
+    if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
+      return tordir::AdmitCached(hit->second, hit->first);
+    }
+  } else if (const tordir::CachedVote* hit = tordir::VoteCache::FindIn(vote_cache_, *digest)) {
+    return tordir::AdmitCached(*hit, *digest);
+  }
+  // A miss is parsed once per cell; the window check against this
+  // authority's period is its own.
+  DocumentStore::Received& received = document_store_->Intern(text);
+  assert((digest == nullptr || *digest == torcrypto::Digest256::Of(text)) &&
+         "Admit: digest is not Of(text)");
+  tordir::VoteAdmission admission =
+      tordir::AdmitParsed(document_store_->Parse(received), period_start);
+  if (admission.status.ok()) {
+    admission.digest = digest != nullptr ? *digest : document_store_->Digest(received);
+    admission.text = received.text;
+  }
+  return admission;
+}
+
+AuthorityCore::HeldText AuthorityCore::Hold(std::string_view text) {
   if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
     return {hit->first, hit->second.text};
   }
-  return {torcrypto::Digest256::Of(text), std::make_shared<const std::string>(text)};
+  if (!intern_texts_) {
+    return {torcrypto::Digest256::Of(text), std::make_shared<const std::string>(text)};
+  }
+  DocumentStore::Received& received = document_store_->Intern(text);
+  return {document_store_->Digest(received), received.text};
 }
 
-std::shared_ptr<const std::string> AuthorityCore::Share(std::string_view text) const {
-  const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text);
-  return hit != nullptr ? hit->second.text : std::make_shared<const std::string>(text);
+std::shared_ptr<const std::string> AuthorityCore::Share(std::string_view text) {
+  if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
+    return hit->second.text;
+  }
+  return intern_texts_ ? document_store_->Intern(text).text
+                       : std::make_shared<const std::string>(text);
 }
 
 void AuthorityCore::Observe(NodeId sender, const tordir::VoteAdmission& admission) {

@@ -7,7 +7,11 @@
 // publishing it with a majority of them (§3.1, §5.2). Aggregation and the
 // body's digest come from the cell's DocumentStore (materials.document_store,
 // or a private store when none is given), so the holders of one vote list
-// share that work and each keeps only its own signed copy. CurrentAuthority,
+// share that work and each keeps only its own signed copy. A received text
+// that is not the workload's is copied, hashed and parsed once per cell in
+// that store's text table, so a faulty vote's receivers hold one document;
+// without the cell's store (the reference runner) each delivery is hashed,
+// parsed and window-checked on its own. CurrentAuthority,
 // SyncAuthority and IcpsAuthority add only their phase logic (how they agree
 // on a vote set and when they publish), their attribution rule for refused
 // votes, the senders they hold votes from and their §6.2 network-time
@@ -78,23 +82,25 @@ class AuthorityCore : public torsim::Actor {
  protected:
   // Runs `text` through vote admission (src/tordir/admission.h) against this
   // authority's voting period. A canonical vote is found by its bytes, or by
-  // `digest` when non-null; only a miss is hashed and parsed. A refusal is
-  // logged as "<context>: <status>" and recorded against `culprit`, or —
-  // under StaleBlame::kAuthor — a stale vote against its own author.
-  // Culprits outside the authority set (kNoNode: unattributable) are not
-  // recorded.
+  // `digest` when non-null (Digest256::Of(text)); any other text is parsed
+  // once per cell in the store's text table, and only the validity-window
+  // check is this authority's own. A refusal is logged as "<context>:
+  // <status>" and recorded against `culprit`, or — under StaleBlame::kAuthor
+  // — a stale vote against its own author. Culprits outside the authority
+  // set (kNoNode: unattributable) are not recorded.
   tordir::VoteAdmission Admit(std::string_view text, const torcrypto::Digest256* digest,
                               NodeId culprit, StaleBlame stale_blame, std::string_view context);
   // A received text's digest and a shared copy that outlives its frame: the
   // vote cache entry's when the bytes are a canonical vote (no hash, no
-  // copy), otherwise Digest256::Of(text) and a private copy.
+  // copy), otherwise the text table's (one copy and one hash per cell).
   struct HeldText {
     torcrypto::Digest256 digest;
     std::shared_ptr<const std::string> text;
   };
-  HeldText Hold(std::string_view text) const;
-  // Hold's shared copy alone; nothing is hashed.
-  std::shared_ptr<const std::string> Share(std::string_view text) const;
+  HeldText Hold(std::string_view text);
+  // Hold's shared copy alone; a canonical vote is not hashed, and another
+  // text is hashed only once some receiver needs its digest.
+  std::shared_ptr<const std::string> Share(std::string_view text);
   // Records an admitted peer vote from `sender` as health-monitor evidence.
   void Observe(NodeId sender, const tordir::VoteAdmission& admission);
 
@@ -175,8 +181,16 @@ class AuthorityCore : public torsim::Actor {
   const std::shared_ptr<const std::string> second_vote_text_;
 
  private:
+  // Admission without the log and the reject record.
+  tordir::VoteAdmission AdmitText(std::string_view text, const torcrypto::Digest256* digest);
+
   const std::shared_ptr<const tordir::VoteCache> vote_cache_;
   const std::shared_ptr<const AuthorityRoundState> round_state_;
+  // Whether received texts go through the store's text table: only when the
+  // store is the cell's. A private store interns nothing, so an authority
+  // built without the cell's store (the reference runner's) hashes, parses
+  // and window-checks every delivery on its own.
+  const bool intern_texts_;
   const std::shared_ptr<DocumentStore> document_store_;
   std::vector<ObservedVote> observed_votes_;
   std::vector<RejectedVote> rejected_votes_;

@@ -92,11 +92,13 @@ struct AuthorityMaterials {
   // perturbs the protocol exchange — and SnapshotAuthority echoes it back
   // when the authority does not assemble a fresh consensus this round.
   std::shared_ptr<const AuthorityRoundState> round_state = nullptr;
-  // The cell's store of derived consensus documents, shared by every
-  // authority of one cell so each distinct vote list is aggregated and
-  // digested once. Mutable, and reached only from its own cell's thread:
-  // the runner creates one per cell and never hands it to another. Null
-  // gives the authority a private store, so it aggregates on its own.
+  // The cell's store of derived consensus documents and received faulty
+  // texts, shared by every authority of one cell so each distinct vote list
+  // is aggregated and digested once, and each distinct faulty text hashed and
+  // parsed once. Mutable, and reached only from its own cell's thread: the
+  // runner creates one per cell and never hands it to another. Null gives
+  // the authority a private store that interns no text, so it aggregates,
+  // hashes and parses on its own.
   std::shared_ptr<DocumentStore> document_store = nullptr;
 };
 

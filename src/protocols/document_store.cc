@@ -1,6 +1,7 @@
 #include "src/protocols/document_store.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/tordir/aggregate.h"
@@ -22,6 +23,32 @@ const DocumentStore::Derived& DocumentStore::Derive(const Votes& votes) {
   auto body = std::make_shared<const tordir::ConsensusDocument>(tordir::ComputeConsensus(vote_ptrs));
   const torcrypto::Digest256 digest = tordir::ConsensusDigest(*body);
   return entries_.emplace_back(Entry{votes, Derived{std::move(body), digest}}).derived;
+}
+
+DocumentStore::Received& DocumentStore::Intern(std::string_view text) {
+  for (Received& received : received_) {
+    const std::string& held = *received.text;
+    // A text read back out of this entry is the entry: skip the comparison.
+    if (held.size() == text.size() && (held.data() == text.data() || held == text)) {
+      return received;
+    }
+  }
+  return received_.emplace_back(Received{.text = std::make_shared<const std::string>(text)});
+}
+
+const torcrypto::Digest256& DocumentStore::Digest(Received& received) {
+  if (!received.digest.has_value()) {
+    received.digest = torcrypto::Digest256::Of(*received.text);
+  }
+  return *received.digest;
+}
+
+const tordir::ParsedVote& DocumentStore::Parse(Received& received) {
+  if (!received.parsed.has_value()) {
+    received.parsed = tordir::ParseReceivedVote(*received.text);
+    ++parses_;
+  }
+  return *received.parsed;
 }
 
 }  // namespace torproto

@@ -22,6 +22,17 @@
 // workload's texts hold the same pointers, so the agreed packed vote is
 // streamed once per cell instead of once per holder.
 //
+// The store also interns the received vote texts that are not the workload's
+// (a replayed, inflated, equivocated or malformed vote): one shared copy per
+// distinct byte string, its SHA-256 and ParseVote's outcome, each computed on
+// first need. Every receiver of a faulty text then holds the same text and,
+// once it parses, the same document, so the identity keys above hit across
+// holders too. Only the parse is shared, never a verdict: the validity-window
+// check depends on the receiver's period and stays with the receiver
+// (tordir::AdmitParsed). A parse is learned only by parsing; nothing
+// registers a faulty authority's own document as its text's parse, which
+// under kMalformedWire it is not.
+//
 // Not thread-safe: a store belongs to one cell and is only reached from that
 // cell's thread (the threading contract in ROADMAP.md).
 #ifndef SRC_PROTOCOLS_DOCUMENT_STORE_H_
@@ -30,12 +41,15 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
 #include "src/crypto/digest.h"
+#include "src/tordir/admission.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
@@ -82,6 +96,27 @@ class DocumentStore {
   // Distinct packed votes digested so far.
   size_t packed_digests() const { return packed_.size(); }
 
+  // A received vote text that is not the workload's: the cell's shared copy
+  // of its bytes, and what Digest and Parse computed for it so far.
+  struct Received {
+    std::shared_ptr<const std::string> text;
+    std::optional<torcrypto::Digest256> digest = std::nullopt;
+    std::optional<tordir::ParsedVote> parsed = std::nullopt;
+  };
+
+  // The entry whose bytes are exactly `text`, found by address, then length,
+  // then content, and added with a copy of `text` on the first call for those
+  // bytes. The reference stays valid as long as the store.
+  Received& Intern(std::string_view text);
+  // The entry's SHA-256 and its parse (tordir::ParseReceivedVote), each
+  // computed on the first call for the entry.
+  const torcrypto::Digest256& Digest(Received& received);
+  const tordir::ParsedVote& Parse(Received& received);
+
+  // Distinct received texts interned, and ParseVote runs over them, so far.
+  size_t texts() const { return received_.size(); }
+  size_t parses() const { return parses_; }
+
  private:
   struct Entry {
     Votes votes;
@@ -92,11 +127,14 @@ class DocumentStore {
     PackedLists lists;
     torcrypto::Digest256 digest;
   };
-  // A cell has one to three distinct vote lists and at most n packed votes,
-  // so a linear scan finds them; a deque keeps returned references stable as
-  // entries are added.
+  // A cell has one distinct vote list per group of holders that admitted the
+  // same votes (one in an honest round, a few in a byzantine one), at most n
+  // packed votes and a few faulty texts, so a linear scan finds them; a
+  // deque keeps returned references stable as entries are added.
   std::deque<Entry> entries_;
   std::deque<PackedEntry> packed_;
+  std::deque<Received> received_;
+  size_t parses_ = 0;
 };
 
 }  // namespace torproto

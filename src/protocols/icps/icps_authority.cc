@@ -350,7 +350,8 @@ void IcpsAuthority::MaybeFinishAggregation() {
   }
   // All agreed documents present: aggregate exactly the non-⟂ entries. The
   // agreed digests are the canonical workload votes in the honest runs, so
-  // the cache turns this into pointer lookups; a miss parses as before.
+  // the cache turns this into pointer lookups; a miss reuses the cell's
+  // parse of that text.
   std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
   votes.reserve(agreed_vector_->entries.size());
   for (torbase::NodeId j = 0; j < node_count(); ++j) {

@@ -136,7 +136,7 @@ void SyncAuthority::BeginVotePhase() {
 }
 
 std::optional<PackedVote> SyncAuthority::DecodePacked(NodeId from, uint32_t length,
-                                                      torbase::Reader& r) const {
+                                                      torbase::Reader& r) {
   const size_t rest = r.remaining() - length;
   auto packer = r.ReadU32();
   auto count = r.ReadU32();

@@ -130,7 +130,7 @@ class SyncAuthority : public AuthorityCore {
   // in-range author tags, consuming exactly `length` bytes), so that
   // re-encoding it reproduces the received bytes and no author counts twice.
   // Requires length <= r.remaining().
-  std::optional<PackedVote> DecodePacked(NodeId from, uint32_t length, torbase::Reader& r) const;
+  std::optional<PackedVote> DecodePacked(NodeId from, uint32_t length, torbase::Reader& r);
 
   // The byte string the Dolev-Strong chain signs.
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;

@@ -273,12 +273,13 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   run_config.two_phase_agreement = spec.two_phase_agreement;
 
   // One document store per cell, shared by its authorities: each distinct
-  // vote list is aggregated and digested once, and each distinct packed vote
-  // hashed once. It dies with the cell, so no later cell (or warm benchmark
-  // pass) can reuse its work. The reference runner withholds it and the vote
-  // cache, so every authority parses what it receives and aggregates on its
-  // own, and it flattens every frame, so receivers read contiguous bytes
-  // instead of the senders' shared texts.
+  // vote list is aggregated and digested once, each distinct packed vote
+  // hashed once, and each distinct faulty text hashed and parsed once. It
+  // dies with the cell, so no later cell (or warm benchmark pass) can reuse
+  // its work. The reference runner withholds it and the vote cache, so every
+  // authority parses what it receives and aggregates on its own, and it
+  // flattens every frame, so receivers read contiguous bytes instead of the
+  // senders' shared texts.
   harness.net().set_flatten_frames(reference_);
   const std::shared_ptr<const tordir::VoteCache> vote_cache =
       reference_ ? nullptr : workload.vote_cache;

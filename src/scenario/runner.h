@@ -11,7 +11,8 @@
 // concurrently on the sweep's thread pool, then each cell runs on a private
 // Simulator/Harness with a per-cell clone of the attack schedule and a
 // per-cell DocumentStore, through which the cell's consensus holders share
-// each aggregation. Parallel results are bit-identical to a serial sweep.
+// each aggregation and its receivers each faulty text's parse. Parallel
+// results are bit-identical to a serial sweep.
 //
 // On top of the workload cache sits a *result memo*: every run is a pure
 // function of its spec (ROADMAP threading contract), so the runner keys
@@ -102,13 +103,14 @@ class ScenarioRunner {
 
   // The reference runner: every shortcut off at once, the differential
   // baseline fuzz_sweep's --reference leg and protocol_pin_test compare the
-  // fast runner against. Authorities get no vote cache (every delivery is
-  // hashed, parsed and window-checked) and no shared document store (each
-  // holder aggregates and digests its own consensus and packed votes); the
-  // network flattens every frame, so receivers read contiguous bytes rather
-  // than the senders' shared texts; the memo is off and cells run serially
-  // whatever SweepOptions asks. Results are bit-identical to the fast
-  // runner's. Not safe to flip while runs are in flight.
+  // fast runner against. Authorities get no vote cache and no shared
+  // document store, so every delivery is hashed, parsed and window-checked
+  // by its receiver, and each holder aggregates and digests its own
+  // consensus and packed votes; the network flattens every frame, so
+  // receivers read contiguous bytes rather than the senders' shared texts;
+  // the memo is off and cells run serially whatever SweepOptions asks.
+  // Results are bit-identical to the fast runner's. Not safe to flip while
+  // runs are in flight.
   void set_reference(bool on) { reference_ = on; }
 
  private:

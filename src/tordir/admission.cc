@@ -18,27 +18,36 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::stri
 
 VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::string_view text,
                         const torcrypto::Digest256& digest, uint64_t period_start) {
-  VoteAdmission admission;
-  admission.digest = digest;
   if (const CachedVote* cached = VoteCache::FindIn(cache, digest)) {
-    admission.author = cached->document->authority;
-    admission.document = cached->document;
-    admission.text = cached->text;
-    return admission;
+    return AdmitCached(*cached, digest);
   }
-
   assert(torcrypto::Digest256::Of(text) == digest && "AdmitVote: digest is not Of(text)");
+  VoteAdmission admission = AdmitParsed(ParseReceivedVote(text), period_start);
+  admission.digest = digest;
+  if (admission.status.ok()) {
+    admission.text = std::make_shared<const std::string>(text);
+  }
+  return admission;
+}
+
+ParsedVote ParseReceivedVote(std::string_view text) {
   // ParseVote accepts only the writer's own bytes, so a parsed text is
-  // canonical and `digest` names its one encoding.
+  // canonical and its digest names its one encoding.
   auto parsed = ParseVote(text);
   if (!parsed.ok()) {
-    admission.status =
-        torbase::Status::InvalidArgument("malformed vote: " + parsed.status().message());
+    return torbase::Status::InvalidArgument("malformed vote: " + parsed.status().message());
+  }
+  return std::make_shared<const VoteDocument>(std::move(*parsed));
+}
+
+VoteAdmission AdmitParsed(const ParsedVote& parsed, uint64_t period_start) {
+  VoteAdmission admission;
+  if (!parsed.ok()) {
+    admission.status = parsed.status();
     admission.reason = VoteRejectReason::kMalformed;
     return admission;
   }
-  VoteDocument document = std::move(*parsed);
-
+  const VoteDocument& document = **parsed;
   admission.author = document.authority;
   if (document.valid_until <= period_start) {
     admission.status = torbase::Status::FailedPrecondition(
@@ -48,9 +57,16 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, std::stri
     admission.reason = VoteRejectReason::kStaleWindow;
     return admission;
   }
+  admission.document = *parsed;
+  return admission;
+}
 
-  admission.document = std::make_shared<const VoteDocument>(std::move(document));
-  admission.text = std::make_shared<const std::string>(text);
+VoteAdmission AdmitCached(const CachedVote& cached, const torcrypto::Digest256& digest) {
+  VoteAdmission admission;
+  admission.digest = digest;
+  admission.author = cached.document->authority;
+  admission.document = cached.document;
+  admission.text = cached.text;
   return admission;
 }
 

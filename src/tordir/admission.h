@@ -16,6 +16,14 @@
 // the current period's window. The text-only form finds that hit by comparing
 // bytes (VoteCache::FindText) and hashes only on a miss; the digest form
 // looks the caller's digest up instead.
+//
+// A miss splits into two halves. The parse (ParseReceivedVote) is a pure
+// function of the bytes, so a cell may run it once per distinct text and hand
+// the outcome to every receiver (torproto::DocumentStore::Parse). The window
+// check (AdmitParsed) depends on the receiver's own period, so it runs per
+// receiver: a replayer's period starts one period before everyone else's, and
+// the same stale text passes its check and fails theirs. AdmitVote composes
+// both for one delivery.
 #ifndef SRC_TORDIR_ADMISSION_H_
 #define SRC_TORDIR_ADMISSION_H_
 
@@ -49,6 +57,21 @@ struct VoteAdmission {
   std::shared_ptr<const std::string> text;
   torcrypto::Digest256 digest;
 };
+
+// ParseVote's outcome on a received text: the shared document, or the
+// malformed-vote status.
+using ParsedVote = torbase::Result<std::shared_ptr<const VoteDocument>>;
+ParsedVote ParseReceivedVote(std::string_view text);
+
+// The receiver's half of admitting a parsed text: admits `parsed` (with its
+// document and author), or refuses it as malformed or, when its window closed
+// by `period_start`, as stale. An admitted vote's `text` and `digest` are the
+// caller's to set.
+VoteAdmission AdmitParsed(const ParsedVote& parsed, uint64_t period_start);
+
+// The admission of a cache hit: the workload's canonical vote `cached`, whose
+// bytes hash to `digest`.
+VoteAdmission AdmitCached(const CachedVote& cached, const torcrypto::Digest256& digest);
 
 // Admits or rejects `text` as seen by a receiver whose current voting period
 // started at `period_start` (unix seconds; receivers pass their own vote's
