@@ -50,20 +50,24 @@ int main() {
 
   // 4. Inspect the outcome.
   const auto& outcome = authorities[0]->outcome();
+  if (outcome.consensus == nullptr) {
+    std::printf("\nAuthority 0 computed no consensus.\n");
+    return 1;
+  }
   std::printf("\nAuthority 0 outcome:\n");
   std::printf("  agreement decided at   : %.2f s\n", torbase::ToSeconds(outcome.decided_at));
   std::printf("  valid consensus at     : %.2f s\n", torbase::ToSeconds(outcome.finished_at));
   std::printf("  documents in vector    : %u of %u\n", outcome.vector_non_empty,
               config.authority_count);
-  std::printf("  relays in consensus    : %zu\n", outcome.consensus.relays.size());
-  std::printf("  signatures collected   : %zu\n", outcome.consensus.signatures.size());
+  std::printf("  relays in consensus    : %zu\n", outcome.consensus->relays.size());
+  std::printf("  signatures collected   : %zu\n", outcome.consensus->signatures.size());
 
   // Every authority holds the byte-identical consensus document.
-  const auto digest = tordir::ConsensusDigest(outcome.consensus);
+  const auto digest = tordir::ConsensusDigest(*outcome.consensus);
   bool all_equal = true;
   for (const auto* authority : authorities) {
-    all_equal = all_equal &&
-                tordir::ConsensusDigest(authority->outcome().consensus) == digest;
+    all_equal = all_equal && authority->outcome().consensus != nullptr &&
+                tordir::ConsensusDigest(*authority->outcome().consensus) == digest;
   }
   std::printf("  identical on all 9     : %s\n", all_equal ? "yes" : "NO");
   std::printf("\nConsensus digest: %s\n", digest.ToHex().c_str());
@@ -75,8 +79,9 @@ int main() {
   clients.client_count = 1'000'000;
   const torclients::PublishedDocument published = torclients::MapToTimeline(
       /*round_start_seconds=*/0.0, torbase::ToSeconds(outcome.finished_at),
-      outcome.consensus.valid_after, outcome.consensus.fresh_until, outcome.consensus.valid_until,
-      static_cast<double>(tordir::SerializeConsensus(outcome.consensus).size()),
+      outcome.consensus->valid_after, outcome.consensus->fresh_until,
+      outcome.consensus->valid_until,
+      static_cast<double>(tordir::SerializeConsensus(*outcome.consensus).size()),
       clients.vote_lead);
   const auto availability = torclients::SimulateClientLoad(
       clients, {published}, torbase::ToSeconds(clients.evaluation_window));

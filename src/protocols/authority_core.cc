@@ -99,11 +99,9 @@ void AuthorityCore::Observe(NodeId sender, const tordir::VoteAdmission& admissio
 torcrypto::Signature AuthorityCore::ComputeConsensus(
     const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
     ConsensusOutcome& outcome) {
-  // The store aggregates and digests each distinct vote list once per cell;
-  // this authority copies the shared body, since Publish appends its
-  // signatures to the copy.
+  // The store aggregates and digests each distinct vote list once per cell.
   const DocumentStore::Derived& derived = document_store_->Derive(votes);
-  outcome.consensus = *derived.body;
+  outcome.consensus = derived.body;
   outcome.computed_consensus = true;
   consensus_digest_ = derived.digest;
   const torcrypto::Signature own = signer_.Sign(consensus_digest_->span());
@@ -129,9 +127,12 @@ void AuthorityCore::AcceptSignature(const torcrypto::Signature& sig, ConsensusOu
 
 void AuthorityCore::Publish(ConsensusOutcome& outcome) {
   outcome.valid_consensus = true;
+  std::vector<torcrypto::Signature> signed_by;
+  signed_by.reserve(signatures_.size());
   for (const auto& [signer, sig] : signatures_) {
-    outcome.consensus.signatures.push_back(sig);
+    signed_by.push_back(sig);
   }
+  outcome.consensus = document_store_->Signed(outcome.consensus, std::move(signed_by));
   log().Notice(now(), "Consensus valid with " + std::to_string(signatures_.size()) +
                           " signatures.");
 }

@@ -4,10 +4,11 @@
 // evidence the consensus-health monitor reads, the initial vote broadcast and
 // the consensus phase — aggregating the agreed votes with Tor's algorithm
 // (Figure 2), signing the result, counting peers' signatures over it and
-// publishing it with a majority of them (§3.1, §5.2). Aggregation and the
-// body's digest come from the cell's DocumentStore (materials.document_store,
-// or a private store when none is given), so the holders of one vote list
-// share that work and each keeps only its own signed copy. A received text
+// publishing it with a majority of them (§3.1, §5.2). Aggregation, the
+// body's digest and the signed document come from the cell's DocumentStore
+// (materials.document_store, or a private store when none is given), so the
+// holders of one vote list share that work, and holders that publish the same
+// signature list share one signed document. A received text
 // that is not the workload's is copied, hashed and parsed once per cell in
 // that store's text table, so a faulty vote's receivers hold one document;
 // without the cell's store (the reference runner) each delivery is hashed,
@@ -131,8 +132,8 @@ class AuthorityCore : public torsim::Actor {
   }
 
   // Aggregates `votes` (from distinct authorities) into outcome.consensus —
-  // a copy of the document store's body for this vote list — records the
-  // digest of that unsigned body, and counts and returns this authority's own
+  // the document store's shared body for this vote list — records the digest
+  // of that unsigned body, and counts and returns this authority's own
   // signature over it.
   torcrypto::Signature ComputeConsensus(
       const std::vector<std::shared_ptr<const tordir::VoteDocument>>& votes,
@@ -144,7 +145,8 @@ class AuthorityCore : public torsim::Actor {
   // makes equivocation observable). Sets outcome.finished_at when the count
   // first reaches a majority.
   void AcceptSignature(const torcrypto::Signature& sig, ConsensusOutcome& outcome);
-  // Marks the consensus valid and attaches the counted signatures in signer
+  // Marks the consensus valid and replaces outcome.consensus with the
+  // store's signed document: the body with the counted signatures in signer
   // order. Each protocol decides when: the lock-step ones at the end of their
   // last round, ICPS as soon as a majority has signed.
   void Publish(ConsensusOutcome& outcome);
@@ -158,7 +160,7 @@ class AuthorityCore : public torsim::Actor {
     if (!outcome.valid_consensus) {
       return {};
     }
-    return {&outcome.consensus, outcome.finished_at,
+    return {outcome.consensus, outcome.finished_at,
             consensus_digest_.has_value() ? &*consensus_digest_ : nullptr};
   }
 

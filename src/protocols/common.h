@@ -41,7 +41,11 @@ constexpr uint32_t MajorityOf(uint32_t n) { return n / 2 + 1; }
 struct ConsensusOutcome {
   bool computed_consensus = false;       // aggregated an agreed vote set
   bool valid_consensus = false;          // published with >= majority signatures
-  tordir::ConsensusDocument consensus;   // populated iff computed_consensus
+  // Non-null iff computed_consensus: the unsigned body from the document
+  // store until Publish, then the store's signed document (the body plus
+  // this authority's counted signatures in signer order). Shared with every
+  // holder of the same body and signature list, and never mutated.
+  std::shared_ptr<const tordir::ConsensusDocument> consensus;
   // When a majority of matching signatures was first held (the §6.2
   // network-time probe); torbase::kTimeNever if never.
   TimePoint finished_at = torbase::kTimeNever;

@@ -108,7 +108,7 @@ void CurrentAuthority::BeginComputeRound() {
     votes.push_back(vote);
   }
   const torcrypto::Signature sig = ComputeConsensus(votes, outcome_);
-  log().Notice(now(), "Consensus computed (" + std::to_string(outcome_.consensus.relays.size()) +
+  log().Notice(now(), "Consensus computed (" + std::to_string(outcome_.consensus->relays.size()) +
                           " relays), broadcasting signature.");
 
   torbase::Writer w;

@@ -59,13 +59,16 @@ struct UnifiedOutcome {
 // absolute virtual time it became available for directory caches to mirror.
 // This is the hand-off point between the production plane (authorities) and
 // the consumption plane (src/clients): the scenario runner probes it to turn
-// protocol outcomes into client-visible availability.
+// protocol outcomes into client-visible availability. The document is
+// immutable and shared, so a result or a snapshot may keep it after the
+// actor is gone; holders of one cell that signed alike share one document.
 struct PublishedConsensus {
-  const tordir::ConsensusDocument* document = nullptr;
+  std::shared_ptr<const tordir::ConsensusDocument> document;
   torbase::TimePoint published_at = torbase::kTimeNever;
   // Digest of the document's unsigned body, when the authority computed one
   // during the run (all built-ins do) — lets the health monitor record
-  // consensus digests without re-serializing multi-megabyte documents.
+  // consensus digests without re-serializing multi-megabyte documents. Valid
+  // as long as the actor.
   const torcrypto::Digest256* digest = nullptr;
 };
 
@@ -125,18 +128,19 @@ class DirectoryProtocol {
 
   // The consensus document `actor` would publish, with its publish time.
   // {nullptr, kTimeNever} when the authority never assembled a valid
-  // consensus. The pointer stays valid as long as the actor does.
+  // consensus.
   virtual PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const {
     (void)actor;
     return {};
   }
 
   // Snapshots the durable state `actor` carries across a round boundary: the
-  // consensus it assembled this round (document copied flat, text serialized
-  // canonically), or — for the built-ins — the round_state it was restored
-  // with when it assembled nothing (a rejoining authority keeps serving what
-  // it fetched). The base implementation covers any protocol that answers
-  // ProbeConsensus; protocols with richer cross-round state override.
+  // consensus it assembled this round (the published document itself, text
+  // serialized canonically), or — for the built-ins — the round_state it was
+  // restored with when it assembled nothing (a rejoining authority keeps
+  // serving what it fetched). The base implementation covers any protocol
+  // that answers ProbeConsensus; protocols with richer cross-round state
+  // override.
   // Snapshot → restore → snapshot round-trips bit-identically (pinned per
   // registered protocol by timeline_test).
   virtual AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const;

@@ -1,6 +1,7 @@
 #include "src/protocols/document_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,20 @@ const DocumentStore::Derived& DocumentStore::Derive(const Votes& votes) {
   auto body = std::make_shared<const tordir::ConsensusDocument>(tordir::ComputeConsensus(vote_ptrs));
   const torcrypto::Digest256 digest = tordir::ConsensusDigest(*body);
   return entries_.emplace_back(Entry{votes, Derived{std::move(body), digest}}).derived;
+}
+
+const std::shared_ptr<const tordir::ConsensusDocument>& DocumentStore::Signed(
+    const std::shared_ptr<const tordir::ConsensusDocument>& body,
+    std::vector<torcrypto::Signature> signatures) {
+  assert(body->signatures.empty() && "Signed: the body is already signed");
+  for (const SignedEntry& entry : signed_) {
+    if (entry.body == body && entry.document->signatures == signatures) {
+      return entry.document;
+    }
+  }
+  auto document = std::make_shared<tordir::ConsensusDocument>(*body);
+  document->signatures = std::move(signatures);
+  return signed_.emplace_back(SignedEntry{body, std::move(document)}).document;
 }
 
 DocumentStore::Received& DocumentStore::Intern(std::string_view text) {

@@ -2,8 +2,7 @@
 // once per distinct vote list. In an honest round all n authorities aggregate
 // the same votes with Tor's algorithm (Figure 2) and digest the same unsigned
 // body; one DocumentStore per cell lets the first holder do that work and the
-// others share it. Only wall-clock work is shared: every holder still copies
-// the body before it appends its own signatures, so no result, wire byte or
+// others share it. Only wall-clock work is shared, so no result, wire byte or
 // simulated instant depends on whether a store is shared.
 //
 // The key is the ordered list of vote *pointers*, not their content. Every
@@ -14,6 +13,14 @@
 // identity key names exactly the documents that were aggregated, which a
 // digest of their wire bytes does not: a malformed-wire authority aggregates
 // its own document while sending other bytes.
+//
+// The store also hands out the signed consensus: one copy of a body per
+// distinct signature list appended to it, keyed by the body's pointer and the
+// full list in signer order. The holders of an honest lock-step round publish
+// the same list and share one document; ICPS holders publish as soon as a
+// majority signs, so holders whose counted sets differ get their own copies.
+// The key never names the body alone: two holders with different signature
+// lists must publish different documents.
 //
 // The store also memoises the SHA-256 of each distinct packed vote (the
 // synchronous protocol's vote of all n relay lists, tens of megabytes at 8k
@@ -49,6 +56,7 @@
 
 #include "src/common/ids.h"
 #include "src/crypto/digest.h"
+#include "src/crypto/signature.h"
 #include "src/tordir/admission.h"
 #include "src/tordir/vote.h"
 
@@ -72,6 +80,17 @@ class DocumentStore {
 
   // Distinct vote lists aggregated so far.
   size_t builds() const { return entries_.size(); }
+
+  // `body` (unsigned, as Derive returns it) with `signatures` as its
+  // signature list: the first call for that body pointer and that exact list
+  // copies the body once, and later calls return the same document. The
+  // reference stays valid as long as the store.
+  const std::shared_ptr<const tordir::ConsensusDocument>& Signed(
+      const std::shared_ptr<const tordir::ConsensusDocument>& body,
+      std::vector<torcrypto::Signature> signatures);
+
+  // Distinct signed documents built so far.
+  size_t signed_documents() const { return signed_.size(); }
 
   // A packed vote's relay lists as kept: (author tag, shared text), in packed
   // order.
@@ -122,6 +141,12 @@ class DocumentStore {
     Votes votes;
     Derived derived;
   };
+  // Holds its body, so a freed body's address never comes back as a hit; the
+  // document's own signature list is the rest of the key.
+  struct SignedEntry {
+    std::shared_ptr<const tordir::ConsensusDocument> body;
+    std::shared_ptr<const tordir::ConsensusDocument> document;
+  };
   struct PackedEntry {
     torbase::NodeId packer;
     PackedLists lists;
@@ -129,9 +154,11 @@ class DocumentStore {
   };
   // A cell has one distinct vote list per group of holders that admitted the
   // same votes (one in an honest round, a few in a byzantine one), at most n
-  // packed votes and a few faulty texts, so a linear scan finds them; a
-  // deque keeps returned references stable as entries are added.
+  // signed documents and n packed votes, and a few faulty texts, so a linear
+  // scan finds them; a deque keeps returned references stable as entries are
+  // added.
   std::deque<Entry> entries_;
+  std::deque<SignedEntry> signed_;
   std::deque<PackedEntry> packed_;
   std::deque<Received> received_;
   size_t parses_ = 0;

@@ -373,7 +373,7 @@ void IcpsAuthority::MaybeFinishAggregation() {
   }
   const torcrypto::Signature sig = ComputeConsensus(votes, outcome_);
   log().Notice(now(), "Consensus computed from " + std::to_string(votes.size()) +
-                          " documents (" + std::to_string(outcome_.consensus.relays.size()) +
+                          " documents (" + std::to_string(outcome_.consensus->relays.size()) +
                           " relays); broadcasting signature.");
   PublishOnMajority();
   // Replay signatures that arrived before we finished aggregating.

@@ -129,10 +129,9 @@ AuthorityRoundState DirectoryProtocol::SnapshotAuthority(const torsim::Actor& ac
   AuthorityRoundState state;
   const PublishedConsensus published = ProbeConsensus(actor);
   if (published.document != nullptr) {
-    // Flat copy + canonical serialization: the actor (and its document) die
-    // with the round's harness, but the snapshot must outlive both. Interned
-    // relay strings keep the copy cheap.
-    state.consensus = std::make_shared<const tordir::ConsensusDocument>(*published.document);
+    // The published document is immutable and shared, so the snapshot keeps
+    // it past the round's harness without a copy.
+    state.consensus = published.document;
     state.consensus_text =
         std::make_shared<const std::string>(tordir::SerializeConsensus(*state.consensus));
   }

@@ -1,7 +1,5 @@
 #include "src/protocols/sync/sync_authority.h"
 
-#include <algorithm>
-
 #include "src/crypto/sha256.h"
 
 namespace torproto {
@@ -280,16 +278,13 @@ void SyncAuthority::BeginSignaturePhase() {
                           " values; no unique agreed vote.");
     return;
   }
-  const torcrypto::Digest256 digest = *extracted_.begin();
-  // Find the agreed packed vote by digest. Map order checks the designated
-  // sender's first, which in every run is the agreed one, so each authority
-  // needs one packed vote's digest: the one the designated sender relayed,
-  // which the cell's store already holds when the lists are the same texts.
-  static_assert(kDesignatedSender == 0, "map order must reach the designated sender first");
-  auto agreed = std::find_if(packed_votes_.begin(), packed_votes_.end(), [&](const auto& entry) {
-    return DigestOf(document_store(), entry.second) == digest;
-  });
-  if (agreed == packed_votes_.end()) {
+  // The agreed value is the designated sender's packed vote: the sender
+  // relays the digest of its own, and a packed vote's encoding names its
+  // packer, so no other packer's vote can carry that digest. The cell's
+  // store already holds it when the lists are the same texts.
+  const auto agreed = packed_votes_.find(kDesignatedSender);
+  if (agreed == packed_votes_.end() ||
+      DigestOf(document_store(), agreed->second) != *extracted_.begin()) {
     log().Warn(now(), "Agreed packed vote contents never arrived.");
     return;
   }

@@ -29,12 +29,13 @@
 // a shared segment of the packed-vote frame, so a receiver reads the packer's
 // own texts and recognises the workload's by pointer. A packed vote's digest,
 // the SHA-256 of its exact wire encoding, comes from the cell's DocumentStore
-// (an authority without one keeps a private store): it is streamed once per
-// distinct packed vote, in practice the designated sender's, as the
-// synchronize phase starts, and every holder reuses it at phase 4 to find the
-// agreed one. A packed vote that does not decode exactly, repeats or
-// overruns an author tag, or names a packer other than its sender is dropped
-// on arrival.
+// (an authority without one keeps a private store). Only the designated
+// sender's packed vote is ever digested, since a packed vote names its
+// packer and no other can carry the agreed digest: the sender streams it as
+// the synchronize phase starts, and at phase 4 every holder checks its copy
+// against the agreed value, a store hit when the lists are the same texts.
+// A packed vote that does not decode exactly, repeats or overruns an author
+// tag, or names a packer other than its sender is dropped on arrival.
 #ifndef SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 #define SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 

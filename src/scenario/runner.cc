@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <span>
@@ -40,6 +41,10 @@ void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& 
                    const std::vector<torcrypto::Digest256>& vote_digests,
                    ScenarioResult& result) {
   tordir::HealthMonitor monitor(spec.authority_count);
+  // Bandwidth claimed by each distinct admitted document, summed once: every
+  // observer of a shared vote holds the same document. Keys hold their
+  // documents, so an address is never reused for another within the call.
+  std::map<std::shared_ptr<const tordir::VoteDocument>, uint64_t> bandwidth_totals;
   for (const torsim::Actor* actor : actors) {
     const std::vector<torproto::ObservedVote> observations =
         protocol.ProbeVoteObservations(*actor);
@@ -60,9 +65,13 @@ void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& 
       record.digest = observed.digest;
       record.at_seconds = torbase::ToSeconds(observed.at);
       if (observed.document != nullptr) {
-        for (const tordir::RelayStatus& relay : observed.document->relays) {
-          record.total_bandwidth += relay.bandwidth;
+        auto [total, inserted] = bandwidth_totals.try_emplace(observed.document, 0);
+        if (inserted) {
+          for (const tordir::RelayStatus& relay : observed.document->relays) {
+            total->second += relay.bandwidth;
+          }
         }
+        record.total_bandwidth = total->second;
       }
       monitor.RecordObservation(actor->id(), record);
     }
@@ -140,11 +149,9 @@ void AnalyzeClientLoad(const ScenarioSpec& spec, const torproto::PublishedConsen
       result.consensus_diff_size_bytes =
           tordir::ComputeConsensusDiff(*spec.previous_consensus, *published.document).size();
     }
-    // Retain a flat copy for the next round of a stitched replay (the actor
-    // owning `published.document` dies with the harness). Interned relay
-    // strings make this cheap: the copy shares every interned id.
-    result.consensus_document =
-        std::make_shared<const tordir::ConsensusDocument>(*published.document);
+    // Retain the published document for the next round of a stitched
+    // replay: it is immutable and shared, so it outlives the harness.
+    result.consensus_document = published.document;
     documents.push_back(torclients::MapToTimeline(
         /*round_start_seconds=*/0.0, torbase::ToSeconds(published.published_at),
         published.document->valid_after, published.document->fresh_until,
@@ -392,10 +399,8 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   }
   // Timeline rounds run without a per-round client plane but still need the
   // actual published document for diff chains and rejoin costing.
-  if (spec.retain_consensus && published.document != nullptr &&
-      result.consensus_document == nullptr) {
-    result.consensus_document =
-        std::make_shared<const tordir::ConsensusDocument>(*published.document);
+  if (spec.retain_consensus) {
+    result.consensus_document = published.document;
   }
 
   if (inspect) {

@@ -11,8 +11,8 @@
 // concurrently on the sweep's thread pool, then each cell runs on a private
 // Simulator/Harness with a per-cell clone of the attack schedule and a
 // per-cell DocumentStore, through which the cell's consensus holders share
-// each aggregation and its receivers each faulty text's parse. Parallel
-// results are bit-identical to a serial sweep.
+// each aggregation and each signed document, and its receivers each faulty
+// text's parse. Parallel results are bit-identical to a serial sweep.
 //
 // On top of the workload cache sits a *result memo*: every run is a pure
 // function of its spec (ROADMAP threading contract), so the runner keys

@@ -107,11 +107,12 @@ struct ScenarioSpec {
   // protocol, any attack schedule, and churn.
   torproto::ByzantineSpec byzantine;
 
-  // Retain a flat copy of the published document in
-  // ScenarioResult::consensus_document even when the client plane is off.
-  // The timeline engine (src/scenario/timeline.h) needs every round's actual
-  // document for diff chains and rejoin accounting without paying for a
-  // per-round client plane; interned relay strings make the copy cheap.
+  // Retain the published document in ScenarioResult::consensus_document
+  // even when the client plane is off. The timeline engine
+  // (src/scenario/timeline.h) needs every round's actual document for diff
+  // chains and rejoin accounting without paying for a per-round client
+  // plane; the result shares the immutable document, so retaining costs no
+  // copy.
   bool retain_consensus = false;
 
   // Every member but `name`, the memo's one documented exemption: a display
@@ -187,9 +188,10 @@ struct ScenarioResult {
   // Wire size of the consensus diff from spec.previous_consensus to the
   // published document; 0 when either is absent (no diff was computed).
   uint64_t consensus_diff_size_bytes = 0;
-  // A flat copy of the published document, retained only when the client
-  // plane is enabled — the diff baseline for the *next* round of a stitched
-  // multi-round replay. Null when the run failed or the plane was off.
+  // The published document (shared and immutable), retained when the client
+  // plane is enabled or spec.retain_consensus is set — the diff baseline for
+  // the *next* round of a stitched multi-round replay. Null when the run
+  // failed or neither asked for it.
   std::shared_ptr<const tordir::ConsensusDocument> consensus_document;
 
   // Populated when spec.client_load.client_count > 0.

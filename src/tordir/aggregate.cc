@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "src/common/stats.h"
 
@@ -89,8 +90,10 @@ InternedString PopularString(const std::vector<Listing>& listings,
       }
     }
   }
+  // The first group leads until a later one beats it; comparing it with
+  // itself could only return 0.
   const AggregateScratch::ValueGroup* best = &groups.front();
-  for (const auto& group : groups) {
+  for (const auto& group : std::span(groups).subspan(1)) {
     if (group.count > best->count ||
         (group.count == best->count && cmp(group.value.view(), best->value.view()) > 0)) {
       best = &group;

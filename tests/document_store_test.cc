@@ -1,11 +1,16 @@
 // Tests for the per-cell DocumentStore (src/protocols/document_store.h): its
 // identity key (the ordered vote pointers) hits only on the very same list,
 // a hit is exactly the direct aggregation, and byzantine authorities built
-// from faulty materials still reach the cell's store. Its table of received
-// texts parses each faulty text once per cell, keys on the exact bytes, and
-// leaves the window verdict and the refusal record to each receiver.
+// from faulty materials still reach the cell's store. Its signed documents
+// are keyed on the body and the whole signature list, so holders share one
+// only when they signed alike, and the run's health totals follow the
+// documents observers admitted. Its table of received texts parses each
+// faulty text once per cell, keys on the exact bytes, and leaves the window
+// verdict and the refusal record to each receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +30,7 @@
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+#include "src/tordir/health_monitor.h"
 #include "tests/cell_materials.h"
 
 namespace torproto {
@@ -111,6 +117,49 @@ TEST(DocumentStoreTest, AChangedVoteIsANewKey) {
   EXPECT_EQ(store.builds(), 3u);
 }
 
+// A signed document is the body with exactly the signature list asked for,
+// built once per (body pointer, list) and shared by every later caller with
+// the same list. A list that differs in a signer, in length or in one
+// signature's bytes is another document, and so is an equal-content body at
+// another address.
+TEST(DocumentStoreTest, SignedDocumentsAreKeyedOnTheBodyAndTheWholeSignatureList) {
+  DocumentStore store;
+  const DocumentStore::Derived& derived = store.Derive(Share(MakeVotes(60)));
+  const torcrypto::KeyDirectory directory(42, 9);
+  const auto sign = [&](std::initializer_list<torbase::NodeId> signers) {
+    std::vector<torcrypto::Signature> signatures;
+    for (const torbase::NodeId signer : signers) {
+      signatures.push_back(directory.SignerFor(signer).Sign(derived.digest.span()));
+    }
+    return signatures;
+  };
+  const auto first = store.Signed(derived.body, sign({0, 1, 2, 3, 4}));
+  EXPECT_EQ(store.Signed(derived.body, sign({0, 1, 2, 3, 4})), first);
+  EXPECT_EQ(store.signed_documents(), 1u);
+  tordir::ConsensusDocument expected = *derived.body;
+  expected.signatures = sign({0, 1, 2, 3, 4});
+  EXPECT_EQ(*first, expected);
+  EXPECT_TRUE(derived.body->signatures.empty());
+
+  std::vector<torcrypto::Signature> forged = sign({0, 1, 2, 3, 4});
+  forged.back().bytes[0] ^= 1;
+  const auto other_signer = store.Signed(derived.body, sign({0, 1, 2, 3, 5}));
+  const auto longer = store.Signed(derived.body, sign({0, 1, 2, 3, 4, 5}));
+  const auto other_bytes = store.Signed(derived.body, forged);
+  EXPECT_EQ(store.signed_documents(), 4u);
+  for (const auto& document : {other_signer, longer, other_bytes}) {
+    EXPECT_NE(document, first);
+    EXPECT_EQ(document->relays, first->relays);
+  }
+  EXPECT_EQ(other_signer->signatures, sign({0, 1, 2, 3, 5}));
+  EXPECT_EQ(longer->signatures, sign({0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(other_bytes->signatures, forged);
+
+  const auto copy = std::make_shared<const tordir::ConsensusDocument>(*derived.body);
+  EXPECT_NE(store.Signed(copy, sign({0, 1, 2, 3, 4})), first);
+  EXPECT_EQ(store.signed_documents(), 5u);
+}
+
 // Faulty materials keep the honest ones' store, whatever the behavior, so
 // byzantine authorities aggregate through their cell's store.
 TEST(DocumentStoreTest, FaultyMaterialsKeepTheCellsStore) {
@@ -126,26 +175,158 @@ TEST(DocumentStoreTest, FaultyMaterialsKeepTheCellsStore) {
   }
 }
 
+torsim::NetworkConfig CellNetwork() {
+  torsim::NetworkConfig config;
+  config.node_count = 9;
+  config.default_bandwidth_bps = torattack::kAuthorityLinkBps;
+  config.default_latency = torbase::Millis(50);
+  return config;
+}
+
 // One cell of `protocol_name` at 200 relays with `spec`'s faulty
-// authorities, built as the runner builds it: every authority shares the
-// workload's vote cache and the cell's store. Returns the store after the run.
-std::shared_ptr<DocumentStore> RunByzantineCell(const char* protocol_name,
-                                                const ByzantineSpec& spec) {
-  const auto store = std::make_shared<DocumentStore>();
-  const std::vector<AuthorityMaterials> cell = CellMaterials(MakeVotes(200), store);
-  const ByzantineProtocol protocol(&GetProtocol(protocol_name), &spec);
-  torcrypto::KeyDirectory directory(42, 9);
-  torsim::NetworkConfig net_config;
-  net_config.node_count = 9;
-  net_config.default_bandwidth_bps = torattack::kAuthorityLinkBps;
-  net_config.default_latency = torbase::Millis(50);
-  torsim::Harness harness(net_config);
-  for (torbase::NodeId a = 0; a < 9; ++a) {
-    harness.AddActor(protocol.MakeAuthority(ProtocolRunConfig{}, &directory, a, cell[a]));
+// authorities, built as the runner builds it and run to the end: every
+// authority shares the workload's vote cache and `store` (null: each keeps a
+// private store). `spec` must outlive the cell.
+struct Cell {
+  Cell(const char* protocol_name, const ByzantineSpec& spec,
+       std::shared_ptr<DocumentStore> cell_store)
+      : votes(MakeVotes(200)),
+        store(std::move(cell_store)),
+        protocol(&GetProtocol(protocol_name), &spec),
+        directory(42, 9),
+        harness(CellNetwork()) {
+    const std::vector<AuthorityMaterials> cell = CellMaterials(votes, store);
+    for (torbase::NodeId a = 0; a < 9; ++a) {
+      actors.push_back(harness.AddActor(
+          protocol.MakeAuthority(ProtocolRunConfig{}, &directory, a, cell[a])));
+    }
+    harness.StartAll();
+    harness.sim().Run();
   }
-  harness.StartAll();
-  harness.sim().Run();
-  return store;
+  PublishedConsensus Published(torbase::NodeId a) const {
+    return protocol.ProbeConsensus(*actors[a]);
+  }
+
+  std::vector<tordir::VoteDocument> votes;
+  std::shared_ptr<DocumentStore> store;
+  ByzantineProtocol protocol;
+  torcrypto::KeyDirectory directory;
+  torsim::Harness harness;
+  std::vector<torsim::Actor*> actors;
+};
+
+// An honest cell of each protocol, run once wired through the cell's store
+// and once with private stores. Both runs publish the same documents, since
+// sharing moves no result. A holder with a private store publishes its own
+// copy, whose signature list is the one it counted; with the cell's store,
+// holders that counted the same list share one document, and holders with
+// different lists get different ones. Every published document is the
+// direct aggregation of the nine votes plus its holder's signatures in signer
+// order. The lock-step holders all count nine signatures: one document. ICPS
+// holders publish at the fifth they count, and arrival order varies, so the
+// store builds one document per distinct list.
+TEST(DocumentStoreTest, HonestHoldersShareOneSignedDocumentPerSignatureList) {
+  const ByzantineSpec honest;
+  for (const char* protocol : {"current", "synchronous", "icps"}) {
+    const Cell shared(protocol, honest, std::make_shared<DocumentStore>());
+    const Cell alone(protocol, honest, nullptr);
+    const tordir::ConsensusDocument direct = tordir::ComputeConsensus(shared.votes);
+    const torcrypto::Digest256 digest = tordir::ConsensusDigest(direct);
+    std::vector<std::vector<torcrypto::Signature>> lists;
+    for (torbase::NodeId a = 0; a < 9; ++a) {
+      const PublishedConsensus mine = shared.Published(a);
+      const PublishedConsensus own = alone.Published(a);
+      ASSERT_NE(mine.document, nullptr) << protocol << " holder " << a;
+      ASSERT_NE(own.document, nullptr) << protocol << " holder " << a;
+      const std::vector<torcrypto::Signature>& counted = own.document->signatures;
+      tordir::ConsensusDocument expected = direct;
+      for (size_t i = 0; i < counted.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(counted[i - 1].signer, counted[i].signer) << protocol << " holder " << a;
+        }
+        expected.signatures.push_back(
+            shared.directory.SignerFor(counted[i].signer).Sign(digest.span()));
+      }
+      EXPECT_GE(counted.size(), MajorityOf(9)) << protocol << " holder " << a;
+      EXPECT_EQ(*mine.document, expected) << protocol << " holder " << a;
+      EXPECT_EQ(*own.document, expected) << protocol << " holder " << a;
+      if (std::ranges::find(lists, counted) == lists.end()) {
+        lists.push_back(counted);
+      }
+      for (torbase::NodeId b = 0; b < a; ++b) {
+        EXPECT_EQ(mine.document == shared.Published(b).document,
+                  counted == alone.Published(b).document->signatures)
+            << protocol << " holders " << b << " and " << a;
+        EXPECT_NE(own.document, alone.Published(b).document)
+            << protocol << " holders " << b << " and " << a;
+      }
+    }
+    EXPECT_EQ(shared.store->signed_documents(), lists.size()) << protocol;
+    if (std::string_view(protocol) == "icps") {
+      EXPECT_GT(lists.size(), 1u) << "no two ICPS holders published different lists";
+    } else {
+      EXPECT_EQ(lists.size(), 1u) << protocol;
+    }
+  }
+}
+
+// `current`, except that odd-numbered observers report sender 3's admitted
+// vote as an inflated copy: one sender, two documents across observers.
+class SplitInflation final : public DirectoryProtocol {
+ public:
+  std::string_view name() const override { return "current-split-inflation"; }
+  std::string_view display_name() const override { return "Current (split inflation)"; }
+  std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
+                                               const torcrypto::KeyDirectory* directory,
+                                               torbase::NodeId id,
+                                               AuthorityMaterials materials) const override {
+    return Current().MakeAuthority(config, directory, id, std::move(materials));
+  }
+  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
+    return Current().ProbeOutcome(actor);
+  }
+  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
+    return Current().ProbeConsensus(actor);
+  }
+  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
+    std::vector<ObservedVote> observations = Current().ProbeVoteObservations(actor);
+    for (ObservedVote& observed : observations) {
+      if (actor.id() % 2 == 1 && observed.sender == 3) {
+        tordir::VoteDocument inflated = *observed.document;
+        for (tordir::RelayStatus& relay : inflated.relays) {
+          relay.bandwidth *= 64;
+        }
+        observed.document = std::make_shared<const tordir::VoteDocument>(std::move(inflated));
+      }
+    }
+    return observations;
+  }
+
+ private:
+  static const DirectoryProtocol& Current() { return GetProtocol("current"); }
+};
+
+bool FlagsInflation(const torscenario::ScenarioResult& result, torbase::NodeId sender) {
+  return std::ranges::any_of(result.health_alerts, [sender](const tordir::HealthAlert& alert) {
+    return alert.kind == tordir::HealthAlertKind::kBandwidthInflation &&
+           alert.authorities == std::vector<torbase::NodeId>{sender};
+  });
+}
+
+// The health monitor's bandwidth evidence is summed once per distinct
+// admitted document and credited to every observation of that document, not
+// of its sender: observer 0 holds sender 3's honest vote, the odd observers
+// an inflated one, and the inflation still shows.
+TEST(DocumentStoreTest, HealthTotalsFollowEachObservedDocument) {
+  RegisterProtocol(std::make_unique<SplitInflation>());
+  torscenario::ScenarioSpec spec;
+  spec.relay_count = 200;
+  spec.seed = 13;
+  torscenario::ScenarioRunner runner;
+  spec.protocol = "current";
+  EXPECT_FALSE(FlagsInflation(runner.Run(spec), 3));
+  spec.protocol = "current-split-inflation";
+  EXPECT_TRUE(FlagsInflation(runner.Run(spec), 3));
 }
 
 ByzantineSpec Faulty(std::map<torbase::NodeId, ByzantineBehavior> behaviors) {
@@ -190,10 +371,10 @@ TEST(DocumentStoreTest, ByzantineCellsParseEachFaultyTextOnceAndShareAggregation
   for (const char* protocol : {"current", "synchronous", "icps"}) {
     for (const auto& [shape, spec] : shapes) {
       const std::string name = std::string(protocol) + "/" + shape;
-      const std::shared_ptr<DocumentStore> store = RunByzantineCell(protocol, spec);
-      EXPECT_EQ(store->texts(), 2u) << name;
-      EXPECT_EQ(store->parses(), 2u) << name;
-      EXPECT_EQ(store->builds(), builds.at(protocol)) << name;
+      const Cell cell(protocol, spec, std::make_shared<DocumentStore>());
+      EXPECT_EQ(cell.store->texts(), 2u) << name;
+      EXPECT_EQ(cell.store->parses(), 2u) << name;
+      EXPECT_EQ(cell.store->builds(), builds.at(protocol)) << name;
 
       torscenario::ScenarioSpec scenario;
       scenario.protocol = protocol;

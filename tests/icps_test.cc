@@ -138,7 +138,7 @@ TEST(IcpsTest, HealthyRunDecidesAndValidatesEverywhere) {
     const auto& outcome = fleet.Authority(i)->outcome();
     EXPECT_TRUE(outcome.decided) << "authority " << i;
     EXPECT_TRUE(outcome.valid_consensus) << "authority " << i;
-    EXPECT_GE(outcome.consensus.signatures.size(), 5u);
+    EXPECT_GE(outcome.consensus->signatures.size(), 5u);
   }
   // Fast path: no dissemination timeout needed, agreement in view 1.
   EXPECT_LT(fleet.Authority(0)->outcome().finished_at, Seconds(30));
@@ -148,9 +148,9 @@ TEST(IcpsTest, AgreementPropertyConsensusIdentical) {
   Fleet fleet;
   fleet.Build(300, torattack::kAuthorityLinkBps, fleet.Config());
   fleet.Run();
-  const auto digest0 = tordir::ConsensusDigest(fleet.Authority(0)->outcome().consensus);
+  const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
-    EXPECT_EQ(tordir::ConsensusDigest(fleet.Authority(i)->outcome().consensus), digest0)
+    EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0)
         << "authority " << i;
   }
 }
@@ -171,7 +171,7 @@ TEST(IcpsTest, SharedStoreBuildsOneConsensusPerHonestRound) {
     EXPECT_TRUE(authority->outcome().valid_consensus) << "authority " << i;
     ASSERT_TRUE(authority->consensus_digest().has_value());
     EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << i;
-    EXPECT_EQ(tordir::ConsensusDigest(authority->outcome().consensus), direct);
+    EXPECT_EQ(tordir::ConsensusDigest(*authority->outcome().consensus), direct);
   }
 }
 
@@ -224,10 +224,10 @@ TEST(IcpsTest, EquivocatingDisseminatorForcedToBottom) {
     EXPECT_EQ(outcome.vector_non_empty, kN - 1) << "authority " << i;
   }
   // And all agree on the same consensus.
-  const auto digest0 = tordir::ConsensusDigest(fleet.Authority(0)->outcome().consensus);
+  const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
     if (i != 3) {
-      EXPECT_EQ(tordir::ConsensusDigest(fleet.Authority(i)->outcome().consensus), digest0);
+      EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0);
     }
   }
 }
@@ -253,9 +253,9 @@ TEST(IcpsTest, SurvivesFiveMinuteDdosAndRecoversQuickly) {
     EXPECT_LT(outcome.finished_at, Minutes(5) + Seconds(90)) << "authority " << i;
   }
   // Everyone agreed.
-  const auto digest0 = tordir::ConsensusDigest(fleet.Authority(0)->outcome().consensus);
+  const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
-    EXPECT_EQ(tordir::ConsensusDigest(fleet.Authority(i)->outcome().consensus), digest0);
+    EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0);
   }
 }
 
@@ -298,8 +298,8 @@ TEST(IcpsTest, StragglerCatchesUpAfterLongOutage) {
   EXPECT_TRUE(straggler.decided);
   EXPECT_TRUE(straggler.valid_consensus);
   EXPECT_GT(straggler.finished_at, Minutes(8));
-  EXPECT_EQ(tordir::ConsensusDigest(straggler.consensus),
-            tordir::ConsensusDigest(fleet.Authority(0)->outcome().consensus));
+  EXPECT_EQ(tordir::ConsensusDigest(*straggler.consensus),
+            tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus));
 }
 
 // --- digest-vector unit tests -----------------------------------------------

@@ -109,11 +109,11 @@ TEST(CurrentProtocolTest, HealthyRunConsensusIdenticalEverywhere) {
   Fixture fx;
   fx.Build(200, torattack::kAuthorityLinkBps);
   const RunResult result = fx.Run();
-  const auto digest0 = tordir::ConsensusDigest(result.outcomes[0].consensus);
+  const auto digest0 = tordir::ConsensusDigest(*result.outcomes[0].consensus);
   for (const auto& outcome : result.outcomes) {
-    EXPECT_EQ(tordir::ConsensusDigest(outcome.consensus), digest0);
+    EXPECT_EQ(tordir::ConsensusDigest(*outcome.consensus), digest0);
   }
-  EXPECT_GT(result.outcomes[0].consensus.relays.size(), 190u);
+  EXPECT_GT(result.outcomes[0].consensus->relays.size(), 190u);
 }
 
 // Wired like a runner cell, an honest round's nine holders aggregate the same
@@ -131,7 +131,7 @@ TEST(CurrentProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
   for (const CurrentAuthority* authority : fx.authorities) {
     ASSERT_TRUE(authority->consensus_digest().has_value());
     EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << authority->id();
-    EXPECT_EQ(tordir::ConsensusDigest(authority->outcome().consensus), direct);
+    EXPECT_EQ(tordir::ConsensusDigest(*authority->outcome().consensus), direct);
   }
 }
 
@@ -139,7 +139,7 @@ TEST(CurrentProtocolTest, SignaturesVerifyAgainstDigest) {
   Fixture fx;
   fx.Build(100, torattack::kAuthorityLinkBps);
   const RunResult result = fx.Run();
-  const auto& consensus = result.outcomes[3].consensus;
+  const auto& consensus = *result.outcomes[3].consensus;
   const auto digest = tordir::ConsensusDigest(consensus);
   ASSERT_GE(consensus.signatures.size(), 5u);
   for (const auto& sig : consensus.signatures) {

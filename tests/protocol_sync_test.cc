@@ -7,13 +7,16 @@
 #include <map>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "src/attack/ddos.h"
+#include "src/attack/schedule.h"
 #include "src/common/serialize.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
 #include "src/protocols/sync/sync_authority.h"
+#include "src/scenario/runner.h"
 #include "src/sim/actor.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
@@ -100,9 +103,9 @@ TEST(SyncProtocolTest, ConsensusIdenticalEverywhere) {
   Fixture fx;
   fx.Build(200, torattack::kAuthorityLinkBps);
   const auto outcomes = fx.Run();
-  const auto digest0 = tordir::ConsensusDigest(outcomes[0].consensus);
+  const auto digest0 = tordir::ConsensusDigest(*outcomes[0].consensus);
   for (const auto& outcome : outcomes) {
-    EXPECT_EQ(tordir::ConsensusDigest(outcome.consensus), digest0);
+    EXPECT_EQ(tordir::ConsensusDigest(*outcome.consensus), digest0);
   }
 }
 
@@ -122,7 +125,7 @@ TEST(SyncProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
     EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
     ASSERT_TRUE(fx.authorities[a]->consensus_digest().has_value());
     EXPECT_EQ(*fx.authorities[a]->consensus_digest(), direct) << "authority " << a;
-    EXPECT_EQ(tordir::ConsensusDigest(outcomes[a].consensus), direct);
+    EXPECT_EQ(tordir::ConsensusDigest(*outcomes[a].consensus), direct);
   }
 }
 
@@ -140,6 +143,37 @@ TEST(SyncProtocolTest, FiveMinuteAttackBreaksIt) {
   for (size_t a = 0; a < outcomes.size(); ++a) {
     EXPECT_FALSE(outcomes[a].valid_consensus) << "authority " << a;
   }
+}
+
+// Five of nine authorities flooded for five minutes, the designated sender
+// among them, wired like a runner cell: every holder that extracts the agreed
+// digest checks only the designated sender's packed vote against it, since a
+// packed vote names its packer and no other can match. So the cell's store
+// streams one packed vote, even where a holder never received the sender's
+// and holds only other packers' votes. The run's result is the reference
+// runner's, which digests each packed vote per holder.
+TEST(SyncProtocolTest, FloodedCellDigestsOnlyTheDesignatedSendersPackedVote) {
+  AttackWindow attack;
+  attack.targets = torattack::FirstTargets(5);
+  attack.start = 0;
+  attack.end = Minutes(5);
+  attack.available_bps = torattack::kUnderAttackBps;
+  Fixture fx;
+  fx.store = std::make_shared<DocumentStore>();
+  fx.Build(2000, torattack::kAuthorityLinkBps, {attack});
+  fx.Run();
+  EXPECT_EQ(fx.store->packed_digests(), 1u);
+
+  torscenario::ScenarioSpec spec;
+  spec.protocol = "synchronous";
+  spec.relay_count = 2000;
+  spec.attack =
+      std::make_shared<torattack::WindowedAttack>(std::vector<AttackWindow>{attack});
+  torscenario::ScenarioRunner fast;
+  fast.set_memoize(false);
+  torscenario::ScenarioRunner reference;
+  reference.set_reference(true);
+  EXPECT_TRUE(torscenario::BitIdentical(fast.Run(spec), reference.Run(spec)));
 }
 
 TEST(SyncProtocolTest, FailsAtSmallerRelayCountsThanCurrent) {

@@ -159,16 +159,16 @@ TEST(SecurityTest, CurrentProtocolSplitsUnderEquivocation) {
   std::set<torcrypto::Digest256> digests;
   for (const auto* authority : honest) {
     ASSERT_TRUE(authority->outcome().valid_consensus);
-    EXPECT_TRUE(tordir::ValidateConsensusSignatures(authority->outcome().consensus, directory, 9));
-    digests.insert(tordir::ConsensusDigest(authority->outcome().consensus));
+    EXPECT_TRUE(tordir::ValidateConsensusSignatures(*authority->outcome().consensus, directory, 9));
+    digests.insert(tordir::ConsensusDigest(*authority->outcome().consensus));
   }
   // ...but they are split across two different documents: the equivocation
   // attack succeeded against the deployed protocol.
   EXPECT_EQ(digests.size(), 2u);
 
   // The forks differ exactly in the Guard flag the attacker straddled.
-  const auto& fork_a = honest[0]->outcome().consensus;   // authority 1 (group A)
-  const auto& fork_b = honest.back()->outcome().consensus;  // authority 8 (group B)
+  const auto& fork_a = *honest[0]->outcome().consensus;   // authority 1 (group A)
+  const auto& fork_b = *honest.back()->outcome().consensus;  // authority 8 (group B)
   ASSERT_FALSE(fork_a.relays.empty());
   EXPECT_NE(fork_a.relays[0].HasFlag(tordir::RelayFlag::kGuard),
             fork_b.relays[0].HasFlag(tordir::RelayFlag::kGuard));
@@ -232,7 +232,7 @@ TEST(SecurityTest, SynchronousProtocolResistsVoteEquivocation) {
   std::set<torcrypto::Digest256> digests;
   for (const auto* authority : honest) {
     ASSERT_TRUE(authority->outcome().valid_consensus);
-    digests.insert(tordir::ConsensusDigest(authority->outcome().consensus));
+    digests.insert(tordir::ConsensusDigest(*authority->outcome().consensus));
   }
   // One agreed packed vote -> one consensus document.
   EXPECT_EQ(digests.size(), 1u);
@@ -305,7 +305,7 @@ TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
   for (const auto* authority : honest) {
     ASSERT_TRUE(authority->outcome().decided);
     ASSERT_TRUE(authority->outcome().valid_consensus);
-    digests.insert(tordir::ConsensusDigest(authority->outcome().consensus));
+    digests.insert(tordir::ConsensusDigest(*authority->outcome().consensus));
   }
   EXPECT_EQ(digests.size(), 1u);
 }
