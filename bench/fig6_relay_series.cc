@@ -1,7 +1,7 @@
 // Figure 6: the number of Tor relays over time (September 2022 - October 2024)
 // with the series average. The paper reads this from Tor Metrics; we print the
 // synthetic reconstruction whose mean matches the paper's reported 7141.79
-// (DESIGN.md §1 documents the substitution).
+// ("Modelling substitutions" in EXPERIMENTS.md documents the substitution).
 //
 // With --max-relays N the bench instead walks the relay axis itself (1k, 2k,
 // ... doubling up to N, capped at 256k): for each count it builds the 9-vote

@@ -11,6 +11,7 @@
 #include "src/common/thread_pool.h"
 #include "src/protocols/byzantine.h"
 #include "src/protocols/document_store.h"
+#include "src/protocols/sync/sync_authority.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec_digest.h"
 #include "src/crypto/hmac.h"
@@ -460,6 +461,33 @@ void BM_PackedVoteFrame(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
 }
 BENCHMARK(BM_PackedVoteFrame)->Arg(8000);
+
+// One holder's agreed value for the same nine-list packed vote, its lists
+// received as the workload's texts: nine vote-cache hits by pointer, then one
+// SHA-256 over the packer, the count and each author tag with its list's
+// digest (332 bytes). The value is defined over the lists' digests, so no
+// holder streams the packed vote's ~28 MB through SHA-256.
+void BM_PackedVoteDigest(benchmark::State& state) {
+  std::vector<std::shared_ptr<const std::string>> texts;
+  const auto cache = std::make_shared<const tordir::VoteCache>(
+      NineVoteCache(static_cast<size_t>(state.range(0)), texts));
+  const tordir::CachedVote& own = cache->FindText(*texts[0])->second;
+  const torcrypto::KeyDirectory directory(42, 9);
+  torproto::SyncAuthority holder(
+      &directory, torproto::AuthorityMaterials{
+                      .vote = own.document,
+                      .vote_text = own.text,
+                      .vote_cache = cache,
+                      .document_store = std::make_shared<torproto::DocumentStore>()});
+  torproto::PackedVote packed;
+  for (torbase::NodeId author = 0; author < texts.size(); ++author) {
+    packed.lists.emplace_back(author, texts[author]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(holder.AgreedValue(packed));
+  }
+}
+BENCHMARK(BM_PackedVoteDigest)->Arg(8000);
 
 // The reference runner's price for the same frame: the network flattens it
 // into one contiguous buffer before delivery.

@@ -35,10 +35,13 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: once GCC inlines a replaced delete into its caller it sees
+// free() on a pointer from operator new and warns -Wmismatched-new-delete
+// (under -fsanitize, GCC 12). Deletes are not counted, so counts do not move.
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 // The nothrow forms (std::stable_sort's temporary buffer uses them) must come
 // from the same malloc the replaced deletes free, or a sanitizer's allocator

@@ -177,6 +177,9 @@ void Sha256::Reset() {
 
 void Sha256::Update(std::span<const uint8_t> data) {
   assert(!finished_ && "Sha256::Update after Finish() without Reset()");
+  if (data.empty()) {
+    return;  // an empty span may carry a null pointer, which memcpy must not see
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
   if (buffered_ > 0) {

@@ -3,28 +3,21 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/crypto/hmac.h"
-
 namespace torcrypto {
 namespace {
 
-// Derives the two 32-byte halves of a signature with distinct domain tags so
-// the signature value is 64 bytes.
-std::array<uint8_t, 64> MacHalves(const std::array<uint8_t, 32>& secret,
-                                  std::span<const uint8_t> message) {
-  torbase::Writer tagged;
-  tagged.WriteU8(0x01);
-  tagged.WriteRaw(message);
-  const auto lo = HmacSha256(secret, tagged.buffer());
-
-  torbase::Writer tagged2;
-  tagged2.WriteU8(0x02);
-  tagged2.WriteRaw(message);
-  const auto hi = HmacSha256(secret, tagged2.buffer());
-
+// The 64-byte signature value: HMAC-SHA256 of 0x01 || message, then of
+// 0x02 || message, both under `key`.
+std::array<uint8_t, 64> MacHalves(const HmacSha256Key& key, std::span<const uint8_t> message) {
   std::array<uint8_t, 64> out;
-  std::copy(lo.begin(), lo.end(), out.begin());
-  std::copy(hi.begin(), hi.end(), out.begin() + 32);
+  for (size_t half = 0; half < 2; ++half) {
+    const uint8_t tag = static_cast<uint8_t>(half + 1);
+    Sha256 inner = key.Inner();
+    inner.Update(std::span<const uint8_t>(&tag, 1));
+    inner.Update(message);
+    const auto mac = key.Finish(inner);
+    std::copy(mac.begin(), mac.end(), out.begin() + 32 * half);
+  }
   return out;
 }
 
@@ -63,7 +56,7 @@ Signature Signer::Sign(std::span<const uint8_t> message) const {
   assert(id_ != torbase::kNoNode && "Sign() on a default-constructed Signer");
   Signature sig;
   sig.signer = id_;
-  sig.bytes = MacHalves(secret_, message);
+  sig.bytes = MacHalves(key_, message);
   return sig;
 }
 
@@ -73,37 +66,26 @@ Signature Signer::Sign(const std::string& message) const {
 }
 
 KeyDirectory::KeyDirectory(uint64_t seed, uint32_t node_count) {
-  secrets_.resize(node_count);
+  keys_.reserve(node_count);
   for (uint32_t i = 0; i < node_count; ++i) {
     torbase::Writer w;
     w.WriteU64(seed);
     w.WriteU32(i);
     w.WriteString("partialtor-key-derivation");
-    const auto digest = Sha256Digest(w.buffer());
-    secrets_[i] = digest;
+    keys_.emplace_back(Sha256Digest(w.buffer()));
   }
 }
 
 Signer KeyDirectory::SignerFor(torbase::NodeId id) const {
-  assert(id < secrets_.size());
-  return Signer(id, secrets_[id]);
-}
-
-Signature KeyDirectory::ComputeSignature(torbase::NodeId id,
-                                         const std::array<uint8_t, 32>& secret,
-                                         std::span<const uint8_t> message) {
-  Signature sig;
-  sig.signer = id;
-  sig.bytes = MacHalves(secret, message);
-  return sig;
+  assert(id < keys_.size());
+  return Signer(id, keys_[id]);
 }
 
 bool KeyDirectory::Verify(std::span<const uint8_t> message, const Signature& sig) const {
-  if (sig.signer >= secrets_.size()) {
+  if (sig.signer >= keys_.size()) {
     return false;
   }
-  const Signature expected = ComputeSignature(sig.signer, secrets_[sig.signer], message);
-  return torbase::ConstantTimeEqual(expected.bytes, sig.bytes);
+  return torbase::ConstantTimeEqual(MacHalves(keys_[sig.signer], message), sig.bytes);
 }
 
 bool KeyDirectory::Verify(const std::string& message, const Signature& sig) const {

@@ -6,8 +6,8 @@
 // get the same abstract guarantees from HMAC-SHA256 under per-node secrets held
 // in a KeyDirectory (the stand-in for the PKI). A signature is 64 bytes — the
 // same kappa as Ed25519-style schemes — so the communication-complexity numbers
-// in Table 1 / Appendix B carry over unchanged. This substitution is recorded in
-// DESIGN.md §1.
+// in Table 1 / Appendix B carry over unchanged. This substitution is recorded
+// under "Modelling substitutions" in EXPERIMENTS.md.
 #ifndef SRC_CRYPTO_SIGNATURE_H_
 #define SRC_CRYPTO_SIGNATURE_H_
 
@@ -22,6 +22,7 @@
 #include "src/common/serialize.h"
 #include "src/common/status.h"
 #include "src/crypto/digest.h"
+#include "src/crypto/hmac.h"
 
 namespace torcrypto {
 
@@ -48,7 +49,8 @@ torbase::Result<Signature> ReadSignature(torbase::Reader& r);
 
 class KeyDirectory;
 
-// Per-node signing handle. Obtained from the KeyDirectory; cheap to copy.
+// Per-node signing handle. Obtained from the KeyDirectory; a copy holds the
+// node's key with its pad blocks absorbed (a few hundred bytes).
 class Signer {
  public:
   Signer() = default;
@@ -60,20 +62,20 @@ class Signer {
 
  private:
   friend class KeyDirectory;
-  Signer(torbase::NodeId id, std::array<uint8_t, 32> secret) : id_(id), secret_(secret) {}
+  Signer(torbase::NodeId id, const HmacSha256Key& key) : id_(id), key_(key) {}
 
   torbase::NodeId id_ = torbase::kNoNode;
-  std::array<uint8_t, 32> secret_{};
+  HmacSha256Key key_;
 };
 
 // The trusted registry of authority keys (the simulation's PKI). Derives each
-// node's secret from a seed; verification recomputes the MAC under the stored
-// secret.
+// node's secret from a seed and keeps it as an HmacSha256Key; verification
+// recomputes the MAC under the stored key.
 class KeyDirectory {
  public:
   KeyDirectory(uint64_t seed, uint32_t node_count);
 
-  uint32_t node_count() const { return static_cast<uint32_t>(secrets_.size()); }
+  uint32_t node_count() const { return static_cast<uint32_t>(keys_.size()); }
 
   // Fetches the signing handle for a node. `id` must be < node_count().
   Signer SignerFor(torbase::NodeId id) const;
@@ -83,10 +85,7 @@ class KeyDirectory {
   bool Verify(const std::string& message, const Signature& sig) const;
 
  private:
-  static Signature ComputeSignature(torbase::NodeId id, const std::array<uint8_t, 32>& secret,
-                                     std::span<const uint8_t> message);
-
-  std::vector<std::array<uint8_t, 32>> secrets_;
+  std::vector<HmacSha256Key> keys_;
 };
 
 }  // namespace torcrypto

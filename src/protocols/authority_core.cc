@@ -84,6 +84,16 @@ AuthorityCore::HeldText AuthorityCore::Hold(std::string_view text) {
   return {document_store_->Digest(received), received.text};
 }
 
+torcrypto::Digest256 AuthorityCore::DigestOf(std::string_view text) {
+  if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
+    return hit->first;
+  }
+  if (!intern_texts_) {
+    return torcrypto::Digest256::Of(text);
+  }
+  return document_store_->Digest(document_store_->Intern(text));
+}
+
 std::shared_ptr<const std::string> AuthorityCore::Share(std::string_view text) {
   if (const tordir::VoteCache::Entry* hit = tordir::VoteCache::FindTextIn(vote_cache_, text)) {
     return hit->second.text;

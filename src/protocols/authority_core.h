@@ -99,6 +99,10 @@ class AuthorityCore : public torsim::Actor {
     std::shared_ptr<const std::string> text;
   };
   HeldText Hold(std::string_view text);
+  // Hold's digest alone, with no copy: the vote cache entry's for a canonical
+  // vote, the text table's (one hash per cell) for another text, and
+  // Digest256::Of(text) without the cell's store.
+  torcrypto::Digest256 DigestOf(std::string_view text);
   // Hold's shared copy alone; a canonical vote is not hashed, and another
   // text is hashed only once some receiver needs its digest.
   std::shared_ptr<const std::string> Share(std::string_view text);

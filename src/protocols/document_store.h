@@ -22,23 +22,18 @@
 // The key never names the body alone: two holders with different signature
 // lists must publish different documents.
 //
-// The store also memoises the SHA-256 of each distinct packed vote (the
-// synchronous protocol's vote of all n relay lists, tens of megabytes at 8k
-// relays), under the same identity rule: the packer plus its ordered
-// (author, text pointer) lists. Receivers that recognised the lists as the
-// workload's texts hold the same pointers, so the agreed packed vote is
-// streamed once per cell instead of once per holder.
-//
 // The store also interns the received vote texts that are not the workload's
 // (a replayed, inflated, equivocated or malformed vote): one shared copy per
 // distinct byte string, its SHA-256 and ParseVote's outcome, each computed on
 // first need. Every receiver of a faulty text then holds the same text and,
 // once it parses, the same document, so the identity keys above hit across
-// holders too. Only the parse is shared, never a verdict: the validity-window
-// check depends on the receiver's period and stays with the receiver
-// (tordir::AdmitParsed). A parse is learned only by parsing; nothing
-// registers a faulty authority's own document as its text's parse, which
-// under kMalformedWire it is not.
+// holders too. The SHA-256 also stands for a faulty list in the synchronous
+// protocol's agreed value (SyncAuthority::AgreedValue), so a cell hashes each
+// such list once and a workload list never. Only the parse is shared, never a
+// verdict: the validity-window check depends on the receiver's period and
+// stays with the receiver (tordir::AdmitParsed). A parse is learned only by
+// parsing; nothing registers a faulty authority's own document as its text's
+// parse, which under kMalformedWire it is not.
 //
 // Not thread-safe: a store belongs to one cell and is only reached from that
 // cell's thread (the threading contract in ROADMAP.md).
@@ -51,10 +46,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "src/common/ids.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
 #include "src/tordir/admission.h"
@@ -92,29 +85,6 @@ class DocumentStore {
   // Distinct signed documents built so far.
   size_t signed_documents() const { return signed_.size(); }
 
-  // A packed vote's relay lists as kept: (author tag, shared text), in packed
-  // order.
-  using PackedLists =
-      std::vector<std::pair<torbase::NodeId, std::shared_ptr<const std::string>>>;
-
-  // The digest of the packed vote `packer` built from `lists`: `stream()`
-  // computes it on the first call for that packer and those text pointers in
-  // that order, and later calls return that entry. The reference stays valid
-  // as long as the store.
-  template <typename Stream>
-  const torcrypto::Digest256& PackedDigest(torbase::NodeId packer, const PackedLists& lists,
-                                           Stream&& stream) {
-    for (const PackedEntry& entry : packed_) {
-      if (entry.packer == packer && entry.lists == lists) {
-        return entry.digest;
-      }
-    }
-    return packed_.emplace_back(PackedEntry{packer, lists, stream()}).digest;
-  }
-
-  // Distinct packed votes digested so far.
-  size_t packed_digests() const { return packed_.size(); }
-
   // A received vote text that is not the workload's: the cell's shared copy
   // of its bytes, and what Digest and Parse computed for it so far.
   struct Received {
@@ -147,19 +117,12 @@ class DocumentStore {
     std::shared_ptr<const tordir::ConsensusDocument> body;
     std::shared_ptr<const tordir::ConsensusDocument> document;
   };
-  struct PackedEntry {
-    torbase::NodeId packer;
-    PackedLists lists;
-    torcrypto::Digest256 digest;
-  };
   // A cell has one distinct vote list per group of holders that admitted the
   // same votes (one in an honest round, a few in a byzantine one), at most n
-  // signed documents and n packed votes, and a few faulty texts, so a linear
-  // scan finds them; a deque keeps returned references stable as entries are
-  // added.
+  // signed documents and a few faulty texts, so a linear scan finds them; a
+  // deque keeps returned references stable as entries are added.
   std::deque<Entry> entries_;
   std::deque<SignedEntry> signed_;
-  std::deque<PackedEntry> packed_;
   std::deque<Received> received_;
   size_t parses_ = 0;
 };

@@ -14,8 +14,9 @@ using SharedText = std::shared_ptr<const std::string>;
 
 // Emits `packed`'s wire encoding in order: `u32(value)` for each integer and
 // `text(shared)` for each list's length-prefixed text, both as
-// torbase::Writer writes them. The frame, its length prefix and the digest
-// all come from here, so they cover the same bytes.
+// torbase::Writer writes them. The frame and its length prefix come from
+// here, and so does the agreed value, which replaces each text by its digest,
+// so all three walk the same fields in the same order.
 template <typename U32, typename Text>
 void EncodePacked(const PackedVote& packed, U32&& u32, Text&& text) {
   u32(packed.packer);
@@ -26,29 +27,24 @@ void EncodePacked(const PackedVote& packed, U32&& u32, Text&& text) {
   }
 }
 
-// The SHA-256 of `packed`'s wire encoding, streamed once per distinct packed
-// vote in `store`: the cell's, shared by every holder, or an authority's own.
-const torcrypto::Digest256& DigestOf(DocumentStore& store, const PackedVote& packed) {
-  return store.PackedDigest(packed.packer, packed.lists, [&packed] {
-    torcrypto::Sha256 hash;
-    const auto u32 = [&hash](uint32_t v) {
-      const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                             static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-      hash.Update(std::string_view(bytes, sizeof(bytes)));
-    };
-    EncodePacked(packed, u32, [&](const SharedText& text) {
-      u32(static_cast<uint32_t>(text->size()));
-      hash.Update(*text);
-    });
-    return torcrypto::Digest256(hash.Finish());
-  });
-}
-
 }  // namespace
 
 SyncAuthority::SyncAuthority(const torcrypto::KeyDirectory* directory,
                              AuthorityMaterials materials)
     : AuthorityCore(directory, std::move(materials)) {}
+
+torcrypto::Digest256 SyncAuthority::AgreedValue(const PackedVote& packed) {
+  torcrypto::Sha256 hash;
+  EncodePacked(
+      packed,
+      [&hash](uint32_t v) {
+        const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+        hash.Update(std::string_view(bytes, sizeof(bytes)));
+      },
+      [&](const SharedText& text) { hash.Update(DigestOf(*text).span()); });
+  return torcrypto::Digest256(hash.Finish());
+}
 
 void SyncAuthority::Start() {
   lists_[id()] = own_vote_text_;
@@ -204,7 +200,7 @@ void SyncAuthority::BeginSynchronizePhase() {
   if (it == packed_votes_.end()) {
     return;
   }
-  const torcrypto::Digest256 digest = DigestOf(document_store(), it->second);
+  const torcrypto::Digest256 digest = AgreedValue(it->second);
   extracted_.insert(digest);
   chains_[digest] = {signer_.Sign(DsPayload(digest))};
   relayed_.insert(digest);
@@ -278,13 +274,11 @@ void SyncAuthority::BeginSignaturePhase() {
                           " values; no unique agreed vote.");
     return;
   }
-  // The agreed value is the designated sender's packed vote: the sender
-  // relays the digest of its own, and a packed vote's encoding names its
-  // packer, so no other packer's vote can carry that digest. The cell's
-  // store already holds it when the lists are the same texts.
+  // The agreed value is the designated sender's packed vote's: the sender
+  // relays the value of its own, and a packed vote's encoding names its
+  // packer, so no other packer's vote can carry it.
   const auto agreed = packed_votes_.find(kDesignatedSender);
-  if (agreed == packed_votes_.end() ||
-      DigestOf(document_store(), agreed->second) != *extracted_.begin()) {
+  if (agreed == packed_votes_.end() || AgreedValue(agreed->second) != *extracted_.begin()) {
     log().Warn(now(), "Agreed packed vote contents never arrived.");
     return;
   }

@@ -18,22 +18,28 @@
 // research prototype it has no per-request directory deadline — transfers are
 // bounded only by their phase windows.
 //
-// Simplifications relative to a full Dolev-Strong implementation (documented
-// in DESIGN.md): the relay rounds carry only the packed-vote digest plus the
-// signature chain (contents travelled in phase 2), and chain acceptance does
-// not enforce the per-round signature count — equivocation by the designated
-// sender is still detected and nullifies the run.
+// Simplifications relative to a full Dolev-Strong implementation (see
+// "Modelling substitutions" in EXPERIMENTS.md): the relay rounds carry only
+// the packed vote's agreed value plus the signature chain (contents travelled
+// in phase 2), and chain acceptance does not enforce the per-round signature
+// count — equivocation by the designated sender is still detected and
+// nullifies the run.
 //
 // Authorities keep packed votes as lists of shared texts (a canonical list
 // shares the workload's copy), not as n·d-byte copies, and send each list as
 // a shared segment of the packed-vote frame, so a receiver reads the packer's
-// own texts and recognises the workload's by pointer. A packed vote's digest,
-// the SHA-256 of its exact wire encoding, comes from the cell's DocumentStore
-// (an authority without one keeps a private store). Only the designated
-// sender's packed vote is ever digested, since a packed vote names its
-// packer and no other can carry the agreed digest: the sender streams it as
-// the synchronize phase starts, and at phase 4 every holder checks its copy
-// against the agreed value, a store hit when the lists are the same texts.
+// own texts and recognises the workload's by pointer. The value the relay
+// rounds agree on (AgreedValue) hashes each list's SHA-256 in place of its
+// text, and each holder takes that digest from what it already holds — the
+// vote cache entry's for a workload text, the cell's text table's (hashed
+// once per cell) for any other, or its own hash when built without the
+// cell's store — so no holder streams the tens of megabytes of a packed
+// vote. Unless SHA-256 collides, two packed votes with the same value are
+// the same bytes (the argument is in EXPERIMENTS.md). Only the designated
+// sender's packed vote is ever valued, since a packed vote names its packer
+// and no other can carry the agreed value: the sender values its own as the
+// synchronize phase starts, and at phase 4 every holder checks its copy
+// against the agreed value.
 // A packed vote that does not decode exactly, repeats or overruns an author
 // tag, or names a packer other than its sender is dropped on arrival.
 #ifndef SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
@@ -62,7 +68,8 @@ namespace torproto {
 // count, then each list as its author tag and length-prefixed text.
 struct PackedVote {
   NodeId packer = 0;
-  DocumentStore::PackedLists lists;
+  // (author tag, shared text), in packed order.
+  std::vector<std::pair<NodeId, std::shared_ptr<const std::string>>> lists;
 };
 
 struct SyncOutcome : ConsensusOutcome {
@@ -99,6 +106,13 @@ class SyncAuthority : public AuthorityCore {
   // Authorities whose relay lists (this protocol's vote documents) this one
   // holds.
   std::vector<NodeId> vote_senders() const override { return KeysOf(lists_); }
+
+  // The value the Dolev-Strong phase agrees on for `packed`: the SHA-256 of
+  // u32 packer, u32 count, then per list u32 author and the 32 bytes of the
+  // list's SHA-256, each list digest taken from what this authority holds
+  // (AuthorityCore::DigestOf), so no list text is copied or, when the vote
+  // cache or the cell's text table knows it, hashed.
+  torcrypto::Digest256 AgreedValue(const PackedVote& packed);
 
   // The designated Dolev-Strong sender.
   static constexpr NodeId kDesignatedSender = 0;

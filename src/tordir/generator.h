@@ -4,7 +4,8 @@
 // tornettools-generated private networks. Without that proprietary pipeline we
 // generate deterministic synthetic populations whose *document sizes* and
 // *inter-authority disagreements* match the live network's shape, which is all
-// the bandwidth experiments depend on (DESIGN.md §1).
+// the bandwidth experiments depend on ("Modelling substitutions" in
+// EXPERIMENTS.md).
 #ifndef SRC_TORDIR_GENERATOR_H_
 #define SRC_TORDIR_GENERATOR_H_
 

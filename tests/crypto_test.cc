@@ -3,11 +3,14 @@
 // signature scheme's unforgeability-by-construction properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/serialize.h"
 #include "src/common/thread_pool.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/hmac.h"
@@ -357,6 +360,37 @@ TEST_F(SignatureTest, SignVerifyRoundTrip) {
   const Signature sig = signer.Sign(std::string("vote digest"));
   EXPECT_EQ(sig.signer, 3u);
   EXPECT_TRUE(directory_.Verify(std::string("vote digest"), sig));
+}
+
+// Sign and Verify keep each node's key with its pad blocks absorbed; the
+// value must still be the scheme's definition over the RFC 4231-tested
+// reference: HmacSha256 of 0x01 || message, then of 0x02 || message, under
+// the node's derived secret. Lengths straddle the block and padding edges.
+TEST_F(SignatureTest, SignEqualsTheTwoReferenceHmacs) {
+  std::mt19937_64 rng(7);
+  for (torbase::NodeId node = 0; node < directory_.node_count(); ++node) {
+    torbase::Writer derivation;
+    derivation.WriteU64(42);
+    derivation.WriteU32(node);
+    derivation.WriteString("partialtor-key-derivation");
+    const auto secret = Sha256Digest(derivation.buffer());
+    for (const size_t length : {0, 1, 31, 54, 55, 56, 63, 64, 65, 118, 119, 128, 300, 1000}) {
+      Bytes message(length);
+      for (uint8_t& byte : message) {
+        byte = static_cast<uint8_t>(rng());
+      }
+      const Signature sig = directory_.SignerFor(node).Sign(message);
+      for (uint8_t tag = 1; tag <= 2; ++tag) {
+        Bytes tagged{tag};
+        tagged.insert(tagged.end(), message.begin(), message.end());
+        const auto reference = HmacSha256(secret, tagged);
+        EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
+                               sig.bytes.begin() + 32 * (tag - 1)))
+            << "node " << node << ", length " << length << ", half " << int{tag};
+      }
+      EXPECT_TRUE(directory_.Verify(message, sig));
+    }
+  }
 }
 
 TEST_F(SignatureTest, RejectsTamperedMessage) {
