@@ -13,6 +13,10 @@
 // every client hourly versus the consensus diff (src/tordir/consensus_diff.h)
 // at typical 1%-changed + 0.5%-added + 0.5%-removed row churn, and the cache
 // bandwidth needed to serve 5M clients each way.
+//
+// Exits non-zero unless the figure's two claims hold: the 0.5 Mbit/s left
+// under attack is below the requirement at every relay count, and the
+// requirement grows linearly (the fit's R² is at least kMinLinearR2).
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -26,6 +30,8 @@
 #include "src/tordir/consensus_diff.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
+
+constexpr double kMinLinearR2 = 0.99;
 
 int main() {
   std::printf("=== Figure 7: bandwidth required by an attacked authority ===\n");
@@ -52,10 +58,12 @@ int main() {
                         "Attack succeeds"});
   std::vector<double> xs;
   std::vector<double> ys;
+  bool attack_works_everywhere = true;
   for (size_t i = 0; i < relay_counts.size(); ++i) {
     xs.push_back(static_cast<double>(relay_counts[i]));
     ys.push_back(required_bps[i] / 1e6);
     const bool attack_works = torattack::kUnderAttackBps < required_bps[i];
+    attack_works_everywhere = attack_works_everywhere && attack_works;
     table.AddRow({torbase::Table::Int(static_cast<long long>(relay_counts[i])),
                   torbase::Table::Num(required_bps[i] / 1e6, 2),
                   torbase::Table::Num(torattack::kUnderAttackBps / 1e6, 1),
@@ -128,5 +136,14 @@ int main() {
   std::printf("Paper: requirement grows linearly, ≈10 Mbit/s at 8,000 relays;\n");
   std::printf("0.5 Mbit/s residual bandwidth under attack is below the requirement at every "
               "relay count.\n");
+  if (!attack_works_everywhere) {
+    std::fprintf(stderr, "FAIL: the residual bandwidth meets the requirement at some relay count\n");
+    return 1;
+  }
+  if (fit.r2 < kMinLinearR2) {
+    std::fprintf(stderr, "FAIL: the requirement is not linear in the relay count (R² %.3f < %.2f)\n",
+                 fit.r2, kMinLinearR2);
+    return 1;
+  }
   return 0;
 }

@@ -70,11 +70,6 @@ class Writer {
   // Raw bytes with no length prefix (caller knows the framing).
   void WriteRaw(std::span<const uint8_t> data);
 
-  // Pre-sizes the buffer for `additional` more bytes. Callers framing a
-  // multi-megabyte payload (vote posts, document fetch responses) reserve
-  // once instead of paying repeated geometric regrowth copies.
-  void Reserve(size_t additional) { buffer_.reserve(buffer_.size() + additional); }
-
   // The inline bytes. A writer that holds segments (WriteShared) is read out
   // with TakeFrame() only: its buffer alone is not the message.
   const Bytes& buffer() const { return buffer_; }

@@ -192,7 +192,7 @@ void CurrentAuthority::HandleVoteRequest(NodeId from, torbase::Reader& reader) {
   if (!request_time.ok() || !count.ok()) {
     return;
   }
-  std::vector<const std::string*> served;
+  std::vector<std::shared_ptr<const std::string>> served;
   for (uint32_t i = 0; i < *count; ++i) {
     auto wanted = reader.ReadU32();
     if (!wanted.ok()) {
@@ -200,25 +200,22 @@ void CurrentAuthority::HandleVoteRequest(NodeId from, torbase::Reader& reader) {
     }
     auto it = vote_texts_.find(*wanted);
     if (it != vote_texts_.end()) {
-      served.push_back(it->second.get());
+      served.push_back(it->second);
     }
   }
   if (served.empty()) {
     return;
   }
-  size_t payload_bytes = 32;
-  for (const std::string* text : served) {
-    payload_bytes += text->size() + 4;
-  }
+  // The response references the texts this authority holds, so a fetch
+  // queued behind a flooded link costs pointers, not a copy of each vote.
   torbase::Writer w;
-  w.Reserve(payload_bytes);
   w.WriteU8(kVoteResponse);
   w.WriteU64(*request_time);
   w.WriteU32(static_cast<uint32_t>(served.size()));
-  for (const std::string* text : served) {
-    w.WriteString(*text);
+  for (auto& text : served) {
+    w.WriteShared(std::move(text));
   }
-  SendTo(from, kKindVoteFetch, w.TakeBuffer());
+  SendTo(from, kKindVoteFetch, w.TakeFrame());
 }
 
 void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {

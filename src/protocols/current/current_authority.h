@@ -85,10 +85,10 @@ class CurrentAuthority : public AuthorityCore {
   void AcceptVote(NodeId culprit, std::string_view text);
   void MaybeRecordVoteCompletion();
 
-  // Votes received (and their serialized form, for re-serving fetches). The
-  // documents are shared with the workload cache whenever the received bytes
-  // match a canonical vote, so holding "a copy" of every vote costs pointers,
-  // not megabytes.
+  // Votes received, and their serialized form, which fetch responses
+  // reference rather than copy. The documents are shared with the workload
+  // cache whenever the received bytes match a canonical vote, so holding "a
+  // copy" of every vote costs pointers, not megabytes.
   std::map<NodeId, std::shared_ptr<const tordir::VoteDocument>> votes_;
   std::map<NodeId, std::shared_ptr<const std::string>> vote_texts_;
 

@@ -303,12 +303,11 @@ void IcpsAuthority::HandleDocRequest(torbase::NodeId from, torbase::Reader& r) {
     return;  // we hold a different version; not useful
   }
   torbase::Writer w;
-  w.Reserve(it->second.text->size() + 128);
   w.WriteU8(kDocResponse);
   w.WriteU32(*j);
-  w.WriteString(*it->second.text);
+  w.WriteShared(it->second.text);
   torcrypto::WriteSignature(w, it->second.sender_sig);
-  SendTo(from, kKindDocFetch, w.TakeBuffer());
+  SendTo(from, kKindDocFetch, w.TakeFrame());
 }
 
 void IcpsAuthority::HandleDocResponse(torbase::NodeId, torbase::Reader& r) {

@@ -1,13 +1,16 @@
 // Tests for the ICPS core protocol (src/protocols/icps): the Definition 5.1 properties
 // (termination, agreement, value validity, common-set validity), the
-// dissemination proof machinery, Byzantine disseminators, and recovery after a
-// DDoS window (the Figure 11 scenario).
+// dissemination proof machinery, Byzantine disseminators, document fetch
+// responses, and recovery after a DDoS window (the Figure 11 scenario).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "src/attack/ddos.h"
+#include "src/common/serialize.h"
 #include "src/protocols/icps/digest_vector.h"
 #include "src/protocols/icps/icps_authority.h"
 #include "src/sim/actor.h"
@@ -68,6 +71,43 @@ class EquivocatingDisseminator : public torsim::Actor {
   tordir::VoteDocument vote_;
 };
 
+// Stands in for the last authority and disseminates nothing. Once the others
+// have disseminated, it asks `server` for document `wanted` by its digest, as
+// an aggregation fetch does, and keeps the response frame as it was
+// delivered.
+class DocFetchProbe : public torsim::Actor {
+ public:
+  static constexpr uint8_t kDocRequest = 0x12;
+  static constexpr uint8_t kDocResponse = 0x13;
+
+  DocFetchProbe(NodeId server, NodeId wanted) : server_(server), wanted_(wanted) {}
+
+  void Start() override {
+    SetTimer(Seconds(10), [this] {
+      torbase::Writer w;
+      w.WriteU8(kDocRequest);
+      w.WriteU32(wanted_);
+      w.WriteRaw(wanted_digest.span());
+      SendTo(server_, "DOC_FETCH", w.TakeBuffer());
+    });
+  }
+
+  void OnMessage(NodeId from, const torbase::Frame& payload) override {
+    torbase::Reader r(payload);
+    auto type = r.ReadU8();
+    if (from == server_ && type.ok() && *type == kDocResponse) {
+      response = payload;
+    }
+  }
+
+  torcrypto::Digest256 wanted_digest;  // set before the run starts
+  std::optional<torbase::Frame> response;
+
+ private:
+  const NodeId server_;
+  const NodeId wanted_;
+};
+
 struct Fleet {
   torcrypto::KeyDirectory directory{42, kN};
   std::unique_ptr<torsim::Harness> harness;
@@ -76,6 +116,9 @@ struct Fleet {
   // When set before Build, the authorities are wired like one runner cell
   // (tests/cell_materials.h) and share this store.
   std::shared_ptr<torproto::DocumentStore> store;
+  std::vector<torproto::AuthorityMaterials> cell;  // by authority, when wired
+  // When set before Build, takes the last authority's slot.
+  std::unique_ptr<torsim::Actor> stand_in;
 
   torproto::ProtocolRunConfig Config(torbase::Duration dissemination_timeout = Seconds(150)) const {
     torproto::ProtocolRunConfig config;
@@ -91,9 +134,8 @@ struct Fleet {
     pop_config.seed = 11;
     const auto population = tordir::GeneratePopulation(pop_config);
     votes = tordir::MakeAllVotes(kN, population, pop_config);
-    const std::vector<torproto::AuthorityMaterials> cell =
-        store != nullptr ? torproto::CellMaterials(votes, store)
-                         : std::vector<torproto::AuthorityMaterials>{};
+    cell = store != nullptr ? torproto::CellMaterials(votes, store)
+                            : std::vector<torproto::AuthorityMaterials>{};
 
     torsim::NetworkConfig net_config;
     net_config.node_count = kN;
@@ -105,7 +147,9 @@ struct Fleet {
     }
     actors.clear();
     for (NodeId i = 0; i < kN; ++i) {
-      if (silent.count(i) > 0) {
+      if (stand_in != nullptr && i + 1 == kN) {
+        actors.push_back(harness->AddActor(std::move(stand_in)));
+      } else if (silent.count(i) > 0) {
         actors.push_back(harness->AddActor(std::make_unique<SilentActor>()));
       } else if (equivocators.count(i) > 0) {
         actors.push_back(harness->AddActor(
@@ -138,6 +182,7 @@ TEST(IcpsTest, HealthyRunDecidesAndValidatesEverywhere) {
     const auto& outcome = fleet.Authority(i)->outcome();
     EXPECT_TRUE(outcome.decided) << "authority " << i;
     EXPECT_TRUE(outcome.valid_consensus) << "authority " << i;
+    ASSERT_NE(outcome.consensus, nullptr) << "authority " << i;
     EXPECT_GE(outcome.consensus->signatures.size(), 5u);
   }
   // Fast path: no dissemination timeout needed, agreement in view 1.
@@ -148,8 +193,10 @@ TEST(IcpsTest, AgreementPropertyConsensusIdentical) {
   Fleet fleet;
   fleet.Build(300, torattack::kAuthorityLinkBps, fleet.Config());
   fleet.Run();
+  ASSERT_NE(fleet.Authority(0)->outcome().consensus, nullptr);
   const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
+    ASSERT_NE(fleet.Authority(i)->outcome().consensus, nullptr) << "authority " << i;
     EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0)
         << "authority " << i;
   }
@@ -171,8 +218,45 @@ TEST(IcpsTest, SharedStoreBuildsOneConsensusPerHonestRound) {
     EXPECT_TRUE(authority->outcome().valid_consensus) << "authority " << i;
     ASSERT_TRUE(authority->consensus_digest().has_value());
     EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << i;
+    ASSERT_NE(authority->outcome().consensus, nullptr) << "authority " << i;
     EXPECT_EQ(tordir::ConsensusDigest(*authority->outcome().consensus), direct);
   }
+}
+
+// Wired like a runner cell, an honest authority answers a document fetch with
+// a frame that references the text it holds, here the workload's, rather than
+// a copy; the wire bytes are the response's layout all the same.
+TEST(IcpsTest, DocFetchResponseReferencesTheServedText) {
+  constexpr NodeId kServer = 0;
+  constexpr NodeId kWanted = 3;
+  auto probe_owner = std::make_unique<DocFetchProbe>(kServer, kWanted);
+  DocFetchProbe* probe = probe_owner.get();
+  Fleet fleet;
+  fleet.store = std::make_shared<torproto::DocumentStore>();
+  fleet.stand_in = std::move(probe_owner);
+  fleet.Build(200, torattack::kAuthorityLinkBps, fleet.Config());
+  const std::string& text = *fleet.cell[kWanted].vote_text;
+  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(text);
+  probe->wanted_digest = digest;
+  fleet.Run(Minutes(1));
+
+  ASSERT_TRUE(probe->response.has_value());
+  const torbase::Frame& response = *probe->response;
+  ASSERT_EQ(response.segments.size(), 1u);
+  EXPECT_EQ(response.segments[0].text.get(), fleet.cell[kWanted].vote_text.get());
+
+  // u8 tag, u32 j, the text after its u32 length, then the author's
+  // signature over its entry: u32 signer and the signature bytes.
+  const torcrypto::Signature sig =
+      fleet.directory.SignerFor(kWanted).Sign(EntryPayload(kWanted, digest));
+  torbase::Writer layout;
+  layout.WriteU8(DocFetchProbe::kDocResponse);
+  layout.WriteU32(kWanted);
+  layout.WriteU32(static_cast<uint32_t>(text.size()));
+  layout.WriteRaw(torbase::BytesOfString(text));
+  layout.WriteU32(sig.signer);
+  layout.WriteRaw(sig.bytes);
+  EXPECT_EQ(response.Flatten(), layout.buffer());
 }
 
 TEST(IcpsTest, ValueValidityAtGstZeroIncludesEveryDocument) {
@@ -224,9 +308,11 @@ TEST(IcpsTest, EquivocatingDisseminatorForcedToBottom) {
     EXPECT_EQ(outcome.vector_non_empty, kN - 1) << "authority " << i;
   }
   // And all agree on the same consensus.
+  ASSERT_NE(fleet.Authority(0)->outcome().consensus, nullptr);
   const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
     if (i != 3) {
+      ASSERT_NE(fleet.Authority(i)->outcome().consensus, nullptr) << "authority " << i;
       EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0);
     }
   }
@@ -253,8 +339,10 @@ TEST(IcpsTest, SurvivesFiveMinuteDdosAndRecoversQuickly) {
     EXPECT_LT(outcome.finished_at, Minutes(5) + Seconds(90)) << "authority " << i;
   }
   // Everyone agreed.
+  ASSERT_NE(fleet.Authority(0)->outcome().consensus, nullptr);
   const auto digest0 = tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus);
   for (NodeId i = 1; i < kN; ++i) {
+    ASSERT_NE(fleet.Authority(i)->outcome().consensus, nullptr) << "authority " << i;
     EXPECT_EQ(tordir::ConsensusDigest(*fleet.Authority(i)->outcome().consensus), digest0);
   }
 }
@@ -298,6 +386,8 @@ TEST(IcpsTest, StragglerCatchesUpAfterLongOutage) {
   EXPECT_TRUE(straggler.decided);
   EXPECT_TRUE(straggler.valid_consensus);
   EXPECT_GT(straggler.finished_at, Minutes(8));
+  ASSERT_NE(straggler.consensus, nullptr);
+  ASSERT_NE(fleet.Authority(0)->outcome().consensus, nullptr);
   EXPECT_EQ(tordir::ConsensusDigest(*straggler.consensus),
             tordir::ConsensusDigest(*fleet.Authority(0)->outcome().consensus));
 }

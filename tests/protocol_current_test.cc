@@ -1,11 +1,14 @@
 // Integration tests for the Current (deployed v3) directory protocol under the
 // simulator: healthy runs, the paper's DDoS scenarios (§4), fetch-round
-// recovery, and the Figure 1 log lines.
+// recovery, fetch responses, and the Figure 1 log lines.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "src/attack/ddos.h"
+#include "src/common/serialize.h"
 #include "src/protocols/common.h"
 #include "src/protocols/current/current_authority.h"
 #include "src/sim/actor.h"
@@ -20,6 +23,45 @@ namespace {
 using torattack::AttackWindow;
 using torbase::Minutes;
 using torbase::Seconds;
+
+// Stands in for the last authority and posts no vote. Once the vote round is
+// over it asks `server` for every other authority's vote, as a fetch round
+// does, and keeps the response frame as it was delivered.
+class VoteFetchProbe : public torsim::Actor {
+ public:
+  static constexpr uint8_t kVoteRequest = 2;
+  static constexpr uint8_t kVoteResponse = 3;
+
+  explicit VoteFetchProbe(NodeId server) : server_(server) {}
+
+  void Start() override {
+    SetTimer(kRoundLength, [this] {
+      request_time = now();
+      torbase::Writer w;
+      w.WriteU8(kVoteRequest);
+      w.WriteU64(request_time);
+      w.WriteU32(id());  // authorities 0 .. id() - 1
+      for (NodeId a = 0; a < id(); ++a) {
+        w.WriteU32(a);
+      }
+      SendTo(server_, "VOTE_FETCH", w.TakeBuffer());
+    });
+  }
+
+  void OnMessage(NodeId from, const torbase::Frame& payload) override {
+    torbase::Reader r(payload);
+    auto type = r.ReadU8();
+    if (from == server_ && type.ok() && *type == kVoteResponse) {
+      response = payload;
+    }
+  }
+
+  torbase::TimePoint request_time = 0;
+  std::optional<torbase::Frame> response;
+
+ private:
+  const NodeId server_;
+};
 
 // Every authority's outcome from one run.
 struct RunResult {
@@ -45,7 +87,10 @@ struct Fixture {
   // When set before Build, the authorities are wired like one runner cell
   // (tests/cell_materials.h) and share this store.
   std::shared_ptr<DocumentStore> store;
+  // When set before Build, takes the last authority's slot.
+  std::unique_ptr<torsim::Actor> stand_in;
   std::vector<tordir::VoteDocument> votes;  // by authority
+  std::vector<AuthorityMaterials> cell;     // by authority, when wired
 
   // Builds a 9-authority network with `relay_count` relays and the given
   // uniform authority bandwidth.
@@ -57,8 +102,7 @@ struct Fixture {
     pop_config.seed = 7;
     const auto population = tordir::GeneratePopulation(pop_config);
     votes = tordir::MakeAllVotes(kAuthorities, population, pop_config);
-    const std::vector<AuthorityMaterials> cell =
-        store != nullptr ? CellMaterials(votes, store) : std::vector<AuthorityMaterials>{};
+    cell = store != nullptr ? CellMaterials(votes, store) : std::vector<AuthorityMaterials>{};
 
     torsim::NetworkConfig net_config;
     net_config.node_count = kAuthorities;
@@ -70,6 +114,10 @@ struct Fixture {
     }
     authorities.clear();
     for (uint32_t a = 0; a < kAuthorities; ++a) {
+      if (stand_in != nullptr && a + 1 == kAuthorities) {
+        harness->AddActor(std::move(stand_in));
+        break;
+      }
       authorities.push_back(static_cast<CurrentAuthority*>(harness->AddActor(
           std::make_unique<CurrentAuthority>(
               &directory,
@@ -109,8 +157,10 @@ TEST(CurrentProtocolTest, HealthyRunConsensusIdenticalEverywhere) {
   Fixture fx;
   fx.Build(200, torattack::kAuthorityLinkBps);
   const RunResult result = fx.Run();
+  ASSERT_NE(result.outcomes[0].consensus, nullptr);
   const auto digest0 = tordir::ConsensusDigest(*result.outcomes[0].consensus);
   for (const auto& outcome : result.outcomes) {
+    ASSERT_NE(outcome.consensus, nullptr);
     EXPECT_EQ(tordir::ConsensusDigest(*outcome.consensus), digest0);
   }
   EXPECT_GT(result.outcomes[0].consensus->relays.size(), 190u);
@@ -131,6 +181,7 @@ TEST(CurrentProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
   for (const CurrentAuthority* authority : fx.authorities) {
     ASSERT_TRUE(authority->consensus_digest().has_value());
     EXPECT_EQ(*authority->consensus_digest(), direct) << "authority " << authority->id();
+    ASSERT_NE(authority->outcome().consensus, nullptr);
     EXPECT_EQ(tordir::ConsensusDigest(*authority->outcome().consensus), direct);
   }
 }
@@ -139,12 +190,47 @@ TEST(CurrentProtocolTest, SignaturesVerifyAgainstDigest) {
   Fixture fx;
   fx.Build(100, torattack::kAuthorityLinkBps);
   const RunResult result = fx.Run();
+  ASSERT_NE(result.outcomes[3].consensus, nullptr);
   const auto& consensus = *result.outcomes[3].consensus;
   const auto digest = tordir::ConsensusDigest(consensus);
   ASSERT_GE(consensus.signatures.size(), 5u);
   for (const auto& sig : consensus.signatures) {
     EXPECT_TRUE(fx.directory.Verify(digest.span(), sig));
   }
+}
+
+// Wired like a runner cell, an honest authority answers a vote fetch with a
+// frame that references the vote texts it holds, here the workload's, rather
+// than copies; the wire bytes are the response's layout all the same.
+TEST(CurrentProtocolTest, VoteFetchResponseReferencesTheServedTexts) {
+  constexpr NodeId kServer = 0;
+  auto probe_owner = std::make_unique<VoteFetchProbe>(kServer);
+  const VoteFetchProbe* probe = probe_owner.get();
+  Fixture fx;
+  fx.store = std::make_shared<DocumentStore>();
+  fx.stand_in = std::move(probe_owner);
+  fx.Build(200, torattack::kAuthorityLinkBps);
+  fx.Run();
+
+  ASSERT_TRUE(probe->response.has_value());
+  const torbase::Frame& response = *probe->response;
+  const size_t served = fx.authorities.size();
+  ASSERT_EQ(response.segments.size(), served);
+  for (size_t a = 0; a < served; ++a) {
+    EXPECT_EQ(response.segments[a].text.get(), fx.cell[a].vote_text.get()) << "author " << a;
+  }
+
+  // u8 tag, u64 request time, u32 count, then each text after its u32 length.
+  torbase::Writer layout;
+  layout.WriteU8(VoteFetchProbe::kVoteResponse);
+  layout.WriteU64(probe->request_time);
+  layout.WriteU32(static_cast<uint32_t>(served));
+  for (size_t a = 0; a < served; ++a) {
+    const std::string& text = *fx.cell[a].vote_text;
+    layout.WriteU32(static_cast<uint32_t>(text.size()));
+    layout.WriteRaw(torbase::BytesOfString(text));
+  }
+  EXPECT_EQ(response.Flatten(), layout.buffer());
 }
 
 TEST(CurrentProtocolTest, FiveMinuteAttackOnFiveAuthoritiesBreaksConsensus) {

@@ -133,8 +133,10 @@ TEST(SyncProtocolTest, ConsensusIdenticalEverywhere) {
   Fixture fx;
   fx.Build(200, torattack::kAuthorityLinkBps);
   const auto outcomes = fx.Run();
+  ASSERT_NE(outcomes[0].consensus, nullptr);
   const auto digest0 = tordir::ConsensusDigest(*outcomes[0].consensus);
   for (const auto& outcome : outcomes) {
+    ASSERT_NE(outcome.consensus, nullptr);
     EXPECT_EQ(tordir::ConsensusDigest(*outcome.consensus), digest0);
   }
 }
@@ -156,6 +158,7 @@ TEST(SyncProtocolTest, SharedStoreBuildsOneConsensusPerHonestRound) {
     EXPECT_TRUE(outcomes[a].valid_consensus) << "authority " << a;
     ASSERT_TRUE(fx.authorities[a]->consensus_digest().has_value());
     EXPECT_EQ(*fx.authorities[a]->consensus_digest(), direct) << "authority " << a;
+    ASSERT_NE(outcomes[a].consensus, nullptr) << "authority " << a;
     EXPECT_EQ(tordir::ConsensusDigest(*outcomes[a].consensus), direct);
   }
 }
