@@ -336,11 +336,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   // Churn is applied after the attack schedule, in time order, so a crash
   // erases any later attack restore points on that node: a crashed authority
   // stays down until its own recover event, not until an attack window ends.
-  std::vector<ChurnEvent> churn = spec.churn;
-  std::stable_sort(churn.begin(), churn.end(), [](const ChurnEvent& a, const ChurnEvent& b) {
-    return a.at != b.at ? a.at < b.at : a.kind < b.kind;
-  });
-  for (const ChurnEvent& event : churn) {
+  for (const ChurnEvent& event : ChurnInTimeOrder(spec.churn)) {
     if (event.kind == ChurnEvent::Kind::kCrash) {
       harness.net().LimitNode(event.node, event.at, torbase::kTimeNever, 0.0);
     } else {
@@ -409,27 +405,38 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   return result;
 }
 
+ScenarioRunner::Workers::Workers(const ScenarioRunner& runner, unsigned threads, size_t tasks) {
+  // No point spinning up more workers than tasks; a single task (every Run)
+  // never starts a pool, and neither does the reference runner.
+  threads = runner.reference_
+                ? 1
+                : static_cast<unsigned>(std::min<size_t>(
+                      threads == 0 ? torbase::ThreadPool::DefaultThreads() : threads, tasks));
+  if (threads > 1) {
+    pool_.emplace(threads);
+  }
+}
+
+void ScenarioRunner::Workers::ForEach(size_t count, const std::function<void(size_t)>& body) {
+  if (pool_.has_value()) {
+    pool_->ParallelFor(count, body);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    body(i);
+  }
+}
+
+std::vector<ChurnEvent> ChurnInTimeOrder(std::vector<ChurnEvent> churn) {
+  std::stable_sort(churn.begin(), churn.end(), [](const ChurnEvent& a, const ChurnEvent& b) {
+    return a.at != b.at ? a.at < b.at : a.kind < b.kind;
+  });
+  return churn;
+}
+
 std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpec> specs,
                                                      unsigned threads, const InspectFn& inspect) {
-  // No point spinning up more workers than cells; a single cell (every Run)
-  // never starts a pool, and neither does the reference runner.
-  threads = reference_ ? 1
-                       : std::min<unsigned>(
-                             threads == 0 ? torbase::ThreadPool::DefaultThreads() : threads,
-                             static_cast<unsigned>(specs.size()));
-  std::optional<torbase::ThreadPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-  }
-  const auto for_each = [&pool](size_t count, const std::function<void(size_t)>& body) {
-    if (pool.has_value()) {
-      pool->ParallelFor(count, body);
-      return;
-    }
-    for (size_t i = 0; i < count; ++i) {
-      body(i);
-    }
-  };
+  Workers workers(*this, threads, specs.size());
 
   // Workload probe, serial in spec order, so telemetry counts exactly the
   // same at any thread count: the first occurrence of an uncached key is the
@@ -460,9 +467,10 @@ std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpe
       }
     }
   }
-  for_each(build_spec_indexes.size(), [this, specs, &build_spec_indexes, &promises](size_t j) {
-    promises[j].set_value(BuildWorkload(specs[build_spec_indexes[j]]));
-  });
+  workers.ForEach(build_spec_indexes.size(),
+                  [this, specs, &build_spec_indexes, &promises](size_t j) {
+                    promises[j].set_value(BuildWorkload(specs[build_spec_indexes[j]]));
+                  });
 
   // Memo probe, serial in spec order — the same discipline: a digest already
   // published is a hit, the first occurrence of a new digest is the miss that
@@ -503,11 +511,11 @@ std::vector<ScenarioResult> ScenarioRunner::RunCells(std::span<const ScenarioSpe
     }
   }
 
-  for_each(run_indexes.size(), [this, specs, &workloads, &results, &run_indexes,
-                                &inspect](size_t j) {
-    const size_t i = run_indexes[j];
-    results[i] = RunWithWorkload(specs[i], *workloads[i].get(), inspect);
-  });
+  workers.ForEach(run_indexes.size(),
+                  [this, specs, &workloads, &results, &run_indexes, &inspect](size_t j) {
+                    const size_t i = run_indexes[j];
+                    results[i] = RunWithWorkload(specs[i], *workloads[i].get(), inspect);
+                  });
 
   if (memoize) {
     // Publish serially in first-appearance order; entries are immutable once

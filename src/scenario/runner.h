@@ -32,11 +32,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/crypto/digest.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/actor.h"
@@ -80,8 +82,10 @@ class ScenarioRunner {
   // Runs a long-horizon fault-calendar timeline (src/scenario/timeline.h):
   // derives one ScenarioSpec per round, fans the rounds onto the sweep pool,
   // then stitches diff chains, authority rejoins, the whole-horizon client
-  // plane and recovery metrics in a deterministic serial pass. Bit-identical
-  // for any thread count. Defined in timeline.cc.
+  // plane and recovery metrics. The stitch serializes, digests and diffs
+  // each distinct published document once on the sweep's workers, and walks
+  // the rounds serially. Bit-identical for any thread count. Defined in
+  // timeline.cc.
   TimelineResult RunTimeline(const TimelineSpec& timeline);
   TimelineResult RunTimeline(const TimelineSpec& timeline, const SweepOptions& options);
 
@@ -114,6 +118,25 @@ class ScenarioRunner {
   void set_reference(bool on) { reference_ = on; }
 
  private:
+  // The one serial-or-pool loop, behind RunCells (workload builds, cells)
+  // and RunTimeline's stitch (serializations, diffs, rejoin leaf hashing):
+  // a pool of `threads` workers (0 = hardware concurrency) capped at
+  // `tasks`, or none at one thread and under the reference runner, where
+  // ForEach is a plain loop on the calling thread.
+  class Workers {
+   public:
+    Workers(const ScenarioRunner& runner, unsigned threads, size_t tasks);
+    // Runs body(0..count-1): spread over the pool, else in index order.
+    void ForEach(size_t count, const std::function<void(size_t)>& body);
+    // The pool, for callees that split their own work; null when serial.
+    // Never hand it to a call inside a ForEach body: a task that waits on
+    // its own pool deadlocks.
+    torbase::ThreadPool* pool() { return pool_.has_value() ? &*pool_ : nullptr; }
+
+   private:
+    std::optional<torbase::ThreadPool> pool_;
+  };
+
   // A generated population plus all authorities' votes over it, with their
   // serialized bytes (actors need both, and serialization of a multi-megabyte
   // vote is too expensive to redo per authority per run). Immutable once
@@ -176,6 +199,11 @@ class ScenarioRunner {
   bool memoize_ = true;
   bool reference_ = false;
 };
+
+// `churn` in the order a run applies it: by offset, a crash before a recover
+// at the same instant, listed order among equal events. RunTimeline reads
+// each round's authorities down at its boundary in this order.
+std::vector<ChurnEvent> ChurnInTimeOrder(std::vector<ChurnEvent> churn);
 
 // The consumption plane's one path from published documents to a
 // ClientAvailabilityResult. Integrates `load`'s demand against `documents`

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -89,6 +90,54 @@ struct ChainLink {
   std::shared_ptr<const std::string> diff;
 };
 
+// What the stitch derives, each item once. Memoized rounds share one
+// ScenarioResult and so one document pointer, and pointer equality implies
+// byte equality, so a document is keyed by its pointer: a memo-off run, where
+// every pointer is distinct, derives the same values once per round.
+struct StitchPlan {
+  // Each distinct published document, in first-publication order.
+  std::vector<std::shared_ptr<const tordir::ConsensusDocument>> documents;
+  // Each distinct consecutive (base, target) pair of published documents,
+  // as indexes into `documents`, in first-appearance order.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  // Per round: the index of its published document, and of the pair that
+  // diffs it from the previously published one (none for a failed round or
+  // the horizon's first document).
+  std::vector<std::optional<size_t>> round_document;
+  std::vector<std::optional<size_t>> round_pair;
+};
+
+StitchPlan PlanStitch(const std::vector<ScenarioResult>& rounds) {
+  StitchPlan plan;
+  plan.round_document.resize(rounds.size());
+  plan.round_pair.resize(rounds.size());
+  std::map<const tordir::ConsensusDocument*, size_t> document_index;
+  std::map<std::pair<size_t, size_t>, size_t> pair_index;
+  std::optional<size_t> previous;
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    const ScenarioResult& round = rounds[r];
+    if (!round.succeeded || round.consensus_document == nullptr) {
+      continue;
+    }
+    const auto [document, new_document] =
+        document_index.try_emplace(round.consensus_document.get(), plan.documents.size());
+    if (new_document) {
+      plan.documents.push_back(round.consensus_document);
+    }
+    plan.round_document[r] = document->second;
+    if (previous.has_value()) {
+      const auto [pair, new_pair] =
+          pair_index.try_emplace({*previous, document->second}, plan.pairs.size());
+      if (new_pair) {
+        plan.pairs.push_back(pair->first);
+      }
+      plan.round_pair[r] = pair->second;
+    }
+    previous = document->second;
+  }
+  return plan;
+}
+
 // Rounds the calendar touches: attack windows, crash-to-recovery spans,
 // byzantine windows, and churn crash blips.
 std::vector<char> FaultedRounds(const TimelineSpec& spec) {
@@ -140,23 +189,16 @@ double LastFaultClearedSeconds(const TimelineSpec& spec) {
   return cleared;
 }
 
-// Authorities down at the end of round `r`: calendar crashes spanning the
-// boundary, plus churn blips that crashed in-round without recovering.
-std::vector<torbase::NodeId> CrashedAtBoundary(const TimelineSpec& spec, uint32_t r) {
+// Authorities down at the end of a round: its own churn list (the calendar
+// crashes BuildTimelineRoundSpecs decomposed into it, plus its blips),
+// replayed in the order the runner applies it.
+std::vector<torbase::NodeId> CrashedAtBoundary(const ScenarioSpec& round) {
   std::set<torbase::NodeId> down;
-  for (const CrashCalendarEntry& entry : spec.crashes) {
-    if (entry.crash_round <= r && r < entry.recover_round) {
-      down.insert(entry.node);
-    }
-  }
-  for (const ChurnCalendarEntry& entry : spec.churn) {
-    if (entry.round != r) {
-      continue;
-    }
-    if (entry.event.kind == ChurnEvent::Kind::kCrash) {
-      down.insert(entry.event.node);
+  for (const ChurnEvent& event : ChurnInTimeOrder(round.churn)) {
+    if (event.kind == ChurnEvent::Kind::kCrash) {
+      down.insert(event.node);
     } else {
-      down.erase(entry.event.node);
+      down.erase(event.node);
     }
   }
   return {down.begin(), down.end()};
@@ -165,9 +207,10 @@ std::vector<torbase::NodeId> CrashedAtBoundary(const TimelineSpec& spec, uint32_
 // One crashed authority coming back: fetch the newest published document as of
 // the previous boundary, via the composed diff chain when close enough behind
 // (verified byte-identical against the full document, refused on any
-// framing-digest mismatch), else in full.
+// framing-digest mismatch), else in full. `pool` (nullable) splits the
+// chain's leaf hashing.
 RejoinEvent CatchUp(const std::vector<ChainLink>& chain, std::optional<size_t>& held_index,
-                    torbase::NodeId node, uint32_t round) {
+                    torbase::NodeId node, uint32_t round, torbase::ThreadPool* pool) {
   RejoinEvent event;
   event.node = node;
   event.round = round;
@@ -203,8 +246,10 @@ RejoinEvent CatchUp(const std::vector<ChainLink>& chain, std::optional<size_t>& 
   // after a round whose vote set shrank (attack, crash) the document can
   // change enough that the diffs cost more than the document itself.
   if (!diffs.empty() && diff_bytes < chain[head].text->size()) {
+    tordir::ApplyDiffOptions options;
+    options.pool = pool;
     const torbase::Result<std::string> patched =
-        tordir::ApplyConsensusDiffChain(*chain[*held_index].text, diffs);
+        tordir::ApplyConsensusDiffChain(*chain[*held_index].text, diffs, options);
     if (patched.ok() && *patched == *chain[head].text) {
       event.via_diff_chain = true;
       event.bytes = diff_bytes;
@@ -288,9 +333,32 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
   const std::vector<ScenarioSpec> specs = BuildTimelineRoundSpecs(timeline);
   TimelineResult out;
   // The fan-out: every round is an independent simulation, so the whole
-  // horizon parallelizes under the sweep's bit-identity contract. Everything
-  // below is the deterministic serial stitch.
+  // horizon parallelizes under the sweep's bit-identity contract.
   out.rounds = Sweep(specs, options);
+
+  // The stitch. A serial plan lists what to derive; the sweep's workers
+  // serialize and tree-hash each distinct document once, then diff each
+  // distinct pair once with both digests passed in. Every task reads
+  // immutable documents and writes only its own slot, so the tables are the
+  // same at any thread count. The serial walk below assembles links,
+  // snapshots and rejoins from them.
+  const StitchPlan plan = PlanStitch(out.rounds);
+  Workers workers(*this, options.threads, std::max(plan.documents.size(), plan.pairs.size()));
+  std::vector<std::shared_ptr<const std::string>> texts(plan.documents.size());
+  std::vector<torcrypto::Digest256> digests(plan.documents.size());
+  workers.ForEach(plan.documents.size(), [&plan, &texts, &digests](size_t i) {
+    texts[i] = std::make_shared<const std::string>(tordir::SerializeConsensus(*plan.documents[i]));
+    digests[i] = torcrypto::Digest256(torcrypto::Sha256TreeDigest(*texts[i]));
+  });
+  std::vector<std::shared_ptr<const std::string>> diffs(plan.pairs.size());
+  workers.ForEach(plan.pairs.size(), [&plan, &digests, &diffs](size_t i) {
+    const auto [base, target] = plan.pairs[i];
+    tordir::ConsensusDiffOptions diff_options;
+    diff_options.base_digest = digests[base];
+    diff_options.target_digest = digests[target];
+    diffs[i] = std::make_shared<const std::string>(tordir::ComputeConsensusDiff(
+        *plan.documents[base], *plan.documents[target], diff_options));
+  });
 
   const double period = torbase::ToSeconds(timeline.round_period);
   const std::vector<char> faulted = FaultedRounds(timeline);
@@ -311,23 +379,6 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
   std::vector<std::optional<size_t>> held(timeline.base.authority_count);
   out.snapshots.reserve(timeline.rounds);
   size_t next_recovery = 0;
-  // Stitch-side memoization mirroring the runner's: memoized quiet rounds
-  // share one ScenarioResult and therefore one document *pointer*, and
-  // pointer equality implies byte equality — so the serialization, framing
-  // digest and round-to-round diff of a repeated document are computed once
-  // and reused. Values are unchanged (the caches only ever substitute results
-  // of the identical computation), so TimelineResult stays bit-identical to a
-  // memo-off run, where every pointer is distinct and every link recomputes.
-  struct {
-    const tordir::ConsensusDocument* doc = nullptr;
-    std::shared_ptr<const std::string> text;
-    torcrypto::Digest256 digest;
-  } last_serialized;
-  struct {
-    const tordir::ConsensusDocument* base = nullptr;
-    const tordir::ConsensusDocument* target = nullptr;
-    std::shared_ptr<const std::string> diff;
-  } last_diff;
   for (uint32_t r = 0; r < timeline.rounds; ++r) {
     const ScenarioResult& round = out.rounds[r];
     // Rejoins first: a recovering authority catches up to the newest document
@@ -336,36 +387,20 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
     while (next_recovery < recoveries.size() &&
            recoveries[next_recovery].recover_round == r) {
       const CrashCalendarEntry& entry = recoveries[next_recovery++];
-      RejoinEvent event = CatchUp(chain, held[entry.node], entry.node, r);
+      RejoinEvent event = CatchUp(chain, held[entry.node], entry.node, r, workers.pool());
       out.rejoin_bytes += event.bytes;
       out.rejoins.push_back(std::move(event));
     }
 
     std::shared_ptr<const std::string> round_diff;
-    if (round.succeeded && round.consensus_document != nullptr) {
+    if (const std::optional<size_t> document = plan.round_document[r]; document.has_value()) {
       ChainLink link;
       link.round = r;
-      link.doc = round.consensus_document;
-      if (link.doc.get() == last_serialized.doc) {
-        link.text = last_serialized.text;
-        link.digest = last_serialized.digest;
-      } else {
-        link.text =
-            std::make_shared<const std::string>(tordir::SerializeConsensus(*link.doc));
-        link.digest = torcrypto::Digest256(torcrypto::Sha256TreeDigest(*link.text));
-        last_serialized = {link.doc.get(), link.text, link.digest};
-      }
-      if (!chain.empty()) {
-        if (chain.back().doc.get() == last_diff.base && link.doc.get() == last_diff.target) {
-          link.diff = last_diff.diff;
-        } else {
-          tordir::ConsensusDiffOptions diff_options;
-          diff_options.base_digest = chain.back().digest;
-          diff_options.target_digest = link.digest;
-          link.diff = std::make_shared<const std::string>(
-              tordir::ComputeConsensusDiff(*chain.back().doc, *link.doc, diff_options));
-          last_diff = {chain.back().doc.get(), link.doc.get(), link.diff};
-        }
+      link.doc = plan.documents[*document];
+      link.text = texts[*document];
+      link.digest = digests[*document];
+      if (const std::optional<size_t> pair = plan.round_pair[r]; pair.has_value()) {
+        link.diff = diffs[*pair];
         round_diff = link.diff;
       }
       chain.push_back(std::move(link));
@@ -390,7 +425,7 @@ TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
       snapshot.consensus_round = head.round;
     }
     snapshot.diff_from_previous = std::move(round_diff);
-    snapshot.crashed = CrashedAtBoundary(timeline, r);
+    snapshot.crashed = CrashedAtBoundary(specs[r]);
     // Without a client plane the boundary state degenerates to "did this
     // round publish"; the plane walk below overwrites both fields.
     snapshot.fresh_at_boundary = round.succeeded;

@@ -13,7 +13,12 @@
 // cross-round state (diff baselines, held documents, client backlog) only
 // affects post-run analysis. So RunTimeline derives one spec per round from
 // the calendars, fans all rounds onto the existing parallel sweep pool, and
-// then runs a deterministic serial *stitch* pass over the results:
+// then *stitches* the results. The stitch first serializes and tree-hashes
+// each distinct published document, and diffs each distinct consecutive
+// pair, once, on the sweep's workers (memoized rounds share one document
+// pointer; serial at one thread and under the reference runner). Each task
+// reads immutable documents and writes only its own slot, so the derived
+// tables are the same at any thread count. A serial walk then builds:
 //
 //   * diff chains — each successful round's document is diffed against the
 //     previous published one (framing digests linked), giving the per-round
@@ -107,8 +112,8 @@ struct TimelineSpec {
 constexpr uint32_t kMaxDiffChainRounds = 12;
 
 // The immutable state the timeline carries across one round boundary. Rounds
-// simulate on private harnesses; the serial stitch pass derives one snapshot
-// per boundary and never mutates anything a pool thread produced.
+// simulate on private harnesses; the stitch's serial walk derives one
+// snapshot per boundary and never mutates anything a pool thread produced.
 struct RoundSnapshot {
   uint32_t round = 0;
   // This round's own simulation published a valid consensus.
@@ -129,7 +134,8 @@ struct RoundSnapshot {
   // is off) and whether clients were being served a fresh document.
   double backlog_fetches = 0.0;
   bool fresh_at_boundary = false;
-  // Authorities down at the boundary, ascending.
+  // Authorities down at the boundary, ascending: the round's churn replayed
+  // in the order the run applies it (ChurnInTimeOrder).
   std::vector<torbase::NodeId> crashed;
 
   auto Fields() const {

@@ -439,7 +439,9 @@ Result<std::string> ApplyConsensusDiffChain(std::string_view base,
   }
 
   torcrypto::Digest256 previous_target = first->base_digest;
-  std::string current(base);
+  // The first link patches the caller's bytes in place of a copy; each later
+  // link patches the previous link's output.
+  std::string current;
   for (size_t i = 0; i < diffs.size(); ++i) {
     Result<ConsensusDiffHeader> header = ParseConsensusDiffHeader(diffs[i]);
     if (!header.ok()) {
@@ -453,7 +455,8 @@ Result<std::string> ApplyConsensusDiffChain(std::string_view base,
     // the running document, so per-link base verification is redundant work.
     ApplyDiffOptions link_options = options;
     link_options.verify_base = false;
-    Result<std::string> patched = ApplyConsensusDiff(current, diffs[i], link_options);
+    Result<std::string> patched =
+        ApplyConsensusDiff(i == 0 ? base : std::string_view(current), diffs[i], link_options);
     if (!patched.ok()) {
       return patched.status();
     }

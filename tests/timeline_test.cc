@@ -1,23 +1,28 @@
 // Tests for the long-horizon timeline engine (src/scenario/timeline.h):
 // calendar -> per-round spec derivation and validation, thread-count
-// bit-identity of RunTimeline, the golden 48-round recovery trace (who
-// failed, who was fresh, who rejoined at what cost), the paper's three-hour
-// validity arithmetic on the horizon client plane, and the per-protocol
-// snapshot/restore round-trip that pins the AuthorityRoundState seam.
+// bit-identity of RunTimeline, the stitch's one derivation per distinct
+// published document, each boundary's crashed set in the runner's churn
+// order, the golden 48-round recovery trace (who failed, who was fresh, who
+// rejoined at what cost), the paper's three-hour validity arithmetic on the
+// horizon client plane, and the per-protocol snapshot/restore round-trip
+// that pins the AuthorityRoundState seam.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
+#include "src/crypto/sha256_tree.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/directory_protocol.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/timeline.h"
+#include "src/tordir/consensus_diff.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/generator.h"
 
@@ -151,6 +156,90 @@ TEST(TimelineTest, TimelineIsBitIdenticalAcrossThreadCounts) {
   }
   // And rerunning serially on the warm runner changes nothing either.
   EXPECT_TRUE(BitIdentical(serial, runner.RunTimeline(timeline)));
+}
+
+// Memoized rounds share one document pointer, and the stitch serializes and
+// digests each distinct document, and diffs each distinct consecutive pair,
+// once: rounds H, A, H, H, A (A = authority 8 down from 30 s) publish two
+// documents and three pairs, and the repeated ones share one derivation. The
+// shared values are exactly what a per-round derivation computes, at any
+// thread count and on the reference runner, where no pointer repeats.
+TEST(TimelineTest, StitchDerivesEachDistinctDocumentOnce) {
+  TimelineSpec timeline = SmallTimeline();
+  timeline.rounds = 5;
+  for (const uint32_t round : {1u, 4u}) {
+    timeline.churn.push_back(ChurnCalendarEntry{
+        round, ChurnEvent{8, torbase::Seconds(30), ChurnEvent::Kind::kCrash}});
+  }
+  ScenarioRunner runner;
+  const TimelineResult result = runner.RunTimeline(timeline);
+  ASSERT_EQ(result.successful_rounds, 5u);
+
+  const std::vector<RoundSnapshot>& snapshots = result.snapshots;
+  // Pointers compare as addresses, so a failure prints no document.
+  EXPECT_EQ(snapshots[2].consensus_text.get(), snapshots[0].consensus_text.get());
+  EXPECT_EQ(snapshots[3].consensus_text.get(), snapshots[0].consensus_text.get());
+  EXPECT_EQ(snapshots[4].consensus_text.get(), snapshots[1].consensus_text.get());
+  EXPECT_TRUE(*snapshots[1].consensus_text != *snapshots[0].consensus_text);
+  ASSERT_NE(snapshots[1].diff_from_previous, nullptr);
+  EXPECT_EQ(snapshots[4].diff_from_previous.get(), snapshots[1].diff_from_previous.get());
+  for (size_t r = 0; r < snapshots.size(); ++r) {
+    const RoundSnapshot& snapshot = snapshots[r];
+    EXPECT_TRUE(*snapshot.consensus_text == tordir::SerializeConsensus(*snapshot.consensus)) << r;
+    EXPECT_EQ(snapshot.consensus_digest,
+              torcrypto::Digest256(torcrypto::Sha256TreeDigest(*snapshot.consensus_text)))
+        << r;
+    if (r > 0) {
+      // The codec derives both framing digests itself here.
+      EXPECT_TRUE(*snapshot.diff_from_previous ==
+                  tordir::ComputeConsensusDiff(*snapshots[r - 1].consensus, *snapshot.consensus))
+          << r;
+    }
+  }
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ScenarioRunner fresh;
+    EXPECT_TRUE(BitIdentical(result, fresh.RunTimeline(timeline, SweepOptions{threads})))
+        << threads << " threads";
+  }
+  ScenarioRunner reference;
+  reference.set_reference(true);
+  EXPECT_TRUE(BitIdentical(result, reference.RunTimeline(timeline, SweepOptions{8})));
+}
+
+// A round's crashed set is its churn replayed in the order the runner applies
+// it, by offset, whatever order the calendar lists the entries in.
+TEST(TimelineTest, CrashedSetFollowsTheRunnersChurnOrder) {
+  ScenarioRunner runner;
+
+  // A blip listed recover-first: authority 8 is down from 30 s to 5 min, so
+  // it is up at the boundary and holds the round's consensus.
+  TimelineSpec blip = SmallTimeline();
+  blip.rounds = 3;
+  blip.churn.push_back(
+      ChurnCalendarEntry{1, ChurnEvent{8, Minutes(5), ChurnEvent::Kind::kRecover}});
+  blip.churn.push_back(
+      ChurnCalendarEntry{1, ChurnEvent{8, torbase::Seconds(30), ChurnEvent::Kind::kCrash}});
+  const TimelineResult recover_first = runner.RunTimeline(blip);
+  EXPECT_EQ(recover_first.rounds[1].consensus_holders.size(), 9u);
+  EXPECT_TRUE(recover_first.snapshots[1].crashed.empty());
+  std::swap(blip.churn[0], blip.churn[1]);
+  EXPECT_TRUE(BitIdentical(recover_first, runner.RunTimeline(blip)));
+
+  // A blip crashing authority 7 at 10 min in the round its calendar crash
+  // recovers in, at 20 min: it is down in round 1, back at round 2's
+  // boundary, and its rejoin is charged to round 2.
+  TimelineSpec overlap = SmallTimeline();
+  overlap.rounds = 4;
+  overlap.crashes.push_back(CrashCalendarEntry{7, 1, Minutes(1), 2, Minutes(20)});
+  overlap.churn.push_back(
+      ChurnCalendarEntry{2, ChurnEvent{7, Minutes(10), ChurnEvent::Kind::kCrash}});
+  const TimelineResult result = runner.RunTimeline(overlap);
+  EXPECT_EQ(result.snapshots[1].crashed, (std::vector<torbase::NodeId>{7}));
+  EXPECT_TRUE(result.snapshots[2].crashed.empty());
+  ASSERT_EQ(result.rejoins.size(), 1u);
+  EXPECT_EQ(result.rejoins[0].node, 7u);
+  EXPECT_EQ(result.rejoins[0].round, 2u);
 }
 
 // A snapshot's backlog is NaN-aware like every other double in the field
